@@ -11,6 +11,7 @@ polynomial file is {"dim": n, "terms": [{"alpha": [..], "re": .., "im": ..}]}.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -122,8 +123,12 @@ def measure_from_dict(data):
             raise InputError(f"atoms[{i}] must be an object")
         point = _point_from_list(entry.get("point"), space.dim, f"atoms[{i}]")
         weight = entry.get("weight")
-        if not isinstance(weight, (int, float)) or not weight > 0:
-            raise InputError(f"atoms[{i}]: weight must be a positive number")
+        if (
+            isinstance(weight, bool)
+            or not isinstance(weight, (int, float))
+            or not 0 < weight <= sys.float_info.max
+        ):
+            raise InputError(f"atoms[{i}]: weight must be a positive finite number")
         atoms.append((point, float(weight)))
     return measure.DiscreteMeasure(space, atoms)
 
@@ -171,10 +176,19 @@ def poly_from_dict(data):
         if not isinstance(entry, dict):
             raise InputError(f"terms[{i}] must be an object")
         alpha = entry.get("alpha")
-        if not isinstance(alpha, list) or len(alpha) != dim:
-            raise InputError(f"terms[{i}]: alpha must be a list of {dim} integers")
-        coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        key = tuple(int(a) for a in alpha)
+        if (
+            not isinstance(alpha, list)
+            or len(alpha) != dim
+            or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha)
+        ):
+            raise InputError(f"terms[{i}]: alpha must be a list of {dim} non-negative integers")
+        try:
+            coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"terms[{i}]: re and im must be numbers") from exc
+        if not cmath.isfinite(coeff):
+            raise InputError(f"terms[{i}]: re and im must be finite")
+        key = tuple(alpha)
         terms[key] = terms.get(key, 0.0) + coeff
     return calculus.MultiPoly(dim, terms)
 
@@ -227,7 +241,9 @@ def _cmd_analyze(args):
     mu = measure_from_dict(load_json(args.path))
     report = measure.analyze(mu, resolution=args.grid)
     if args.format == "json":
-        text = json.dumps(analysis_report_to_dict(report, mu.space), indent=2) + "\n"
+        text = json.dumps(
+            analysis_report_to_dict(report, mu.space), indent=2, allow_nan=False
+        ) + "\n"
     else:
         text = analysis_report_to_csv(report)
     _write_output(text, args.out)

@@ -15,15 +15,22 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, NumericError, UnsupportedError
 from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson_field, _poisson_matrix, _szego_matrix
 from .numerics import HermitianMatrix, extreme_eigs, rng_stream
 
 MAX_ATOMS = 2000
+# The grid holds about 2.7 * resolution^2 disc points (2.8 M at 1024),
+# so the limit is checked before the grid is built.
+MAX_GRID_RESOLUTION = 1024
 
 # Grid radii stop a hair inside the ball so kernel values stay finite.
 _GRID_RADIUS_CAP = 1.0 - 1e-4
 _GRID_DIRECTION_SEED = 20231115
+
+# The grid and box scans work on row blocks of about this many
+# point-by-atom entries, so no full (points x atoms) matrix is held.
+_BLOCK_ENTRIES = 1 << 20
 
 
 class DiscreteMeasure:
@@ -44,9 +51,11 @@ class DiscreteMeasure:
                 raise InputError(
                     f"atom has dimension {point.dim}, space has dimension {space.dim}"
                 )
+            if isinstance(weight, (bool, np.bool_)):
+                raise InputError(f"weights must be numbers, got {weight!r}")
             weight = float(weight)
-            if not weight > 0.0:
-                raise InputError(f"weights must be positive, got {weight!r}")
+            if not 0.0 < weight < math.inf:
+                raise InputError(f"weights must be positive and finite, got {weight!r}")
             merged[point] = merged.get(point, 0.0) + weight
         if not merged:
             raise InputError("a measure needs at least one atom")
@@ -98,6 +107,13 @@ def kernel_constant_on_support(mu):
     return float(np.max(p @ mu.weights_array()))
 
 
+def _check_resolution(resolution):
+    if not isinstance(resolution, int) or not 8 <= resolution <= MAX_GRID_RESOLUTION:
+        raise InputError(
+            f"resolution must be an integer in [8, {MAX_GRID_RESOLUTION}], got {resolution!r}"
+        )
+
+
 def _grid_points(space, resolution):
     """Deterministic interior grid, nested as resolution grows.
 
@@ -107,8 +123,7 @@ def _grid_points(space, resolution):
     only on its own L, so grids at lower resolutions are subsets of
     grids at higher ones and the scanned supremum is monotone.
     """
-    if not isinstance(resolution, int) or resolution < 8:
-        raise InputError(f"resolution must be an integer >= 8, got {resolution!r}")
+    _check_resolution(resolution)
     blocks = []
     level = 8
     while level <= resolution:
@@ -128,6 +143,12 @@ def _grid_points(space, resolution):
     return np.concatenate(blocks, axis=0)
 
 
+def _row_blocks(rows, cols):
+    """Slices covering range(rows), each at most _BLOCK_ENTRIES // cols rows."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def kernel_constant_grid(mu, resolution):
     """Scanned supremum of sum_j w_j P_z(lam_j) over a grid union the atoms.
 
@@ -135,9 +156,12 @@ def kernel_constant_grid(mu, resolution):
     nondecreasing in resolution and never below the support constant.
     """
     pts = mu.points_array()
+    w = mu.weights_array()
     grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
-    p = _poisson_matrix(grid, pts, mu.space.dim)
-    return float(np.max(p @ mu.weights_array()))
+    return float(np.max([
+        np.max(_poisson_matrix(grid[rows], pts, mu.space.dim) @ w)
+        for rows in _row_blocks(len(grid), len(pts))
+    ]))
 
 
 def box_constant(mu, directions=64):
@@ -147,7 +171,8 @@ def box_constant(mu, directions=64):
     circle.  For a fixed center the ratio jumps exactly at the radii
     |lam_j - xi| and decreases in between, so scanning those critical
     radii over a center grid (refined toward each atom's direction)
-    yields the estimate.
+    yields the estimate.  Per center, the atoms sorted by distance give
+    the masses as a cumulative sum, so C centers cost O(C m log m).
     """
     if mu.space.kind != DISC:
         raise UnsupportedError("box geometry is defined only on the disc")
@@ -156,24 +181,23 @@ def box_constant(mu, directions=64):
     lam = mu.points_array()[:, 0]
     w = mu.weights_array()
 
-    angles = list(2.0 * np.pi * np.arange(directions) / directions)
     base_step = 2.0 * np.pi / directions
-    for z in lam:
-        if abs(z) == 0.0:
-            continue
-        t = math.atan2(z.imag, z.real)
-        angles.append(t)
-        for k in range(1, 7):
-            angles.extend((t + base_step * 2.0 ** -k, t - base_step * 2.0 ** -k))
-    centers = np.exp(1j * np.asarray(angles))
+    halves = base_step * 2.0 ** -np.arange(1.0, 7.0)
+    offsets = np.concatenate([[0.0], np.column_stack([halves, -halves]).ravel()])
+    t = np.arctan2(lam.imag, lam.real)[lam != 0.0]
+    angles = np.concatenate([
+        2.0 * np.pi * np.arange(directions) / directions,
+        (t[:, None] + offsets[None, :]).ravel(),
+    ])
+    centers = np.exp(1j * angles)
 
-    dist = np.abs(lam[None, :] - centers[:, None])
-    best = 0.0
-    for row in dist:
-        for r in row:
-            mass = float(np.sum(w[row <= r * (1.0 + 1e-12)]))
-            best = max(best, mass / r)
-    return best
+    def block_max(rows):
+        dist = np.abs(lam[None, :] - centers[rows, None])
+        order = np.argsort(dist, axis=1)
+        mass = np.cumsum(w[order], axis=1)
+        return np.max(mass / np.take_along_axis(dist, order, axis=1))
+
+    return float(np.max([block_max(rows) for rows in _row_blocks(len(centers), len(lam))]))
 
 
 def embedding_norm_sq(mu):
@@ -196,19 +220,26 @@ def theorem_bound_constant(space):
 
 def analyze(mu, resolution=64):
     """Compute every constant and the theorem verdict for one measure."""
+    _check_resolution(resolution)
     a_sq = embedding_norm_sq(mu)
     c_supp = kernel_constant_on_support(mu)
     c_grid = kernel_constant_grid(mu, resolution)
     i_box = box_constant(mu) if mu.space.kind == DISC else None
     const = theorem_bound_constant(mu.space)
     bound = const * c_supp
+    ratio = a_sq / c_supp
+    values = {"a_sq": a_sq, "c_supp": c_supp, "c_grid": c_grid, "i_box": i_box,
+              "bound": bound, "ratio": ratio}
+    bad = [k for k, v in values.items() if v is not None and not math.isfinite(v)]
+    if bad:
+        raise NumericError(f"{', '.join(bad)} not finite in double precision")
     return AnalysisReport(
         a_sq=a_sq,
         c_supp=c_supp,
         c_grid=c_grid,
         i_box=i_box,
         bound=bound,
-        ratio=a_sq / c_supp,
+        ratio=ratio,
         holds=bool(a_sq <= bound * (1.0 + 1e-9)),
         grid_resolution=resolution,
     )

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from carlembed import cli
+from carlembed import cli, measure
 from carlembed.errors import InputError
 
 PAIR = {
@@ -87,6 +88,50 @@ def test_schema_violations(tmp_path, capsys):
     assert rc == 2
     with pytest.raises(InputError):
         cli.space_from_dict({"kind": "polydisc"})
+    for weight in (True, math.inf):
+        bad = {"space": {"kind": "disc"}, "atoms": [{"point": [0.5, 0.0], "weight": weight}]}
+        rc = cli.main(["analyze", write(tmp_path, "b.json", bad)])
+        assert rc == 2
+
+
+def test_analyze_overflow_is_numeric_error(tmp_path, capsys):
+    huge = {
+        "space": {"kind": "disc"},
+        "atoms": [
+            {"point": [0.5, 0.0], "weight": 1e308},
+            {"point": [-0.5, 0.0], "weight": 1e308},
+        ],
+    }
+    with np.errstate(all="ignore"):
+        rc = cli.main(["analyze", write(tmp_path, "huge.json", huge), "--grid", "8"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_grid_above_cap_is_input_error(tmp_path, capsys):
+    too_fine = str(measure.MAX_GRID_RESOLUTION + 1)
+    rc = cli.main(["analyze", write(tmp_path, "pair.json", PAIR), "--grid", too_fine])
+    assert rc == 2
+    rc = cli.main(["interpolate", write(tmp_path, "seq.json", SEQ), "--grid", too_fine])
+    assert rc == 2
+    assert "resolution" in capsys.readouterr().err
+
+
+def test_malformed_polynomial_is_input_error(tmp_path, capsys):
+    mu_path = write(tmp_path, "pair.json", PAIR)
+    for term in (
+        {"alpha": [0], "re": "x"},
+        {"alpha": [True], "re": 1.0},
+        {"alpha": [1.5], "re": 1.0},
+        {"alpha": ["1"], "re": 1.0},
+        {"alpha": [-1], "re": 1.0},
+    ):
+        poly = write(tmp_path, "bad_poly.json", {"dim": 1, "terms": [term]})
+        rc = cli.main(["uchiyama", mu_path, "--poly", poly])
+        assert rc == 2, term
+    assert "input error" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import pytest
 
-from carlembed.errors import InputError
+from carlembed.errors import InputError, KernelConditioningWarning
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
 from carlembed.measure import DiscreteMeasure
@@ -52,6 +53,20 @@ def test_search_trace_monotone_and_deterministic():
     vals = [v for _, v in a.trace]
     assert all(x <= y for x, y in zip(vals, vals[1:]))
     assert a.trace[0][0] == 0
+
+
+def test_search_saturated_proposal_is_one_rejected_step():
+    # Steps this large put tanh(|y|) at exactly 1, an atom on the boundary.
+    cfg = SearchConfig(
+        space=DISC, atom_count=2, iterations=100, restarts=2, seed=1, step_init=20.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        a = search(cfg)
+        b = search(cfg)
+    assert a.notes == ()
+    assert a.best_ratio == b.best_ratio
+    assert a.trace == b.trace
 
 
 def test_search_respects_theorem_bound():

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint
+from carlembed.geometry import Space, SpacePoint, _poisson_matrix
 from carlembed.measure import (
+    MAX_GRID_RESOLUTION,
     DiscreteMeasure,
+    _grid_points,
+    _row_blocks,
     analyze,
     box_constant,
     carleson_potential,
@@ -14,6 +18,9 @@ from carlembed.measure import (
     kernel_constant_on_support,
     theorem_bound_constant,
 )
+from carlembed.numerics import rng_stream
+
+from conftest import disc_measure_corpus, random_point
 
 
 def pair_measure():
@@ -40,6 +47,9 @@ def test_measure_validates_weights_and_dims():
         DiscreteMeasure(sp, [(SpacePoint([0.5, 0.0]), 1.0)])
     with pytest.raises(InputError):
         DiscreteMeasure(sp, [])
+    for weight in (True, np.True_, math.inf, math.nan):
+        with pytest.raises(InputError):
+            DiscreteMeasure(sp, [(SpacePoint(0.5), weight)])
 
 
 def test_carleson_potential_single_atom_oracle():
@@ -87,6 +97,59 @@ def test_kernel_constant_grid_refines_monotonically():
     assert vals[0] >= kernel_constant_on_support(mu) - 1e-12
     with pytest.raises(InputError):
         kernel_constant_grid(mu, resolution=4)
+    with pytest.raises(InputError):
+        kernel_constant_grid(mu, resolution=MAX_GRID_RESOLUTION + 1)
+
+
+def test_kernel_constant_grid_matches_unblocked_scan():
+    rng = rng_stream(41, 0)
+    for space, count in ((Space.disc(), 300), (Space.ball(2), 600)):
+        atoms = [(random_point(rng, space.dim, 0.95), 1.0 + rng.random()) for _ in range(count)]
+        mu = DiscreteMeasure(space, atoms)
+        pts = mu.points_array()
+        grid = np.concatenate([_grid_points(mu.space, 64), pts], axis=0)
+        assert len(_row_blocks(len(grid), len(pts))) >= 3
+        want = float(np.max(_poisson_matrix(grid, pts, mu.space.dim) @ mu.weights_array()))
+        assert kernel_constant_grid(mu, 64) == pytest.approx(want, rel=1e-14)
+
+
+def _box_constant_loop(mu, directions=64):
+    """Per-radius double loop over the center grid: the oracle for box_constant."""
+    lam = mu.points_array()[:, 0]
+    w = mu.weights_array()
+    angles = list(2.0 * np.pi * np.arange(directions) / directions)
+    base_step = 2.0 * np.pi / directions
+    for z in lam:
+        if abs(z) == 0.0:
+            continue
+        t = math.atan2(z.imag, z.real)
+        angles.append(t)
+        for k in range(1, 7):
+            angles.extend((t + base_step * 2.0 ** -k, t - base_step * 2.0 ** -k))
+    centers = np.exp(1j * np.asarray(angles))
+    dist = np.abs(lam[None, :] - centers[:, None])
+    best = 0.0
+    for row in dist:
+        for r in row:
+            mass = float(np.sum(w[row <= r * (1.0 + 1e-12)]))
+            best = max(best, mass / r)
+    return best
+
+
+def test_box_constant_matches_loop_oracle():
+    sp = Space.disc()
+    corpus = disc_measure_corpus(30, 50, 0.95, seed=2024, stream=0)
+    # both atoms lie exactly at distance |0.7 + 0.1i - 1| from the center 1
+    tie = DiscreteMeasure(sp, [(SpacePoint(0.7 + 0.1j), 1.0), (SpacePoint(0.7 - 0.1j), 1.0)])
+    assert box_constant(tie) == 2.0 / abs(0.7 + 0.1j - 1.0)
+    for mu in corpus + [tie, pair_measure()]:
+        oracle = _box_constant_loop(mu)
+        got = box_constant(mu)
+        # The loop counts atoms within a relative 1e-12 of each radius;
+        # cumulative sums add the masses in another order, which moves
+        # a sum of m positive terms by at most about 2 m eps.
+        rounding = 2 * len(mu) * np.finfo(float).eps
+        assert oracle / (1.0 + 1e-12) <= got <= oracle * (1.0 + rounding)
 
 
 def test_box_constant_single_atom_oracle():
