@@ -18,17 +18,8 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericError
-from .geometry import (
-    BALL,
-    DISC,
-    SpacePoint,
-    _ipow_array,
-    _norm_sq_rows,
-    _poisson_matrix,
-    inner,
-    poisson_kernel,
-)
-from .measure import kernel_constant_on_support
+from .geometry import BALL, DISC, SpacePoint, _ipow, _norm_sq_rows, inner, poisson_kernel
+from .measure import _point_row, _potential_field, carleson_potential, kernel_constant_on_support
 from .numerics import (
     QuadratureSpec,
     ball_rule,
@@ -138,12 +129,17 @@ def _shift(zs, col, step):
     return out
 
 
+def _stencil_sum(u, zs, col, h, u0):
+    """u(z+h) + u(z-h) + u(z+ih) + u(z-ih) - 4 u(z) in coordinate col; u0 = u(zs)."""
+    acc = -4.0 * u0
+    for step in (h, -h, 1j * h, -1j * h):
+        acc = acc + np.asarray(u(_shift(zs, col, step)), dtype=float)
+    return acc
+
+
 def _flat_laplacian_field(u, zs, h):
     """5-point Laplacian of u at the rows of zs; h scalar or per-row array."""
-    acc = -4.0 * np.asarray(u(zs), dtype=float)
-    for step in (h, -h, 1j * h, -1j * h):
-        acc = acc + np.asarray(u(_shift(zs, 0, step)), dtype=float)
-    return acc / (h * h)
+    return _stencil_sum(u, zs, 0, h, np.asarray(u(zs), dtype=float)) / (h * h)
 
 
 def _invariant_laplacian_field(u, zs, h):
@@ -162,10 +158,7 @@ def _invariant_laplacian_field(u, zs, h):
 
     total = np.zeros(zs.shape[0])
     for i in range(n):
-        stencil = -4.0 * u0
-        for step in (h, -h, 1j * h, -1j * h):
-            stencil = stencil + np.asarray(u(_shift(zs, i, step)), dtype=float)
-        dbar_ii = stencil / (4.0 * h2)
+        dbar_ii = _stencil_sum(u, zs, i, h, u0) / (4.0 * h2)
         g_ii = c * (1.0 - (zs[:, i] * zs[:, i].conj()).real)
         total += g_ii * dbar_ii
 
@@ -269,22 +262,20 @@ def poisson_gradient_ball(z, lam, j, space):
     return n * bracket * poisson_kernel(z, lam, space)
 
 
-def _potential_field(mu, zs):
-    return -(_poisson_matrix(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
+def _atom_sum(mu, zs):
+    """sum_j w_j (1 - |lam_j|^2) / |1 - <z, lam_j>|^(2n+2) at every row z of zs."""
+    lams = mu.points_array()
+    d = 1.0 - zs @ lams.conj().T
+    mass = mu.weights_array() * (1.0 - _norm_sq_rows(lams))
+    return (1.0 / _ipow((d * d.conj()).real, mu.space.dim + 1)) @ mass
 
 
 def _potential_laplacian_field(mu, zs):
-    n = mu.space.dim
-    lams = mu.points_array()
-    w = mu.weights_array()
-    a_lam = 1.0 - _norm_sq_rows(lams)
-    d = 1.0 - zs @ lams.conj().T
-    d2 = (d * d.conj()).real
     if mu.space.kind == DISC:
-        return 4.0 * (1.0 / (d2 * d2)) @ (w * a_lam)
+        return 4.0 * _atom_sum(mu, zs)
+    n = mu.space.dim
     a_z = 1.0 - _norm_sq_rows(zs)
-    core = (1.0 / _ipow_array(d2, n + 1)) @ (w * a_lam)
-    return (4.0 * n * n / (n + 1.0)) * a_z ** (n + 1) * core
+    return (4.0 * n * n / (n + 1.0)) * a_z ** (n + 1) * _atom_sum(mu, zs)
 
 
 def potential_laplacian_closed(mu, z):
@@ -294,10 +285,7 @@ def potential_laplacian_closed(mu, z):
     Ball: Lap~ phi(z) = (4 n^2/(n+1)) (1-|z|^2) sum_j w_j P_z(lam_j) P_{lam_j}(z)^(1/n).
     Both are nonnegative: the potential is (invariant) subharmonic.
     """
-    zs = np.asarray(z.coords, dtype=complex).reshape(1, -1)
-    if zs.shape[1] != mu.space.dim:
-        raise InputError(f"point has dimension {zs.shape[1]}, space has {mu.space.dim}")
-    return float(_potential_laplacian_field(mu, zs)[0])
+    return float(_potential_laplacian_field(mu, _point_row(mu, z))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +387,29 @@ def greens_formula_check(u, space, q=None, laplacian=None):
 # The induced measure density and the proof inequalities.
 
 
-def _uchiyama_density_field(mu, zs):
+def _density_field(mu, zs, factor):
+    """factor * Lap(phi) * Green weight against dA (disc) or dV (ball).
+
+    factor is e^phi for the Uchiyama measure and 1.0 for the corollary.
+    """
     n = mu.space.dim
-    phi = _potential_field(mu, zs)
     if mu.space.kind == DISC:
         r = np.abs(zs[:, 0])
         lap = _potential_laplacian_field(mu, zs)
-        return np.exp(phi) * lap * (-np.log(r)) / (2.0 * np.pi)
+        return factor * lap * (-np.log(r)) / (2.0 * np.pi)
     # Ball branch with the (1 - |z|^2)^(n+1) cancellation between
     # Lap~(phi) and dg/dV folded in analytically, so nothing blows up
     # at the boundary:
     #   e^phi Lap~(phi) G / (1-|z|^2)^(n+1)
     #     = (4 n^2/(n+1)) e^phi G sum_j w_j (1-|lam_j|^2) / |1-<z,lam_j>|^(2n+2).
-    lams = mu.points_array()
-    w = mu.weights_array()
-    a_lam = 1.0 - _norm_sq_rows(lams)
-    d = 1.0 - zs @ lams.conj().T
-    core = (1.0 / _ipow_array((d * d.conj()).real, n + 1)) @ (w * a_lam)
+    core = _atom_sum(mu, zs)
     r = np.sqrt(_norm_sq_rows(zs))
     scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
-    return scale * np.exp(phi) * _green_ball_field(r, n) * core
+    return scale * factor * _green_ball_field(r, n) * core
+
+
+def _uchiyama_density_field(mu, zs):
+    return _density_field(mu, zs, np.exp(_potential_field(mu, zs)))
 
 
 def uchiyama_density(mu, z):
@@ -427,11 +418,9 @@ def uchiyama_density(mu, z):
     Disc: (1/2pi) e^phi Delta(phi) log(1/|z|); ball: (n!/pi^n) e^phi
     Lap~(phi) G / (1 - |z|^2)^(n+1).  Nonnegative; +inf sentinel at 0.
     """
-    if z.dim != mu.space.dim:
-        raise InputError(f"point has dimension {z.dim}, space has {mu.space.dim}")
+    zs = _point_row(mu, z)
     if z.norm_sq == 0.0:
         return math.inf
-    zs = z.as_array().reshape(1, -1)
     return float(_uchiyama_density_field(mu, zs)[0])
 
 
@@ -463,20 +452,7 @@ def corollary_check(mu, f, q=None):
     if q is None:
         q = default_quadrature(mu.space)
     points, weights = _domain_rule(mu.space, q)
-    n = mu.space.dim
-    if mu.space.kind == DISC:
-        r = np.abs(points[:, 0])
-        density = _potential_laplacian_field(mu, points) * (-np.log(r)) / (2.0 * np.pi)
-    else:
-        lams = mu.points_array()
-        w = mu.weights_array()
-        a_lam = 1.0 - _norm_sq_rows(lams)
-        d = 1.0 - points @ lams.conj().T
-        core = (1.0 / _ipow_array((d * d.conj()).real, n + 1)) @ (w * a_lam)
-        r = np.sqrt(_norm_sq_rows(points))
-        scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
-        density = scale * _green_ball_field(r, n) * core
-    values = np.abs(f.eval_array(points)) ** 2 * density
+    values = np.abs(f.eval_array(points)) ** 2 * _density_field(mu, points, 1.0)
     integral = _check_finite("corollary integral", float(np.sum(weights * values)))
     phi_sup = max(
         kernel_constant_on_support(mu), float(np.max(-_potential_field(mu, points)))
@@ -505,7 +481,7 @@ def key_inequality_check(mu, f, lambda_idx, q=None):
     d = 1.0 - points @ lam_arr.conj()
     d2 = (d * d.conj()).real
     a_z = 1.0 - _norm_sq_rows(points)
-    kernel = (1.0 - lam.norm_sq) * a_z ** n / _ipow_array(d2, n + 1)
+    kernel = (1.0 - lam.norm_sq) * a_z ** n / _ipow(d2, n + 1)
     if mu.space.kind == DISC:
         prefactor, constant = 1.0 / math.pi, 0.5
     else:
@@ -513,11 +489,8 @@ def key_inequality_check(mu, f, lambda_idx, q=None):
         constant = beta_constant(n)
     values = np.abs(f.eval_array(points)) ** 2 * np.exp(phi) * kernel
     lhs = _check_finite("key inequality lhs", prefactor * float(np.sum(weights * values)))
-    phi_lam = -float(
-        (_poisson_matrix(lam_arr.reshape(1, -1), mu.points_array(), n) @ mu.weights_array())[0]
-    )
     f_lam = f(lam)
-    rhs = constant * math.exp(phi_lam) * (f_lam * f_lam.conjugate()).real
+    rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
     return lhs, rhs
 
 

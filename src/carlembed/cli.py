@@ -278,41 +278,83 @@ def _random_poly(rng, dim, max_degree):
     return calculus.MultiPoly(dim, terms)
 
 
-def _verify_disc(rng, samples, h, tol):
-    space = Space.disc()
-    rows = []
+def _random_pair(rng, dim, rmax):
+    """(lam, z), drawn in that order."""
+    return _random_interior(rng, dim, rmax), _random_interior(rng, dim, rmax)
 
+
+def _worst(count, trial):
+    """Largest error over count calls of trial, and at least 0.0."""
     err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 1, 0.95)
-        want = (1.0 - lam.norm_sq) ** -0.5
+    for _ in range(count):
+        err = max(err, trial())
+    return err
+
+
+def _verify(space, rng, samples, h, tol):
+    """Identity rows of one space, drawing from rng in row order."""
+    n = space.dim
+    disc = space.kind == "disc"
+
+    def normalization():
+        lam = _random_interior(rng, n, 0.95)
+        want = (1.0 - lam.norm_sq) ** (-n / 2.0)
         got = geometry.normalized_kernel(lam, lam, space)
-        err = max(err, abs(got - want) / abs(want))
-    rows.append(("kernel normalization", err, tol))
+        return abs(got - want) / abs(want)
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 1, 0.9)
-        z = _random_interior(rng, 1, 0.9)
+    def involution():
+        lam, z = _random_pair(rng, n, 0.9)
         back = geometry.mobius(lam, geometry.mobius(lam, z, space), space)
-        err = max(err, abs(back.coords[0] - z.coords[0]))
-    rows.append(("mobius involution", err, tol))
+        return max(abs(a - b) for a, b in zip(back.coords, z.coords))
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 1, 0.9)
-        z = _random_interior(rng, 1, 0.9)
+    def norm_identity():
+        lam, z = _random_pair(rng, n, 0.9)
         image = geometry.mobius(lam, z, space)
         want = (1.0 - lam.norm_sq) * (1.0 - z.norm_sq) / abs(
             1.0 - geometry.inner(z, lam)
         ) ** 2
-        err = max(err, abs((1.0 - image.norm_sq) - want) / want)
-    rows.append(("mobius norm identity", err, tol))
+        return abs((1.0 - image.norm_sq) - want) / want
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 1, 0.8)
-        z = _random_interior(rng, 1, 0.8)
+    rows = [
+        ("kernel normalization", _worst(samples, normalization), tol),
+        ("mobius involution", _worst(samples, involution), tol),
+        ("mobius norm identity", _worst(samples, norm_identity), tol),
+    ]
+    rows += (_disc_rows if disc else _ball_rows)(space, rng, samples, h, tol)
+
+    # e^phi |f|^2 is (invariantly) subharmonic with Laplacian at least
+    # e^phi Lap(phi) |f|^2; checked by stencil against the closed form.
+    cap, degree, radius = (25, 3, 0.8) if disc else (10, 2, 0.75)
+
+    def minorant():
+        mu = _random_measure(rng, space, 3, 0.6)
+        f = _random_poly(rng, n, degree)
+        z = _random_interior(rng, n, radius)
+
+        def u(p):
+            val = f(p)
+            return math.exp(measure.carleson_potential(mu, p)) * (val * val.conjugate()).real
+
+        if disc:
+            lhs = calculus.laplacian_fd(u, z, h)
+        else:
+            lhs = calculus.invariant_laplacian_fd(u, z, space, h)
+        fz = f(z)
+        rhs = (
+            math.exp(measure.carleson_potential(mu, z))
+            * calculus.potential_laplacian_closed(mu, z)
+            * (fz * fz.conjugate()).real
+        )
+        return (rhs - lhs) / (1.0 + abs(rhs))
+
+    name = "subharmonic minorant" if disc else "invariant subharmonic minorant"
+    rows.append((name, _worst(min(samples, cap), minorant), max(tol, 200.0 * h * h)))
+    return rows
+
+
+def _disc_rows(space, rng, samples, h, tol):
+    def jacobian():
+        lam, z = _random_pair(rng, 1, 0.8)
         l0, z0 = lam.coords[0], z.coords[0]
         deriv = (
             geometry.mobius(lam, SpacePoint(z0 + h), space).coords[0]
@@ -320,131 +362,56 @@ def _verify_disc(rng, samples, h, tol):
         ) / (2.0 * h)
         want = ((1.0 - lam.norm_sq) / abs(1.0 - l0.conjugate() * z0) ** 2) ** 2
         got = (deriv * deriv.conjugate()).real
-        err = max(err, abs(got - want) / want)
-    rows.append(("mobius jacobian vs stencil", err, tol))
+        return abs(got - want) / want
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 1, 0.8)
-        z = _random_interior(rng, 1, 0.8)
+    def laplacian():
+        lam, z = _random_pair(rng, 1, 0.8)
         closed = calculus.laplacian_poisson_disc(z, lam)
         fd = calculus.laplacian_fd(lambda p: geometry.poisson_kernel(p, lam, space), z, h)
-        err = max(err, abs(fd - closed) / abs(closed))
-    rows.append(("poisson laplacian vs stencil", err, tol))
+        return abs(fd - closed) / abs(closed)
 
-    err = 0.0
-    floor = max(tol, 200.0 * h * h)
-    for _ in range(min(samples, 25)):
-        mu = _random_measure(rng, space, 3, 0.6)
-        f = _random_poly(rng, 1, 3)
-        z = _random_interior(rng, 1, 0.8)
-
-        def u(p):
-            val = f(p)
-            return math.exp(measure.carleson_potential(mu, p)) * (val * val.conjugate()).real
-
-        lhs = calculus.laplacian_fd(u, z, h)
-        fz = f(z)
-        rhs = (
-            math.exp(measure.carleson_potential(mu, z))
-            * calculus.potential_laplacian_closed(mu, z)
-            * (fz * fz.conjugate()).real
-        )
-        err = max(err, (rhs - lhs) / (1.0 + abs(rhs)))
-    rows.append(("subharmonic minorant", max(err, 0.0), floor))
-
-    return rows
+    return [
+        ("mobius jacobian vs stencil", _worst(samples, jacobian), tol),
+        ("poisson laplacian vs stencil", _worst(samples, laplacian), tol),
+    ]
 
 
-def _verify_ball2(rng, samples, h, tol):
-    space = Space.ball(2)
-    rows = []
+def _ball_rows(space, rng, samples, h, tol):
+    n = space.dim
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 2, 0.95)
-        want = (1.0 - lam.norm_sq) ** -1.0
-        got = geometry.normalized_kernel(lam, lam, space)
-        err = max(err, abs(got - want) / abs(want))
-    rows.append(("kernel normalization", err, tol))
-
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 2, 0.9)
-        z = _random_interior(rng, 2, 0.9)
-        back = geometry.mobius(lam, geometry.mobius(lam, z, space), space)
-        err = max(
-            err, max(abs(a - b) for a, b in zip(back.coords, z.coords))
-        )
-    rows.append(("mobius involution", err, tol))
-
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 2, 0.9)
-        z = _random_interior(rng, 2, 0.9)
-        image = geometry.mobius(lam, z, space)
-        want = (1.0 - lam.norm_sq) * (1.0 - z.norm_sq) / abs(
-            1.0 - geometry.inner(z, lam)
-        ) ** 2
-        err = max(err, abs((1.0 - image.norm_sq) - want) / want)
-    rows.append(("mobius norm identity", err, tol))
-
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 2, 0.75)
-        z = _random_interior(rng, 2, 0.75)
+    def laplacian():
+        lam, z = _random_pair(rng, n, 0.75)
         closed = calculus.invariant_laplacian_poisson_ball(z, lam, space)
         fd = calculus.invariant_laplacian_fd(
             lambda p: geometry.poisson_kernel(p, lam, space), z, space, h
         )
-        err = max(err, abs(fd - closed) / abs(closed))
-    rows.append(("invariant laplacian vs stencil", err, tol))
+        return abs(fd - closed) / abs(closed)
 
-    err = 0.0
-    for _ in range(samples):
-        lam = _random_interior(rng, 2, 0.8)
-        z = _random_interior(rng, 2, 0.8)
-        j = int(rng.integers(1, 3))
+    def gradient():
+        lam, z = _random_pair(rng, n, 0.8)
+        j = int(rng.integers(1, n + 1))
         closed = calculus.poisson_gradient_ball(z, lam, j, space)
 
-        def u(p):
-            return geometry.poisson_kernel(p, lam, space)
-
-        coords = list(z.coords)
-
-        def shifted(delta):
-            c = list(coords)
+        def u(delta):
+            c = list(z.coords)
             c[j - 1] += delta
-            return SpacePoint(c)
+            return geometry.poisson_kernel(SpacePoint(c), lam, space)
 
-        ux = (u(shifted(h)) - u(shifted(-h))) / (2.0 * h)
-        uy = (u(shifted(1j * h)) - u(shifted(-1j * h))) / (2.0 * h)
+        ux = (u(h) - u(-h)) / (2.0 * h)
+        uy = (u(1j * h) - u(-1j * h)) / (2.0 * h)
         fd = 0.5 * (ux - 1j * uy)
-        err = max(err, abs(fd - closed) / max(abs(closed), 1e-12))
-    rows.append(("poisson gradient vs stencil", err, tol))
-
-    err = 0.0
-    floor = max(tol, 200.0 * h * h)
-    for _ in range(min(samples, 10)):
-        mu = _random_measure(rng, space, 3, 0.6)
-        f = _random_poly(rng, 2, 2)
-        z = _random_interior(rng, 2, 0.75)
-
-        def u(p):
-            val = f(p)
-            return math.exp(measure.carleson_potential(mu, p)) * (val * val.conjugate()).real
-
-        lhs = calculus.invariant_laplacian_fd(u, z, space, h)
-        fz = f(z)
-        rhs = (
-            math.exp(measure.carleson_potential(mu, z))
-            * calculus.potential_laplacian_closed(mu, z)
-            * (fz * fz.conjugate()).real
+        # The two terms of the closed form can nearly cancel, so the error
+        # is measured against the sum of their magnitudes instead.
+        scale = n * geometry.poisson_kernel(z, lam, space) * (
+            abs(lam.coords[j - 1]) / abs(1.0 - geometry.inner(z, lam))
+            + abs(z.coords[j - 1]) / (1.0 - z.norm_sq)
         )
-        err = max(err, (rhs - lhs) / (1.0 + abs(rhs)))
-    rows.append(("invariant subharmonic minorant", max(err, 0.0), floor))
+        return abs(fd - closed) / scale
 
-    return rows
+    return [
+        ("invariant laplacian vs stencil", _worst(samples, laplacian), tol),
+        ("poisson gradient vs stencil", _worst(samples, gradient), tol),
+    ]
 
 
 def _cmd_verify_identities(args):
@@ -454,11 +421,8 @@ def _cmd_verify_identities(args):
         raise _UsageError("--fd-step must be positive")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
-    rng = rng_stream(args.seed, 0)
-    if args.space == "disc":
-        rows = _verify_disc(rng, args.samples, args.fd_step, args.tol)
-    else:
-        rows = _verify_ball2(rng, args.samples, args.fd_step, args.tol)
+    space = Space.disc() if args.space == "disc" else Space.ball(2)
+    rows = _verify(space, rng_stream(args.seed, 0), args.samples, args.fd_step, args.tol)
     failed = 0
     for name, err, tol in rows:
         ok = err <= tol

@@ -5,14 +5,10 @@ The objective A(mu)^2 / c_supp(mu) is bounded by the theorem constants
 Atoms are parameterized without constraints: a raw vector y in R^(2n)
 maps to the point tanh(|y|) y/|y| and a raw scalar v maps to the weight
 exp(v); the ratio is invariant under a common weight scale, so v is
-recentered every step.  Restarts draw from independent seeded streams
-and can run on threads; the merge picks the best ratio, ties broken by
-the lower restart index, so results are bit-identical for a fixed
-configuration regardless of thread count.
+recentered every step.  Restarts draw from independent seeded streams;
+the merge picks the best ratio, ties broken by the lower restart index.
 """
 
-import concurrent.futures
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -26,8 +22,6 @@ from .measure import (
     theorem_bound_constant,
 )
 from .numerics import rng_stream
-
-THREAD_ENV_VAR = "CARLEMBED_THREADS"
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
@@ -126,19 +120,6 @@ def _climb(cfg, restart, bound):
     return best, best_mu, tuple(trace)
 
 
-def _thread_count():
-    raw = os.environ.get(THREAD_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{THREAD_ENV_VAR} must be an integer >= 1, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"{THREAD_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return value
-
-
 def search(cfg):
     """Random-restart hill climbing; deterministic for a fixed config.
 
@@ -147,34 +128,19 @@ def search(cfg):
     and does not disturb the others.
     """
     bound = theorem_bound_constant(cfg.space)
-    outcomes = [None] * cfg.restarts
-
-    def run(r):
-        try:
-            return _climb(cfg, r, bound)
-        except CarlembedError as exc:
-            return None, None, (f"restart {r} aborted: {exc}",)
-
-    workers = min(_thread_count(), cfg.restarts)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, outcome in enumerate(pool.map(run, range(cfg.restarts))):
-                outcomes[r] = outcome
-    else:
-        for r in range(cfg.restarts):
-            outcomes[r] = run(r)
-
     winner = None
     notes = []
-    for r, (value, _, tail) in enumerate(outcomes):
-        if value is None:
-            notes.extend(tail)
+    for r in range(cfg.restarts):
+        try:
+            outcome = _climb(cfg, r, bound)
+        except CarlembedError as exc:
+            notes.append(f"restart {r} aborted: {exc}")
             continue
-        if winner is None or value > outcomes[winner][0]:
-            winner = r
+        if winner is None or outcome[0] > winner[0]:
+            winner = outcome
     if winner is None:
         raise NumericError("all restarts failed: " + "; ".join(notes))
-    best, best_mu, trace = outcomes[winner]
+    best, best_mu, trace = winner
     return SearchResult(
         best_ratio=best,
         best_measure=best_mu,

@@ -112,21 +112,43 @@ def inner(z, w):
 
 
 def _ipow(base, n):
-    """Integer power by repeated multiplication (no branch ambiguity)."""
-    out = base
-    for _ in range(n - 1):
-        out = out * base
+    """Integer power by repeated multiplication (no branch ambiguity).
+
+    Takes Python numbers and numpy arrays alike (arrays multiply in place).
+    """
+    if n == 1:
+        return base
+    out = base * base
+    for _ in range(n - 2):
+        out *= base
     return out
+
+
+# Each kernel formula below is written once in terms of d = 1 - <z, w>:
+# a Python complex for the scalar functions, an array for the matrices.
+def _szego(d, n):
+    """K(z, w) = 1 / d^n with d = 1 - <z, w>."""
+    return 1.0 / _ipow(d, n)
+
+
+def _poisson(d, z_norm_sq, n):
+    """P_z(lam) = (1 - |z|^2)^n / |d|^(2n) with d = 1 - <lam, z> or its conjugate."""
+    return (1.0 - z_norm_sq) ** n / _ipow((d * d.conjugate()).real, n)
+
+
+def _denominator(a, b, s):
+    """d = 1 - <a, b> for two points of s, refusing a vanishing d."""
+    _check_space(a, s)
+    _check_space(b, s)
+    d = 1.0 - inner(a, b)
+    if abs(d) < _DENOM_FLOOR:
+        raise SingularityError(f"kernel denominator |1 - <z, w>| = {abs(d):.3e}")
+    return d
 
 
 def szego_kernel(z, w, s):
     """Unnormalized reproducing kernel K(z, w) = 1 / (1 - <z, w>)^n."""
-    _check_space(z, s)
-    _check_space(w, s)
-    denom = 1.0 - inner(z, w)
-    if abs(denom) < _DENOM_FLOOR:
-        raise SingularityError(f"kernel denominator |1 - <z, w>| = {abs(denom):.3e}")
-    return 1.0 / _ipow(denom, s.dim)
+    return _szego(_denominator(z, w, s), s.dim)
 
 
 def normalized_kernel(lam, z, s):
@@ -136,12 +158,7 @@ def normalized_kernel(lam, z, s):
 
 def poisson_kernel(z, lam, s):
     """Poisson-Szego kernel P_z(lam) = |k_z(lam)|^2, strictly positive."""
-    _check_space(z, s)
-    _check_space(lam, s)
-    d = 1.0 - inner(lam, z)
-    if abs(d) < _DENOM_FLOOR:
-        raise SingularityError(f"kernel denominator |1 - <lam, z>| = {abs(d):.3e}")
-    return (1.0 - z.norm_sq) ** s.dim / _ipow((d * d.conjugate()).real, s.dim)
+    return _poisson(_denominator(lam, z, s), z.norm_sq, s.dim)
 
 
 def mobius(lam, z, s):
@@ -184,27 +201,11 @@ def _norm_sq_rows(zs):
     return np.einsum("ij,ij->i", zs, zs.conj()).real
 
 
-def _ipow_array(base, n):
-    out = base.copy()
-    for _ in range(n - 1):
-        out *= base
-    return out
-
-
-def _poisson_field(zs, lam, n):
-    """P_z(lam) for every row z of zs, one fixed lam (length-n array)."""
-    d = 1.0 - zs @ lam.conj()
-    return (1.0 - _norm_sq_rows(zs)) ** n / _ipow_array((d * d.conj()).real, n)
-
-
 def _poisson_matrix(zs, lams, n):
     """Matrix P[i, j] = P_{zs[i]}(lams[j]) of shape (m, N)."""
-    d = 1.0 - zs @ lams.conj().T
-    num = (1.0 - _norm_sq_rows(zs)) ** n
-    return num[:, None] / _ipow_array((d * d.conj()).real, n)
+    return _poisson(1.0 - zs @ lams.conj().T, _norm_sq_rows(zs)[:, None], n)
 
 
 def _szego_matrix(zs, ws, n):
     """Matrix K[i, j] = K(zs[i], ws[j]) of shape (m, N)."""
-    d = 1.0 - zs @ ws.conj().T
-    return 1.0 / _ipow_array(d, n)
+    return _szego(1.0 - zs @ ws.conj().T, n)

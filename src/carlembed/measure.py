@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
-from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson_field, _poisson_matrix, _szego_matrix
+from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson_matrix, _szego_matrix
 from .numerics import HermitianMatrix, extreme_eigs, rng_stream
 
 MAX_ATOMS = 2000
@@ -91,13 +91,21 @@ class AnalysisReport:
     grid_resolution: int
 
 
+def _point_row(mu, z):
+    """z as a (1, n) coordinate array, checked against the space of mu."""
+    if z.dim != mu.space.dim:
+        raise InputError(f"point has dimension {z.dim}, space has {mu.space.dim}")
+    return z.as_array().reshape(1, -1)
+
+
+def _potential_field(mu, zs):
+    """phi at every row z of zs."""
+    return -(_poisson_matrix(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
+
+
 def carleson_potential(mu, z):
     """phi(z) = -sum_j w_j P_z(lam_j), a bounded negative subharmonic function."""
-    zs = np.asarray(z.coords, dtype=complex).reshape(1, -1)
-    if zs.shape[1] != mu.space.dim:
-        raise InputError(f"point has dimension {zs.shape[1]}, space has {mu.space.dim}")
-    p = _poisson_matrix(zs, mu.points_array(), mu.space.dim)
-    return float(-(p @ mu.weights_array())[0])
+    return float(_potential_field(mu, _point_row(mu, z))[0])
 
 
 def kernel_constant_on_support(mu):

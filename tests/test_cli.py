@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from carlembed import cli, measure
+from carlembed import calculus, cli, measure
 from carlembed.errors import InputError
 
 PAIR = {
@@ -156,6 +156,27 @@ def test_verify_identities_runs_clean(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_identities_ball2_gradient_regression(capsys):
+    # This seed printed a false FAIL while the gradient error was taken
+    # relative to the closed form, whose two terms can nearly cancel.
+    rc = cli.main(["verify-identities", "--space", "ball2", "--seed", "410215546"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "PASS  poisson gradient vs stencil" in out
+
+
+def test_verify_identities_ball2_catches_wrong_gradient(monkeypatch, capsys):
+    closed = calculus.poisson_gradient_ball
+    monkeypatch.setattr(
+        calculus, "poisson_gradient_ball", lambda *args: 1.001 * closed(*args)
+    )
+    rc = cli.main(["verify-identities", "--space", "ball2", "--seed", "410215546"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL  poisson gradient vs stencil" in out
+    assert out.count("FAIL") == 1
+
+
 def test_green_check_disc_radial(capsys):
     rc = cli.main(["green-check", "--space", "disc", "--fn", "radial"])
     out = capsys.readouterr().out
@@ -194,6 +215,18 @@ def test_interpolate_command(tmp_path, capsys):
     assert rc == 0
     assert "delta            = 0.8" in out
     assert "PASS" in out
+
+
+def test_interpolate_checks_grid_before_eigensolves(tmp_path, capsys):
+    # 400 random points: the Gram matrix is numerically singular, which
+    # exits 4 if the eigensolves run before the grid limit is checked.
+    rng = np.random.default_rng(0)
+    z = 0.95 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+    seq = {"space": {"kind": "disc"}, "points": [[p.real, p.imag] for p in z]}
+    path = write(tmp_path, "seq400.json", seq)
+    rc = cli.main(["interpolate", path, "--grid", str(measure.MAX_GRID_RESOLUTION + 1)])
+    assert rc == 2
+    assert "resolution" in capsys.readouterr().err
 
 
 def test_search_command_trace(tmp_path, capsys):

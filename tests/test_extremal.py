@@ -3,10 +3,11 @@ import warnings
 
 import pytest
 
-from carlembed.errors import InputError, KernelConditioningWarning
+from carlembed import extremal
+from carlembed.errors import InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
-from carlembed.measure import DiscreteMeasure
+from carlembed.measure import DiscreteMeasure, theorem_bound_constant
 
 DISC = Space.disc()
 
@@ -82,17 +83,27 @@ def test_search_ball_smoke():
     assert 1.0 - 1e-9 <= res.best_ratio <= 6 * math.e * (1 + 1e-9)
 
 
-def test_search_thread_count_env(monkeypatch):
+def test_search_records_aborted_restart(monkeypatch):
     cfg = SearchConfig(space=DISC, atom_count=2, iterations=150, restarts=3, seed=9)
-    monkeypatch.setenv("CARLEMBED_THREADS", "1")
-    serial = search(cfg)
-    monkeypatch.setenv("CARLEMBED_THREADS", "3")
-    threaded = search(cfg)
-    assert serial.best_ratio == threaded.best_ratio
-    assert serial.trace == threaded.trace
-    monkeypatch.setenv("CARLEMBED_THREADS", "zero")
-    with pytest.raises(InputError):
-        search(cfg)
-    monkeypatch.setenv("CARLEMBED_THREADS", "0")
-    with pytest.raises(InputError):
+    bound = theorem_bound_constant(DISC)
+    outcomes = [extremal._climb(cfg, r, bound) for r in range(cfg.restarts)]
+    best = max(range(cfg.restarts), key=lambda r: (outcomes[r][0], -r))
+    climb = extremal._climb
+
+    def fail(cfg, restart, bound):
+        raise NumericError("eigensolve failed")
+
+    def fail_best(cfg, restart, bound):
+        return (fail if restart == best else climb)(cfg, restart, bound)
+
+    monkeypatch.setattr(extremal, "_climb", fail_best)
+    res = search(cfg)
+    assert res.notes == (f"restart {best} aborted: eigensolve failed",)
+    rest = [outcomes[r] for r in range(cfg.restarts) if r != best]
+    winner = max(rest, key=lambda o: o[0])
+    assert res.best_ratio == winner[0]
+    assert res.trace == winner[2]
+
+    monkeypatch.setattr(extremal, "_climb", fail)
+    with pytest.raises(NumericError, match="all restarts failed"):
         search(cfg)

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from carlembed.errors import InputError, KernelConditioningWarning
 from carlembed.geometry import (
     Space,
     SpacePoint,
+    _poisson_matrix,
+    _szego_matrix,
     inner,
     mobius,
     normalized_kernel,
@@ -13,6 +16,9 @@ from carlembed.geometry import (
     pseudo_hyperbolic,
     szego_kernel,
 )
+from carlembed.numerics import rng_stream
+
+from conftest import random_point
 
 
 def test_space_constructors():
@@ -141,3 +147,25 @@ def test_pseudo_hyperbolic_mobius_invariance():
     d0 = pseudo_hyperbolic(a, b, sp)
     d1 = pseudo_hyperbolic(mobius(c, a, sp), mobius(c, b, sp), sp)
     assert d1 == pytest.approx(d0, rel=1e-13)
+
+
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
+def test_scalar_kernels_match_matrix_entries(space):
+    # The scalar kernels and the matrix helpers share one formula each and
+    # differ only in how they form <z, w>, so they agree to rounding.
+    rng = rng_stream(20260101, space.dim)
+    pts = [random_point(rng, space.dim, 0.95) for _ in range(60)]
+    zs = np.array([p.coords for p in pts], dtype=complex)
+    szego = _szego_matrix(zs, zs, space.dim)
+    poisson = _poisson_matrix(zs, zs, space.dim)
+    worst = 0.0
+    for i, z in enumerate(pts):
+        for j, w in enumerate(pts):
+            norm = (1.0 - w.norm_sq) ** (space.dim / 2.0)
+            for got, want in (
+                (szego_kernel(z, w, space), szego[i, j]),
+                (poisson_kernel(z, w, space), poisson[i, j]),
+                (normalized_kernel(w, z, space), norm * szego[i, j]),
+            ):
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-13

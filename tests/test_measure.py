@@ -9,6 +9,7 @@ from carlembed.measure import (
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
     _grid_points,
+    _potential_field,
     _row_blocks,
     analyze,
     box_constant,
@@ -20,7 +21,7 @@ from carlembed.measure import (
 )
 from carlembed.numerics import rng_stream
 
-from conftest import disc_measure_corpus, random_point
+from conftest import ball_measure_corpus, disc_measure_corpus, random_point
 
 
 def pair_measure():
@@ -62,6 +63,14 @@ def test_carleson_potential_single_atom_oracle():
     mu2 = DiscreteMeasure(sp2, [(SpacePoint([0.0, 0.0]), 2.0)])
     z2 = SpacePoint([0.6, 0.0])
     assert carleson_potential(mu2, z2) == pytest.approx(-2 * (1 - 0.36) ** 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("corpus", [disc_measure_corpus, ball_measure_corpus])
+def test_carleson_potential_is_the_field_at_one_point(corpus):
+    rng = rng_stream(515, 1)
+    for mu in corpus(10, 12, 0.95, 515, 0):
+        z = random_point(rng, mu.space.dim, 0.95)
+        assert carleson_potential(mu, z) == _potential_field(mu, z.as_array()[None])[0]
 
 
 def test_kernel_constant_on_support_pair_oracle():
