@@ -26,6 +26,7 @@ from .calculus import (
     laplacian_poisson_disc,
     poisson_gradient_ball,
     potential_laplacian_closed,
+    uchiyama_checks,
     uchiyama_density,
     uchiyama_embedding_check,
 )
@@ -141,6 +142,7 @@ __all__ = [
     "sequence_measure",
     "szego_kernel",
     "theorem_bound_constant",
+    "uchiyama_checks",
     "uchiyama_density",
     "uchiyama_embedding_check",
 ]

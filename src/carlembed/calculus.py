@@ -6,6 +6,13 @@ metrics, the induced measure density e^phi * Lap(phi) * G, the
 contraction and pointwise key inequalities, Hardy norms of polynomial
 test functions, and the beta-integral constant (n!)^2 / (2n)!.
 
+The contraction, the bounded-potential corollary and the key inequality
+at every atom integrate against the same rule, potential phi and test
+function f.  uchiyama_checks computes them in one loop over row blocks
+of the rule, evaluating |f|^2 (nested Horner), phi, e^phi, the density
+and the node-by-atom kernel once per node; uchiyama_embedding_check,
+corollary_check and key_inequality_check are views of that pass.
+
 Function arguments named ``u`` or ``f`` follow two conventions.  The
 pointwise stencil ops (laplacian_fd, invariant_laplacian_fd) take a
 scalar callable of one SpacePoint.  The quadrature-driven checks take a
@@ -19,7 +26,13 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .geometry import BALL, DISC, SpacePoint, _ipow, _norm_sq_rows, inner, poisson_kernel
-from .measure import _point_row, _potential_field, carleson_potential, kernel_constant_on_support
+from .measure import (
+    _point_row,
+    _potential_field,
+    _row_blocks,
+    carleson_potential,
+    kernel_constant_on_support,
+)
 from .numerics import (
     QuadratureSpec,
     ball_rule,
@@ -43,6 +56,7 @@ __all__ = [
     "green_function_ball",
     "greens_formula_check",
     "uchiyama_density",
+    "uchiyama_checks",
     "uchiyama_embedding_check",
     "corollary_check",
     "key_inequality_check",
@@ -87,14 +101,39 @@ class MultiPoly:
         return total
 
     def eval_array(self, zs):
-        out = np.zeros(zs.shape[0], dtype=complex)
-        for alpha, coeff in self.terms.items():
-            term = np.full(zs.shape[0], coeff)
-            for i, a in enumerate(alpha):
-                if a:
-                    term *= zs[:, i] ** a
-            out += term
-        return out
+        """Values at the rows of zs as an (m,) complex array, by nested Horner."""
+        out = _horner(self.terms, zs) if self.terms else 0j
+        return np.full(zs.shape[0], out) if np.isscalar(out) else out
+
+
+def _horner(terms, zs):
+    """Sum of coeff * prod_i zs[:, i]^alpha_i over a nonempty {alpha: coeff}.
+
+    Horner in the first column; the coefficient of each of its powers is
+    a polynomial in the remaining columns, evaluated the same way.
+    Returns a Python complex when every term is constant.
+    """
+    if zs.shape[1] == 0:
+        return terms[()]
+    by_power = {}
+    for alpha, coeff in terms.items():
+        by_power.setdefault(alpha[0], {})[alpha[1:]] = coeff
+    z, rest = zs[:, 0], zs[:, 1:]
+    top = max(by_power)
+    out = _horner(by_power[top], rest)
+    for k in range(top - 1, -1, -1):
+        if isinstance(out, np.ndarray):
+            out *= z  # a fresh array, never a view of zs
+        else:
+            out = out * z
+        if k in by_power:
+            out += _horner(by_power[k], rest)
+    return out
+
+
+def _check_poly_dim(f, space):
+    if f.dim != space.dim:
+        raise InputError(f"polynomial has dimension {f.dim}, space has {space.dim}")
 
 
 def hardy_norm_sq(f, space):
@@ -104,8 +143,7 @@ def hardy_norm_sq(f, space):
     ||z^alpha||^2 = (n-1)! alpha! / (n-1+|alpha|)!, the standard monomial
     orthogonality on the sphere.
     """
-    if f.dim != space.dim:
-        raise InputError(f"polynomial has dimension {f.dim}, space has {space.dim}")
+    _check_poly_dim(f, space)
     if space.dim == 1:
         return float(sum((c * c.conjugate()).real for c in f.terms.values()))
     n = space.dim
@@ -262,20 +300,29 @@ def poisson_gradient_ball(z, lam, j, space):
     return n * bracket * poisson_kernel(z, lam, space)
 
 
+def _atom_matrix(mu, zs):
+    """A[i, j] = 1 / |1 - <zs[i], lam_j>|^(2n+2), shape (m, atoms)."""
+    d = 1.0 - zs @ mu.points_array().conj().T
+    return 1.0 / _ipow((d * d.conj()).real, mu.space.dim + 1)
+
+
+def _atom_mass(mu):
+    """w_j (1 - |lam_j|^2) for every atom."""
+    return mu.weights_array() * (1.0 - _norm_sq_rows(mu.points_array()))
+
+
 def _atom_sum(mu, zs):
     """sum_j w_j (1 - |lam_j|^2) / |1 - <z, lam_j>|^(2n+2) at every row z of zs."""
-    lams = mu.points_array()
-    d = 1.0 - zs @ lams.conj().T
-    mass = mu.weights_array() * (1.0 - _norm_sq_rows(lams))
-    return (1.0 / _ipow((d * d.conj()).real, mu.space.dim + 1)) @ mass
+    return _atom_matrix(mu, zs) @ _atom_mass(mu)
 
 
-def _potential_laplacian_field(mu, zs):
-    if mu.space.kind == DISC:
-        return 4.0 * _atom_sum(mu, zs)
-    n = mu.space.dim
+def _potential_laplacian_field(space, zs, core):
+    """Lap(phi) at the rows of zs, given core = _atom_sum(mu, zs)."""
+    if space.kind == DISC:
+        return 4.0 * core
+    n = space.dim
     a_z = 1.0 - _norm_sq_rows(zs)
-    return (4.0 * n * n / (n + 1.0)) * a_z ** (n + 1) * _atom_sum(mu, zs)
+    return (4.0 * n * n / (n + 1.0)) * a_z ** (n + 1) * core
 
 
 def potential_laplacian_closed(mu, z):
@@ -285,7 +332,8 @@ def potential_laplacian_closed(mu, z):
     Ball: Lap~ phi(z) = (4 n^2/(n+1)) (1-|z|^2) sum_j w_j P_z(lam_j) P_{lam_j}(z)^(1/n).
     Both are nonnegative: the potential is (invariant) subharmonic.
     """
-    return float(_potential_laplacian_field(mu, _point_row(mu, z))[0])
+    zs = _point_row(mu, z)
+    return float(_potential_laplacian_field(mu.space, zs, _atom_sum(mu, zs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +435,25 @@ def greens_formula_check(u, space, q=None, laplacian=None):
 # The induced measure density and the proof inequalities.
 
 
-def _density_field(mu, zs, factor):
-    """factor * Lap(phi) * Green weight against dA (disc) or dV (ball).
+def _density_field(mu, zs, core):
+    """Lap(phi) * Green weight against dA (disc) or dV (ball); core = _atom_sum(mu, zs).
 
-    factor is e^phi for the Uchiyama measure and 1.0 for the corollary.
+    The corollary integrates against this density, the Uchiyama measure
+    against e^phi times it.
     """
     n = mu.space.dim
     if mu.space.kind == DISC:
         r = np.abs(zs[:, 0])
-        lap = _potential_laplacian_field(mu, zs)
-        return factor * lap * (-np.log(r)) / (2.0 * np.pi)
+        lap = _potential_laplacian_field(mu.space, zs, core)
+        return lap * (-np.log(r)) / (2.0 * np.pi)
     # Ball branch with the (1 - |z|^2)^(n+1) cancellation between
     # Lap~(phi) and dg/dV folded in analytically, so nothing blows up
     # at the boundary:
-    #   e^phi Lap~(phi) G / (1-|z|^2)^(n+1)
-    #     = (4 n^2/(n+1)) e^phi G sum_j w_j (1-|lam_j|^2) / |1-<z,lam_j>|^(2n+2).
-    core = _atom_sum(mu, zs)
+    #   Lap~(phi) G / (1-|z|^2)^(n+1)
+    #     = (4 n^2/(n+1)) G sum_j w_j (1-|lam_j|^2) / |1-<z,lam_j>|^(2n+2).
     r = np.sqrt(_norm_sq_rows(zs))
     scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
-    return scale * factor * _green_ball_field(r, n) * core
-
-
-def _uchiyama_density_field(mu, zs):
-    return _density_field(mu, zs, np.exp(_potential_field(mu, zs)))
+    return scale * _green_ball_field(r, n) * core
 
 
 def uchiyama_density(mu, z):
@@ -421,7 +465,62 @@ def uchiyama_density(mu, z):
     zs = _point_row(mu, z)
     if z.norm_sq == 0.0:
         return math.inf
-    return float(_uchiyama_density_field(mu, zs)[0])
+    density = _density_field(mu, zs, _atom_sum(mu, zs))
+    return float(np.exp(_potential_field(mu, zs))[0] * density[0])
+
+
+def _uchiyama_values(mu, f, q):
+    """uchiyama_checks without its finiteness checks."""
+    _check_poly_dim(f, mu.space)
+    if q is None:
+        q = default_quadrature(mu.space)
+    n = mu.space.dim
+    points, weights = _domain_rule(mu.space, q)
+    mass = _atom_mass(mu)
+    contraction = corollary = 0.0
+    phi_sup = kernel_constant_on_support(mu)
+    key = np.zeros(len(mu))
+    for rows in _row_blocks(len(points), len(mu)):
+        zs = points[rows]
+        w_f = weights[rows] * np.abs(f.eval_array(zs)) ** 2
+        phi = _potential_field(mu, zs)
+        w_f_e = w_f * np.exp(phi)
+        a = _atom_matrix(mu, zs)
+        density = _density_field(mu, zs, a @ mass)
+        contraction += float(np.sum(w_f_e * density))
+        corollary += float(np.sum(w_f * density))
+        phi_sup = max(phi_sup, float(np.max(-phi)))
+        key += (w_f_e * (1.0 - _norm_sq_rows(zs)) ** n) @ a
+
+    if mu.space.kind == DISC:
+        prefactor, constant = 1.0 / math.pi, 0.5
+    else:
+        prefactor = math.factorial(n) / math.pi ** n
+        constant = beta_constant(n)
+    norm_sq = hardy_norm_sq(f, mu.space)
+    keys = []
+    for (lam, _), k in zip(mu.atoms, key):
+        f_lam = f(lam)
+        rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
+        keys.append((prefactor * (1.0 - lam.norm_sq) * float(k), rhs))
+    return (contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq), keys
+
+
+def uchiyama_checks(mu, f, q=None):
+    """The contraction, the corollary and every key inequality in one pass.
+
+    Returns ((integral, ||f||^2), (integral, e ||phi||_inf ||f||^2),
+    [(lhs, rhs) per atom]), as uchiyama_embedding_check, corollary_check
+    and key_inequality_check return them.  One loop over row blocks of
+    the rule computes |f|^2, phi, e^phi, the density and the node-by-atom
+    kernel once per node and feeds all three checks.
+    """
+    contraction, corollary, keys = _uchiyama_values(mu, f, q)
+    _check_finite("Uchiyama integral", contraction[0])
+    _check_finite("corollary integral", corollary[0])
+    for lhs, _ in keys:
+        _check_finite("key inequality lhs", lhs)
+    return contraction, corollary, keys
 
 
 def uchiyama_embedding_check(mu, f, q=None):
@@ -430,14 +529,8 @@ def uchiyama_embedding_check(mu, f, q=None):
     The lemma guarantees integral <= norm for every discrete measure;
     callers assert with their quadrature slack.
     """
-    if f.dim != mu.space.dim:
-        raise InputError(f"polynomial has dimension {f.dim}, space has {mu.space.dim}")
-    if q is None:
-        q = default_quadrature(mu.space)
-    points, weights = _domain_rule(mu.space, q)
-    values = np.abs(f.eval_array(points)) ** 2 * _uchiyama_density_field(mu, points)
-    integral = _check_finite("Uchiyama integral", float(np.sum(weights * values)))
-    return integral, hardy_norm_sq(f, mu.space)
+    integral, norm_sq = _uchiyama_values(mu, f, q)[0]
+    return _check_finite("Uchiyama integral", integral), norm_sq
 
 
 def corollary_check(mu, f, q=None):
@@ -447,17 +540,8 @@ def corollary_check(mu, f, q=None):
     estimated as the max of -phi over the quadrature nodes and the atoms,
     a lower bound of the true supremum.
     """
-    if f.dim != mu.space.dim:
-        raise InputError(f"polynomial has dimension {f.dim}, space has {mu.space.dim}")
-    if q is None:
-        q = default_quadrature(mu.space)
-    points, weights = _domain_rule(mu.space, q)
-    values = np.abs(f.eval_array(points)) ** 2 * _density_field(mu, points, 1.0)
-    integral = _check_finite("corollary integral", float(np.sum(weights * values)))
-    phi_sup = max(
-        kernel_constant_on_support(mu), float(np.max(-_potential_field(mu, points)))
-    )
-    return integral, math.e * phi_sup * hardy_norm_sq(f, mu.space)
+    integral, bound = _uchiyama_values(mu, f, q)[1]
+    return _check_finite("corollary integral", integral), bound
 
 
 def key_inequality_check(mu, f, lambda_idx, q=None):
@@ -467,31 +551,11 @@ def key_inequality_check(mu, f, lambda_idx, q=None):
     >= (1/2) e^(phi(lam)) |f(lam)|^2.  Ball: prefactor n!/pi^n, kernel
     (1-|lam|^2)(1-|z|^2)^n / |1-<z,lam>|^(2n+2), constant (n!)^2/(2n)!.
     """
-    if f.dim != mu.space.dim:
-        raise InputError(f"polynomial has dimension {f.dim}, space has {mu.space.dim}")
+    _check_poly_dim(f, mu.space)
     if not 0 <= lambda_idx < len(mu):
         raise InputError(f"atom index {lambda_idx} out of range 0..{len(mu) - 1}")
-    if q is None:
-        q = default_quadrature(mu.space)
-    lam, _ = mu.atoms[lambda_idx]
-    n = mu.space.dim
-    points, weights = _domain_rule(mu.space, q)
-    phi = _potential_field(mu, points)
-    lam_arr = lam.as_array()
-    d = 1.0 - points @ lam_arr.conj()
-    d2 = (d * d.conj()).real
-    a_z = 1.0 - _norm_sq_rows(points)
-    kernel = (1.0 - lam.norm_sq) * a_z ** n / _ipow(d2, n + 1)
-    if mu.space.kind == DISC:
-        prefactor, constant = 1.0 / math.pi, 0.5
-    else:
-        prefactor = math.factorial(n) / math.pi ** n
-        constant = beta_constant(n)
-    values = np.abs(f.eval_array(points)) ** 2 * np.exp(phi) * kernel
-    lhs = _check_finite("key inequality lhs", prefactor * float(np.sum(weights * values)))
-    f_lam = f(lam)
-    rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
-    return lhs, rhs
+    lhs, rhs = _uchiyama_values(mu, f, q)[2][lambda_idx]
+    return _check_finite("key inequality lhs", lhs), rhs
 
 
 def beta_constant(n):

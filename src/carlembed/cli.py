@@ -500,7 +500,7 @@ def _cmd_uchiyama(args):
     slack = DISC_SLACK if mu.space.kind == "disc" else BALL_SLACK
     failed = 0
 
-    integral, norm_sq = calculus.uchiyama_embedding_check(mu, f, q)
+    (integral, norm_sq), (corollary, bound), keys = calculus.uchiyama_checks(mu, f, q)
     ok = integral <= norm_sq * (1.0 + slack) + 1e-15
     failed += 0 if ok else 1
     print(
@@ -508,16 +508,14 @@ def _cmd_uchiyama(args):
         f"integral={_fmt(integral)}  norm_sq={_fmt(norm_sq)}"
     )
 
-    integral, bound = calculus.corollary_check(mu, f, q)
-    ok = integral <= bound * (1.0 + slack) + 1e-15
+    ok = corollary <= bound * (1.0 + slack) + 1e-15
     failed += 0 if ok else 1
     print(
         f"{'PASS' if ok else 'FAIL'}  bounded corollary "
-        f"integral={_fmt(integral)}  bound={_fmt(bound)}"
+        f"integral={_fmt(corollary)}  bound={_fmt(bound)}"
     )
 
-    for idx in range(len(mu)):
-        lhs, rhs = calculus.key_inequality_check(mu, f, idx, q)
+    for idx, (lhs, rhs) in enumerate(keys):
         ok = lhs >= rhs * (1.0 - slack) - 1e-15
         failed += 0 if ok else 1
         print(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
-from .geometry import DISC, SpacePoint
+from .geometry import DISC, SpacePoint, _szego_matrix
 from .measure import DiscreteMeasure, _check_resolution, embedding_norm_sq, kernel_constant_grid
 from .numerics import HermitianMatrix, extreme_eigs
 
@@ -107,8 +107,8 @@ def gram_matrix(seq):
     """
     lam = seq.values()
     a = np.sqrt(1.0 - (lam * lam.conj()).real)
-    g = a[:, None] * a[None, :] / (1.0 - lam[:, None] * lam[None, :].conj())
-    return HermitianMatrix(g)
+    pts = lam[:, None]
+    return HermitianMatrix(a[:, None] * a[None, :] * _szego_matrix(pts, pts, 1))
 
 
 def orthogonalizer_cond(seq):

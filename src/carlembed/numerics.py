@@ -15,6 +15,11 @@ import numpy as np
 from .errors import InputError, NumericError, UnsupportedError
 
 MAX_GAUSS_ORDER = 512
+# Node cap of one interior or boundary rule, checked before the rule is
+# built: the points and weights of a 2^23-node ball(2) rule alone take
+# 336 MB.  The default rules stay far below (1.18 M nodes for uchiyama
+# on ball(2), 1.57 M for green-check --space ball2).
+MAX_QUAD_NODES = 1 << 23
 
 # Fixed Philox key component so that distinct consumers of rng_stream
 # can never collide with user-facing seeds by accident.
@@ -42,6 +47,10 @@ class QuadratureSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 4:
                 raise InputError(f"{name} must be an integer >= 4, got {value!r}")
+            if name != "angular_order" and value > MAX_GAUSS_ORDER:
+                raise InputError(
+                    f"{name} is a Gauss-Legendre order, at most {MAX_GAUSS_ORDER}, got {value}"
+                )
         if not self.tol > 0:
             raise InputError(f"tol must be positive, got {self.tol!r}")
 
@@ -165,8 +174,14 @@ def _ball2_rule(radial_order, angular_order, sphere_nodes):
     return points, weights
 
 
+def _check_node_count(count):
+    if count > MAX_QUAD_NODES:
+        raise InputError(f"quadrature rule has {count} nodes, limit is {MAX_QUAD_NODES}")
+
+
 def disc_rule(q):
     """Interior nodes (m, 1) and weights carrying dA on the unit disc."""
+    _check_node_count(q.radial_order * q.angular_order)
     return _disc_rule(q.radial_order, q.angular_order)
 
 
@@ -177,8 +192,10 @@ def ball_rule(q, dim=2):
     would need a 2n-1 real-dimensional sphere product rule.
     """
     if dim == 1:
+        _check_node_count(q.radial_order * q.angular_order)
         return _disc_rule(q.radial_order, q.angular_order)
     if dim == 2:
+        _check_node_count(q.radial_order * q.sphere_nodes * q.angular_order ** 2)
         return _ball2_rule(q.radial_order, q.angular_order, q.sphere_nodes)
     raise UnsupportedError(f"quadrature is implemented for complex dimension <= 2, got {dim}")
 
@@ -216,8 +233,10 @@ def _sphere3_rule(angular_order, sphere_nodes):
 def boundary_rule(q, space):
     """Boundary nodes and weights for the normalized measure (total mass 1)."""
     if space.kind == "disc" or space.dim == 1:
+        _check_node_count(q.angular_order)
         return _circle_rule(q.angular_order)
     if space.dim == 2:
+        _check_node_count(q.sphere_nodes * q.angular_order ** 2)
         return _sphere3_rule(q.angular_order, q.sphere_nodes)
     raise UnsupportedError(
         f"boundary quadrature is implemented for complex dimension <= 2, got {space.dim}"

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from carlembed import calculus, cli, measure
 from carlembed.calculus import (
     MultiPoly,
     beta_constant,
@@ -18,13 +20,15 @@ from carlembed.calculus import (
     laplacian_poisson_disc,
     poisson_gradient_ball,
     potential_laplacian_closed,
+    uchiyama_checks,
     uchiyama_density,
     uchiyama_embedding_check,
 )
 from carlembed.errors import InputError
-from carlembed.geometry import Space, SpacePoint, poisson_kernel
-from carlembed.measure import DiscreteMeasure
-from carlembed.numerics import QuadratureSpec
+from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, poisson_kernel
+from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
+from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
+from conftest import measure_poly_corpus, random_point, random_poly
 
 DISC = Space.disc()
 BALL2 = Space.ball(2)
@@ -293,3 +297,198 @@ def test_beta_constant_values():
 def test_poly_dimension_guard():
     with pytest.raises(InputError):
         uchiyama_embedding_check(MU0_BALL, ONE_DISC)
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly.eval_array (nested Horner) against the scalar __call__.
+
+
+def _term_scale(f, z):
+    """sum |coeff| |z^alpha|: the size of the terms before they cancel."""
+    return sum(abs(c) * math.prod(abs(x) ** a for x, a in zip(z.coords, alpha))
+               for alpha, c in f.terms.items())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multipoly_eval_array_matches_scalar_call(dim):
+    rng = rng_stream(20261018, dim)
+    polys = [MultiPoly(dim, {}), MultiPoly(dim, {(0,) * dim: 2.0 - 1.5j})]
+    for _ in range(40):
+        # sparse terms with gaps in every coordinate's degree
+        terms = {}
+        for _ in range(int(rng.integers(1, 8))):
+            alpha = tuple(int(a) for a in rng.integers(0, 9, size=dim))
+            terms[alpha] = complex(rng.normal(), rng.normal())
+        polys.append(MultiPoly(dim, terms))
+    points = [random_point(rng, dim, 0.99) for _ in range(25)]
+    zs = np.array([p.coords for p in points], dtype=complex)
+    for f in polys:
+        got = f.eval_array(zs)
+        assert got.dtype == complex and got.shape == (len(points),)
+        for value, z in zip(got, points):
+            assert abs(value - f(z)) <= 1e-14 * _term_scale(f, z)
+    assert not np.any(polys[0].eval_array(zs))
+    assert np.all(polys[1].eval_array(zs) == 2.0 - 1.5j)
+
+
+# ---------------------------------------------------------------------------
+# uchiyama_checks against the three separate checks it replaced.  These
+# are the earlier bodies of uchiyama_embedding_check, corollary_check and
+# key_inequality_check (one full pass over the rule each), kept as the
+# oracle, with the earlier density and atom sum inlined; _eval_powers is
+# the earlier MultiPoly.eval_array.
+
+
+def _eval_powers(f, zs):
+    out = np.zeros(zs.shape[0], dtype=complex)
+    for alpha, coeff in f.terms.items():
+        term = np.full(zs.shape[0], coeff)
+        for i, a in enumerate(alpha):
+            if a:
+                term *= zs[:, i] ** a
+        out += term
+    return out
+
+
+def _density_oracle(mu, zs, factor):
+    n = mu.space.dim
+    lams = mu.points_array()
+    d = 1.0 - zs @ lams.conj().T
+    mass = mu.weights_array() * (1.0 - _norm_sq_rows(lams))
+    core = (1.0 / _ipow((d * d.conj()).real, n + 1)) @ mass
+    if mu.space.kind == "disc":
+        r = np.abs(zs[:, 0])
+        return factor * (4.0 * core) * (-np.log(r)) / (2.0 * np.pi)
+    r = np.sqrt(_norm_sq_rows(zs))
+    scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
+    return scale * factor * calculus._green_ball_field(r, n) * core
+
+
+def _contraction_oracle(mu, f, q):
+    points, weights = calculus._domain_rule(mu.space, q)
+    factor = np.exp(measure._potential_field(mu, points))
+    values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, factor)
+    return float(np.sum(weights * values)), hardy_norm_sq(f, mu.space)
+
+
+def _corollary_oracle(mu, f, q):
+    points, weights = calculus._domain_rule(mu.space, q)
+    values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, 1.0)
+    integral = float(np.sum(weights * values))
+    phi_sup = max(
+        kernel_constant_on_support(mu), float(np.max(-measure._potential_field(mu, points)))
+    )
+    return integral, math.e * phi_sup * hardy_norm_sq(f, mu.space)
+
+
+def _key_oracle(mu, f, lambda_idx, q):
+    lam, _ = mu.atoms[lambda_idx]
+    n = mu.space.dim
+    points, weights = calculus._domain_rule(mu.space, q)
+    phi = measure._potential_field(mu, points)
+    d = 1.0 - points @ lam.as_array().conj()
+    d2 = (d * d.conj()).real
+    a_z = 1.0 - _norm_sq_rows(points)
+    kernel = (1.0 - lam.norm_sq) * a_z ** n / _ipow(d2, n + 1)
+    if mu.space.kind == "disc":
+        prefactor, constant = 1.0 / math.pi, 0.5
+    else:
+        prefactor = math.factorial(n) / math.pi ** n
+        constant = beta_constant(n)
+    values = np.abs(_eval_powers(f, points)) ** 2 * np.exp(phi) * kernel
+    lhs = prefactor * float(np.sum(weights * values))
+    f_lam = f(lam)
+    rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
+    return lhs, rhs
+
+
+def _flat(result):
+    (a, b), (c, d), keys = result
+    return [a, b, c, d] + [x for pair in keys for x in pair]
+
+
+def _assert_close(got, want, rel):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * abs(w), (g, w)
+
+
+def _check_against_oracle(mu, f, q):
+    want = [*_contraction_oracle(mu, f, q), *_corollary_oracle(mu, f, q)]
+    for idx in range(len(mu)):
+        want.extend(_key_oracle(mu, f, idx, q))
+    _assert_close(_flat(uchiyama_checks(mu, f, q)), want, 1e-12)
+
+
+# The criterion 07/08 corpora; the ball pairs run on a 73,728-node rule
+# here (the default rule is 16x larger) to keep the oracle's 2 + m passes
+# cheap, the bench-shaped inputs below run on the default rule.
+_ORACLE_SEED = 20260222
+_SMALL_BALL_RULE = QuadratureSpec(radial_order=24, angular_order=16, sphere_nodes=12, tol=1e-3)
+
+
+def test_uchiyama_checks_match_oracle_disc_corpus():
+    q = default_quadrature(DISC)
+    for mu, f in measure_poly_corpus(50, DISC, 5, 0.8, 5, _ORACLE_SEED, 7):
+        _check_against_oracle(mu, f, q)
+
+
+def test_uchiyama_checks_match_oracle_ball_corpus():
+    for mu, f in measure_poly_corpus(10, BALL2, 5, 0.6, 5, _ORACLE_SEED, 8):
+        _check_against_oracle(mu, f, _SMALL_BALL_RULE)
+
+
+def test_uchiyama_checks_match_oracle_bench_shaped_ball():
+    # 3 atoms, rmax 0.6, degree 5 on the default 1.18 M-node rule (four
+    # row blocks).
+    rng = rng_stream(_ORACLE_SEED, 9)
+    q = default_quadrature(BALL2)
+    for _ in range(3):
+        mu = DiscreteMeasure(
+            BALL2, [(random_point(rng, 2, 0.6), math.exp(rng.normal(0.0, 0.5))) for _ in range(3)]
+        )
+        _check_against_oracle(mu, random_poly(rng, 2, 5), q)
+
+
+def test_uchiyama_checks_blocked_equals_one_block(monkeypatch):
+    q = default_quadrature(DISC)
+    for mu, f in measure_poly_corpus(5, DISC, 5, 0.8, 5, _ORACLE_SEED, 10):
+        whole = _flat(uchiyama_checks(mu, f, q))
+        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
+        assert len(measure._row_blocks(8192, len(mu))) >= 8
+        _assert_close(_flat(uchiyama_checks(mu, f, q)), whole, 1e-13)
+        monkeypatch.undo()
+
+
+def test_uchiyama_views_match_fused_routine():
+    mu, f = measure_poly_corpus(1, DISC, 5, 0.8, 5, _ORACLE_SEED, 11)[0]
+    mu = DiscreteMeasure(DISC, list(mu.atoms) + [(SpacePoint(0.3 - 0.2j), 0.5)])
+    contraction, corollary, keys = uchiyama_checks(mu, f)
+    assert uchiyama_embedding_check(mu, f) == contraction
+    assert corollary_check(mu, f) == corollary
+    assert [key_inequality_check(mu, f, idx) for idx in range(len(mu))] == keys
+
+
+def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsys):
+    mu = DiscreteMeasure(BALL2, [
+        (SpacePoint([0.3, 0.1j]), 1.0), (SpacePoint([-0.2, 0.4]), 0.5),
+        (SpacePoint([0.1j, -0.3]), 2.0),
+    ])
+    f = {"dim": 2, "terms": [{"alpha": [1, 2], "re": 1.0, "im": -0.5}]}
+    mu_path, f_path = tmp_path / "mu.json", tmp_path / "f.json"
+    mu_path.write_text(json.dumps(cli.measure_to_dict(mu)))
+    f_path.write_text(json.dumps(f))
+    rows = []
+    potential = calculus._potential_field
+
+    def counted(mu, zs):
+        rows.append(len(zs))
+        return potential(mu, zs)
+
+    monkeypatch.setattr(calculus, "_potential_field", counted)
+    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 16)
+    assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+    q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24, tol=1e-3)
+    nodes = len(ball_rule(q, 2)[1])
+    assert sum(rows) == nodes and len(rows) == len(measure._row_blocks(nodes, 3)) > 1

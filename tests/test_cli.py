@@ -202,6 +202,23 @@ def test_uchiyama_command(tmp_path, capsys):
     assert out.count("PASS") == 4  # contraction, corollary, two atoms
 
 
+def test_quadrature_limits_are_input_errors(tmp_path, capsys):
+    # Rejected while the QuadratureSpec or the rule is checked, before
+    # any node is allocated.
+    mu_path = write(tmp_path, "pair.json", PAIR)
+    poly_path = write(tmp_path, "poly.json", POLY)
+    rc = cli.main(["uchiyama", mu_path, "--poly", poly_path, "--quad-order", "513"])
+    assert rc == 2
+    assert "radial_order is a Gauss-Legendre order, at most 512" in capsys.readouterr().err
+    rc = cli.main(["green-check", "--space", "disc", "--quad-order", "513"])
+    assert rc == 2
+    assert "at most 512" in capsys.readouterr().err
+    # 400 * 24 * 32^2 = 9,830,400 ball(2) nodes, above the 2^23 cap
+    rc = cli.main(["green-check", "--space", "ball2", "--fn", "mixed", "--quad-order", "400"])
+    assert rc == 2
+    assert "quadrature rule has 9830400 nodes, limit is 8388608" in capsys.readouterr().err
+
+
 def test_uchiyama_dimension_mismatch(tmp_path, capsys):
     mu_path = write(tmp_path, "pair.json", PAIR)
     poly2 = {"dim": 2, "terms": [{"alpha": [0, 0], "re": 1.0}]}

@@ -6,12 +6,17 @@ import pytest
 from carlembed.errors import InputError, NumericError
 from carlembed.geometry import Space
 from carlembed.numerics import (
+    MAX_GAUSS_ORDER,
+    MAX_QUAD_NODES,
     HermitianMatrix,
     QuadratureSpec,
     ball_quadrature,
+    ball_rule,
+    boundary_rule,
     boundary_quadrature,
     default_quadrature,
     disc_quadrature,
+    disc_rule,
     extreme_eigs,
     gauss_legendre,
     rng_stream,
@@ -51,6 +56,31 @@ def test_quadrature_spec_validation():
         QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8, tol=0.0)
     spec = default_quadrature(Space.disc())
     assert spec.radial_order == 64 and spec.angular_order == 128
+    with pytest.raises(InputError, match="radial_order"):
+        QuadratureSpec(radial_order=10**6, angular_order=10**6, sphere_nodes=10**6)
+    with pytest.raises(InputError, match="sphere_nodes"):
+        QuadratureSpec(sphere_nodes=MAX_GAUSS_ORDER + 1)
+    QuadratureSpec(radial_order=MAX_GAUSS_ORDER, sphere_nodes=MAX_GAUSS_ORDER)
+
+
+def test_quadrature_rules_check_node_count_before_building():
+    # Every rule here is rejected before any node is allocated.
+    huge = QuadratureSpec(angular_order=10**6)
+    with pytest.raises(InputError, match="nodes, limit is"):
+        disc_rule(huge)
+    with pytest.raises(InputError, match="nodes, limit is"):
+        ball_rule(huge, 1)
+    with pytest.raises(InputError, match="nodes, limit is"):
+        ball_rule(huge, 2)
+    with pytest.raises(InputError, match="nodes, limit is"):
+        boundary_rule(huge, Space.ball(2))
+    with pytest.raises(InputError, match="nodes, limit is"):
+        boundary_rule(QuadratureSpec(angular_order=MAX_QUAD_NODES + 1), Space.disc())
+    # the ball(2) default of green-check at the largest radial order
+    # accepted by the node cap, and one above it
+    assert 341 * 24 * 32 ** 2 <= MAX_QUAD_NODES < 342 * 24 * 32 ** 2
+    with pytest.raises(InputError, match="nodes, limit is"):
+        ball_rule(QuadratureSpec(radial_order=342, angular_order=32, sphere_nodes=24), 2)
 
 
 def test_disc_quadrature_area_anchor():
