@@ -9,8 +9,9 @@ test functions, and the beta-integral constant (n!)^2 / (2n)!.
 The contraction, the bounded-potential corollary and the key inequality
 at every atom integrate against the same rule, potential phi and test
 function f.  uchiyama_checks computes them in one loop over row blocks
-of the rule, evaluating |f|^2 (nested Horner), phi, e^phi, the density
-and the node-by-atom kernel once per node; uchiyama_embedding_check,
+of the rule, evaluating |f|^2 (nested Horner), |z|^2, the node-by-atom
+|1 - <z, lam_j>|^2 and from it phi, e^phi, the density and the
+node-by-atom kernel once per node; uchiyama_embedding_check,
 corollary_check and key_inequality_check are views of that pass.
 
 Function arguments named ``u`` or ``f`` follow two conventions.  The
@@ -25,7 +26,10 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericError
-from .geometry import BALL, DISC, SpacePoint, _ipow, _norm_sq_rows, inner, poisson_kernel
+from .geometry import (
+    BALL, DISC, SpacePoint, _denominator_sq_matrix, _ipow, _norm_sq_rows, _poisson, inner,
+    poisson_kernel,
+)
 from .measure import (
     _point_row,
     _potential_field,
@@ -33,13 +37,7 @@ from .measure import (
     carleson_potential,
     kernel_constant_on_support,
 )
-from .numerics import (
-    QuadratureSpec,
-    ball_rule,
-    boundary_quadrature,
-    default_quadrature,
-    disc_rule,
-)
+from .numerics import QuadratureSpec, ball_rule, boundary_quadrature, default_quadrature
 
 __all__ = [
     "MultiPoly",
@@ -300,10 +298,9 @@ def poisson_gradient_ball(z, lam, j, space):
     return n * bracket * poisson_kernel(z, lam, space)
 
 
-def _atom_matrix(mu, zs):
-    """A[i, j] = 1 / |1 - <zs[i], lam_j>|^(2n+2), shape (m, atoms)."""
-    d = 1.0 - zs @ mu.points_array().conj().T
-    return 1.0 / _ipow((d * d.conj()).real, mu.space.dim + 1)
+def _atom_matrix(d_sq, n):
+    """A[i, j] = 1 / |1 - <z_i, lam_j>|^(2n+2), given d_sq[i, j] = |1 - <z_i, lam_j>|^2."""
+    return 1.0 / _ipow(d_sq, n + 1)
 
 
 def _atom_mass(mu):
@@ -313,7 +310,8 @@ def _atom_mass(mu):
 
 def _atom_sum(mu, zs):
     """sum_j w_j (1 - |lam_j|^2) / |1 - <z, lam_j>|^(2n+2) at every row z of zs."""
-    return _atom_matrix(mu, zs) @ _atom_mass(mu)
+    d_sq = _denominator_sq_matrix(zs, mu.points_array())
+    return _atom_matrix(d_sq, mu.space.dim) @ _atom_mass(mu)
 
 
 def _potential_laplacian_field(space, zs, core):
@@ -381,12 +379,6 @@ def green_function_ball(lam, space):
     return float(_green_ball_field(math.sqrt(lam.norm_sq), space.dim))
 
 
-def _domain_rule(space, q):
-    if space.kind == DISC:
-        return disc_rule(q)
-    return ball_rule(q, space.dim)
-
-
 def _check_finite(name, value):
     if not math.isfinite(value):
         raise NumericError(f"{name} is not finite: {value!r}")
@@ -407,17 +399,18 @@ def greens_formula_check(u, space, q=None, laplacian=None):
     """
     if q is None:
         q = default_quadrature(space)
-    points, weights = _domain_rule(space, q)
+    points, weights = ball_rule(q, space.dim)
     nrm2 = _norm_sq_rows(points)
     r = np.sqrt(nrm2)
-    if laplacian is not None:
-        lap = np.asarray(laplacian(points), dtype=float)
-    else:
+    if laplacian is None:
+        stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
         h_eff = np.minimum(FD_STEP, 0.25 * (1.0 - r))
-        if space.kind == DISC:
-            lap = _flat_laplacian_field(u, points, h_eff)
-        else:
-            lap = _invariant_laplacian_field(u, points, h_eff)
+        # Row blocks bound the stencil-shifted copies of the rule held at once.
+        lap = np.concatenate(
+            [stencil(u, points[rows], h_eff[rows]) for rows in _row_blocks(len(points), 1)]
+        )
+    else:
+        lap = np.asarray(laplacian(points), dtype=float)
     if space.kind == DISC:
         lhs = float(np.sum(weights * lap * (-np.log(r)))) / (2.0 * np.pi)
     else:
@@ -475,22 +468,26 @@ def _uchiyama_values(mu, f, q):
     if q is None:
         q = default_quadrature(mu.space)
     n = mu.space.dim
-    points, weights = _domain_rule(mu.space, q)
-    mass = _atom_mass(mu)
+    points, weights = ball_rule(q, mu.space.dim)
+    lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)
     contraction = corollary = 0.0
     phi_sup = kernel_constant_on_support(mu)
     key = np.zeros(len(mu))
     for rows in _row_blocks(len(points), len(mu)):
         zs = points[rows]
+        nrm = _norm_sq_rows(zs)
         w_f = weights[rows] * np.abs(f.eval_array(zs)) ** 2
-        phi = _potential_field(mu, zs)
+        # phi (as measure._potential_field) and the atom matrix share d_sq.
+        d_sq = _denominator_sq_matrix(zs, lams)
+        phi = -(_poisson(d_sq, nrm[:, None], n) @ wts)
         w_f_e = w_f * np.exp(phi)
-        a = _atom_matrix(mu, zs)
+        a = _atom_matrix(d_sq, n)
+        del d_sq  # a view of a complex buffer twice its size
         density = _density_field(mu, zs, a @ mass)
         contraction += float(np.sum(w_f_e * density))
         corollary += float(np.sum(w_f * density))
         phi_sup = max(phi_sup, float(np.max(-phi)))
-        key += (w_f_e * (1.0 - _norm_sq_rows(zs)) ** n) @ a
+        key += (w_f_e * (1.0 - nrm) ** n) @ a
 
     if mu.space.kind == DISC:
         prefactor, constant = 1.0 / math.pi, 0.5

@@ -12,6 +12,7 @@ polynomial file is {"dim": n, "terms": [{"alpha": [..], "re": .., "im": ..}]}.
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .errors import (
     UnsupportedError,
 )
 from .geometry import Space, SpacePoint
-from .numerics import QuadratureSpec, default_quadrature, rng_stream
+from .numerics import default_quadrature, rng_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,6 +39,9 @@ EXIT_NUMERIC = 4
 # is looser because its quadrature and stencils run at lower resolution.
 DISC_SLACK = 1e-6
 BALL_SLACK = 1e-3
+
+# Values of --space in verify-identities, green-check and search.
+_SPACES = {"disc": Space.disc(), "ball2": Space.ball(2)}
 
 
 class _UsageError(Exception):
@@ -421,7 +425,7 @@ def _cmd_verify_identities(args):
         raise _UsageError("--fd-step must be positive")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
-    space = Space.disc() if args.space == "disc" else Space.ball(2)
+    space = _SPACES[args.space]
     rows = _verify(space, rng_stream(args.seed, 0), args.samples, args.fd_step, args.tol)
     failed = 0
     for name, err, tol in rows:
@@ -459,19 +463,10 @@ def _green_case(space, name):
 
 
 def _cmd_green_check(args):
-    if args.space == "disc":
-        space = Space.disc()
-        q = QuadratureSpec(
-            radial_order=args.quad_order,
-            angular_order=max(2 * args.quad_order, 8),
-            sphere_nodes=24,
-            tol=1e-8,
-        )
-    else:
-        space = Space.ball(2)
-        q = QuadratureSpec(
-            radial_order=args.quad_order, angular_order=32, sphere_nodes=24, tol=1e-3
-        )
+    space = _SPACES[args.space]
+    q = dataclasses.replace(default_quadrature(space), radial_order=args.quad_order)
+    if space.kind == "disc":
+        q = dataclasses.replace(q, angular_order=max(2 * args.quad_order, 8))
     u, lap = _green_case(space, args.fn)
     lhs, rhs, gap = calculus.greens_formula_check(u, space, q, laplacian=lap)
     ok = gap <= q.tol
@@ -491,12 +486,7 @@ def _cmd_uchiyama(args):
         )
     q = default_quadrature(mu.space)
     if args.quad_order is not None:
-        q = QuadratureSpec(
-            radial_order=args.quad_order,
-            angular_order=q.angular_order,
-            sphere_nodes=q.sphere_nodes,
-            tol=q.tol,
-        )
+        q = dataclasses.replace(q, radial_order=args.quad_order)
     slack = DISC_SLACK if mu.space.kind == "disc" else BALL_SLACK
     failed = 0
 
@@ -547,7 +537,7 @@ def _cmd_interpolate(args):
 
 
 def _cmd_search(args):
-    space = Space.disc() if args.space == "disc" else Space.ball(2)
+    space = _SPACES[args.space]
     cfg = extremal.SearchConfig(
         space=space,
         atom_count=args.atoms,
@@ -595,7 +585,7 @@ def build_parser():
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify-identities", help="kernel and Laplacian identity suites")
-    p.add_argument("--space", choices=("disc", "ball2"), default="disc")
+    p.add_argument("--space", choices=tuple(_SPACES), default="disc")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
@@ -603,7 +593,7 @@ def build_parser():
     p.set_defaults(func=_cmd_verify_identities)
 
     p = sub.add_parser("green-check", help="Green's formula on a named test function")
-    p.add_argument("--space", choices=("disc", "ball2"), default="disc")
+    p.add_argument("--space", choices=tuple(_SPACES), default="disc")
     p.add_argument("--fn", choices=tuple(_GREEN_FNS), default="radial")
     p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
     p.set_defaults(func=_cmd_green_check)
@@ -620,7 +610,7 @@ def build_parser():
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("search", help="hill-climbing probe of the sharpness conjecture")
-    p.add_argument("--space", choices=("disc", "ball2"), default="disc")
+    p.add_argument("--space", choices=tuple(_SPACES), default="disc")
     p.add_argument("--atoms", type=int, default=2)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--restarts", type=int, default=4)

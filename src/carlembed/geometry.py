@@ -124,16 +124,17 @@ def _ipow(base, n):
     return out
 
 
-# Each kernel formula below is written once in terms of d = 1 - <z, w>:
-# a Python complex for the scalar functions, an array for the matrices.
+# Each kernel formula below is written once in terms of d = 1 - <z, w>
+# (the Poisson-Szego kernel in terms of |d|^2): a Python complex or float
+# for the scalar functions, an array for the matrices.
 def _szego(d, n):
     """K(z, w) = 1 / d^n with d = 1 - <z, w>."""
     return 1.0 / _ipow(d, n)
 
 
-def _poisson(d, z_norm_sq, n):
-    """P_z(lam) = (1 - |z|^2)^n / |d|^(2n) with d = 1 - <lam, z> or its conjugate."""
-    return (1.0 - z_norm_sq) ** n / _ipow((d * d.conjugate()).real, n)
+def _poisson(d_sq, z_norm_sq, n):
+    """P_z(lam) = (1 - |z|^2)^n / |d|^(2n), given d_sq = |d|^2 with d = 1 - <lam, z>."""
+    return (1.0 - z_norm_sq) ** n / _ipow(d_sq, n)
 
 
 def _denominator(a, b, s):
@@ -158,7 +159,8 @@ def normalized_kernel(lam, z, s):
 
 def poisson_kernel(z, lam, s):
     """Poisson-Szego kernel P_z(lam) = |k_z(lam)|^2, strictly positive."""
-    return _poisson(_denominator(lam, z, s), z.norm_sq, s.dim)
+    d = _denominator(lam, z, s)
+    return _poisson((d * d.conjugate()).real, z.norm_sq, s.dim)
 
 
 def mobius(lam, z, s):
@@ -201,9 +203,15 @@ def _norm_sq_rows(zs):
     return np.einsum("ij,ij->i", zs, zs.conj()).real
 
 
+def _denominator_sq_matrix(zs, lams):
+    """Matrix D[i, j] = |1 - <zs[i], lams[j]>|^2 of shape (m, N)."""
+    d = 1.0 - zs @ lams.conj().T
+    return (d * d.conj()).real
+
+
 def _poisson_matrix(zs, lams, n):
     """Matrix P[i, j] = P_{zs[i]}(lams[j]) of shape (m, N)."""
-    return _poisson(1.0 - zs @ lams.conj().T, _norm_sq_rows(zs)[:, None], n)
+    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[:, None], n)
 
 
 def _szego_matrix(zs, ws, n):

@@ -1,13 +1,17 @@
 """Numerical kernels: Hermitian extreme eigenvalues, quadrature rules, RNG streams.
 
 Everything here is generic plumbing.  The quadrature rules realize the
-unnormalized area/volume integrals dA on the disc and dV on the ball of
-complex dimension 2, plus the normalized boundary means dm on the circle
-and d(sigma) on the sphere S^3.  Integrands are vectorized callables
-mapping an (m, n) complex array of points to an (m,) real array.
+unnormalized area/volume integrals dA on the disc and dV on the ball,
+plus the normalized boundary means dm on the circle and d(sigma) on the
+sphere.  Each rule is one product, radial (interior rules only) x moduli
+(|z_1|, ..., |z_n|) on the sphere x n uniform torus angles; the moduli
+rule, the only dimension-specific piece, covers n <= 2.  Integrands are
+vectorized callables mapping an (m, n) complex array of points to an
+(m,) real array.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,35 +144,42 @@ def _radial_rule(order, power):
     return r, wr
 
 
-@functools.lru_cache(maxsize=None)
-def _disc_rule(radial_order, angular_order):
-    r, wr = _radial_rule(radial_order, 1)
-    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    wt = 2.0 * np.pi / angular_order
-    points = (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
-    weights = np.repeat(wr * wt, angular_order)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+def _moduli_rule(dim, sphere_nodes):
+    """Nodes (|z_1|, ..., |z_dim|) on the unit sphere and their weights.
+
+    With z_j = |z_j| e^{i p_j}, the surface measure of the sphere is these
+    weights times d(p_1) ... d(p_dim); this is the only piece of a rule
+    that depends on the dimension.
+    """
+    if dim == 1:
+        moduli, weights = np.ones((1, 1)), np.ones(1)
+    else:
+        # Hopf coordinates on S^3: (|z_1|, |z_2|) = (cos(eta), sin(eta)),
+        # dS = cos(eta) sin(eta) d(eta) dp1 dp2.
+        xe, we = _leggauss(sphere_nodes)
+        eta = 0.25 * np.pi * (xe + 1.0)
+        moduli = np.column_stack([np.cos(eta), np.sin(eta)])
+        weights = 0.25 * np.pi * we * moduli[:, 0] * moduli[:, 1]
+    return moduli, weights
 
 
-@functools.lru_cache(maxsize=None)
-def _ball2_rule(radial_order, angular_order, sphere_nodes):
-    # Hopf coordinates on S^3: z = r (cos(eta) e^{i p1}, sin(eta) e^{i p2}),
-    # dV = r^3 dr * cos(eta) sin(eta) d(eta) dp1 dp2.
-    r, wr = _radial_rule(radial_order, 3)
-    xe, we = _leggauss(sphere_nodes)
-    eta = 0.25 * np.pi * (xe + 1.0)
-    weta = 0.25 * np.pi * we * np.cos(eta) * np.sin(eta)
-    p = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    wp = 2.0 * np.pi / angular_order
+def _torus_product(moduli, wmod, angular_order, scale):
+    """Nodes moduli[k, i] e^{i p_i} over dim uniform angles p_i per modulus row.
 
-    R, E, P1, P2 = np.meshgrid(r, eta, p, p, indexing="ij")
-    z1 = (R * np.cos(E) * np.exp(1j * P1)).ravel()
-    z2 = (R * np.sin(E) * np.exp(1j * P2)).ravel()
-    points = np.column_stack([z1, z2])
-    WR, WE = np.meshgrid(wr, weta, p, p, indexing="ij")[:2]
-    weights = (WR * WE).ravel() * wp * wp
+    Node order is meshgrid(indexing="ij") over (row, p_1, ..., p_dim); the
+    weight of a node is wmod[k] * scale * ... * scale (dim factors).
+    """
+    rows, dim = moduli.shape
+    m = angular_order
+    phase = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    points = np.empty((rows * m ** dim, dim), dtype=complex)
+    grid = points.reshape((rows,) + (m,) * dim + (dim,))
+    for i, p in enumerate(np.meshgrid(*[phase] * dim, indexing="ij", sparse=True)):
+        np.multiply(moduli[:, i].reshape((rows,) + (1,) * dim), p[None], out=grid[..., i])
+    weights = wmod
+    for _ in range(dim):
+        weights = weights * scale
+    weights = np.repeat(weights, m ** dim)
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
@@ -179,68 +190,55 @@ def _check_node_count(count):
         raise InputError(f"quadrature rule has {count} nodes, limit is {MAX_QUAD_NODES}")
 
 
+@functools.lru_cache(maxsize=None)
+def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
+    """Interior rule carrying dV, or without radial_order the normalized boundary rule.
+
+    The interior rule is the radial rule for r^(2 dim - 1) dr times the
+    moduli times the torus; the boundary rule drops the radial factor.
+    The node count is checked before the rule is built.
+    """
+    moduli, wmod = _moduli_rule(dim, sphere_nodes)
+    _check_node_count((radial_order or 1) * len(wmod) * angular_order ** dim)
+    if radial_order is None:
+        # |S^(2n-1)| = 2 pi^n / (n-1)!, so the torus factor (2 pi / M)^n
+        # over the sphere's area is (n-1)! 2^(n-1) / M^n.
+        norm = math.factorial(dim - 1) * 2 ** (dim - 1) / angular_order ** dim
+        return _torus_product(moduli, wmod * norm, angular_order, 1.0)
+    r, wr = _radial_rule(radial_order, 2 * dim - 1)
+    return _torus_product(
+        np.multiply.outer(r, moduli).reshape(-1, dim),
+        np.outer(wr, wmod).ravel(),
+        angular_order,
+        2.0 * np.pi / angular_order,
+    )
+
+
 def disc_rule(q):
     """Interior nodes (m, 1) and weights carrying dA on the unit disc."""
-    _check_node_count(q.radial_order * q.angular_order)
-    return _disc_rule(q.radial_order, q.angular_order)
+    return _product_rule(1, q.angular_order, q.sphere_nodes, q.radial_order)
 
 
 def ball_rule(q, dim=2):
     """Interior nodes (m, dim) and weights carrying dV on the unit ball.
 
-    Only complex dimensions 1 and 2 are integrable; higher dimensions
-    would need a 2n-1 real-dimensional sphere product rule.
+    The rule is radial x moduli x torus: Gauss-Legendre in r (after
+    r = s^2), the moduli (|z_1|, ..., |z_dim|) on the sphere, and dim
+    uniform angles.  Only the moduli depend on the dimension, and they
+    are implemented for complex dimensions 1 and 2.
     """
-    if dim == 1:
-        _check_node_count(q.radial_order * q.angular_order)
-        return _disc_rule(q.radial_order, q.angular_order)
-    if dim == 2:
-        _check_node_count(q.radial_order * q.sphere_nodes * q.angular_order ** 2)
-        return _ball2_rule(q.radial_order, q.angular_order, q.sphere_nodes)
-    raise UnsupportedError(f"quadrature is implemented for complex dimension <= 2, got {dim}")
-
-
-@functools.lru_cache(maxsize=None)
-def _circle_rule(angular_order):
-    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    points = np.exp(1j * theta).reshape(-1, 1)
-    weights = np.full(angular_order, 1.0 / angular_order)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
-
-@functools.lru_cache(maxsize=None)
-def _sphere3_rule(angular_order, sphere_nodes):
-    xe, we = _leggauss(sphere_nodes)
-    eta = 0.25 * np.pi * (xe + 1.0)
-    weta = 0.25 * np.pi * we * np.cos(eta) * np.sin(eta)
-    p = 2.0 * np.pi * np.arange(angular_order) / angular_order
-
-    E, P1, P2 = np.meshgrid(eta, p, p, indexing="ij")
-    z1 = (np.cos(E) * np.exp(1j * P1)).ravel()
-    z2 = (np.sin(E) * np.exp(1j * P2)).ravel()
-    points = np.column_stack([z1, z2])
-    # dS = cos(eta) sin(eta) d(eta) dp1 dp2 and |S^3| = 2 pi^2, so the
-    # normalized weights are weta * (2 pi / M)^2 / (2 pi^2).
-    WE = np.meshgrid(weta, p, p, indexing="ij")[0]
-    weights = WE.ravel() * (2.0 / angular_order ** 2)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+    if dim not in (1, 2):
+        raise UnsupportedError(f"quadrature is implemented for complex dimension <= 2, got {dim}")
+    return _product_rule(dim, q.angular_order, q.sphere_nodes, q.radial_order)
 
 
 def boundary_rule(q, space):
     """Boundary nodes and weights for the normalized measure (total mass 1)."""
-    if space.kind == "disc" or space.dim == 1:
-        _check_node_count(q.angular_order)
-        return _circle_rule(q.angular_order)
-    if space.dim == 2:
-        _check_node_count(q.sphere_nodes * q.angular_order ** 2)
-        return _sphere3_rule(q.angular_order, q.sphere_nodes)
-    raise UnsupportedError(
-        f"boundary quadrature is implemented for complex dimension <= 2, got {space.dim}"
-    )
+    if space.dim not in (1, 2):
+        raise UnsupportedError(
+            f"boundary quadrature is implemented for complex dimension <= 2, got {space.dim}"
+        )
+    return _product_rule(space.dim, q.angular_order, q.sphere_nodes)
 
 
 def _apply_rule(f, points, weights):

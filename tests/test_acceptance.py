@@ -21,10 +21,9 @@ from carlembed.calculus import (
     greens_formula_check,
     invariant_laplacian_fd,
     invariant_laplacian_poisson_ball,
-    key_inequality_check,
     laplacian_fd,
     laplacian_poisson_disc,
-    uchiyama_embedding_check,
+    uchiyama_checks,
 )
 from carlembed.extremal import SearchConfig, search
 from carlembed.geometry import Space, SpacePoint, poisson_kernel
@@ -186,10 +185,10 @@ def test_criterion_07_uchiyama_contraction(capsys):
     disc, ball = _uchiyama_corpora()
     worst_disc = worst_ball = -math.inf
     for mu, f in disc:
-        integral, norm_sq = uchiyama_embedding_check(mu, f)
+        integral, norm_sq = uchiyama_checks(mu, f)[0]
         worst_disc = max(worst_disc, (integral - norm_sq) / norm_sq)
     for mu, f in ball:
-        integral, norm_sq = uchiyama_embedding_check(mu, f)
+        integral, norm_sq = uchiyama_checks(mu, f)[0]
         worst_ball = max(worst_ball, (integral - norm_sq) / norm_sq)
     elapsed = time.perf_counter() - t0
     ok = worst_disc <= 1e-6 and worst_ball <= 1e-3 and elapsed < limit
@@ -207,13 +206,11 @@ def test_criterion_08_key_inequality_at_atoms(capsys):
     disc, ball = _uchiyama_corpora()
     worst_disc = worst_ball = -math.inf
     for mu, f in disc:
-        for idx in range(len(mu)):
-            lhs, rhs = key_inequality_check(mu, f, idx)
+        for lhs, rhs in uchiyama_checks(mu, f)[2]:
             if rhs > 0.0:
                 worst_disc = max(worst_disc, (rhs * (1 - 1e-6) - lhs) / rhs)
     for mu, f in ball:
-        for idx in range(len(mu)):
-            lhs, rhs = key_inequality_check(mu, f, idx)
+        for lhs, rhs in uchiyama_checks(mu, f)[2]:
             if rhs > 0.0:
                 worst_ball = max(worst_ball, (rhs - lhs) / rhs)
     elapsed = time.perf_counter() - t0

@@ -222,6 +222,25 @@ def test_greens_formula_ball_radial_and_nonradial():
     assert gap <= 1e-9
 
 
+def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
+    cases = [
+        (DISC, lambda zs: (zs[:, 0] * zs[:, 0].conj()).real ** 2, default_quadrature(DISC)),
+        (
+            BALL2,
+            lambda zs: ((zs[:, 0] * zs[:, 0].conj()) * (zs[:, 1] * zs[:, 1].conj())).real,
+            QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8, tol=1e-3),
+        ),
+    ]
+    for space, u, q in cases:
+        nodes = len(ball_rule(q, space.dim)[1])
+        assert len(measure._row_blocks(nodes, 1)) == 1
+        whole = greens_formula_check(u, space, q)
+        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
+        assert len(measure._row_blocks(nodes, 1)) >= 8
+        assert greens_formula_check(u, space, q) == whole
+        monkeypatch.undo()
+
+
 def test_uchiyama_density_is_bounded_near_boundary():
     mu = DiscreteMeasure(DISC, [(SpacePoint(0.5), 1.0)])
     vals = [uchiyama_density(mu, SpacePoint(r)) for r in (0.9, 0.99, 0.999, 0.9999)]
@@ -365,14 +384,14 @@ def _density_oracle(mu, zs, factor):
 
 
 def _contraction_oracle(mu, f, q):
-    points, weights = calculus._domain_rule(mu.space, q)
+    points, weights = ball_rule(q, mu.space.dim)
     factor = np.exp(measure._potential_field(mu, points))
     values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, factor)
     return float(np.sum(weights * values)), hardy_norm_sq(f, mu.space)
 
 
 def _corollary_oracle(mu, f, q):
-    points, weights = calculus._domain_rule(mu.space, q)
+    points, weights = ball_rule(q, mu.space.dim)
     values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, 1.0)
     integral = float(np.sum(weights * values))
     phi_sup = max(
@@ -384,7 +403,7 @@ def _corollary_oracle(mu, f, q):
 def _key_oracle(mu, f, lambda_idx, q):
     lam, _ = mu.atoms[lambda_idx]
     n = mu.space.dim
-    points, weights = calculus._domain_rule(mu.space, q)
+    points, weights = ball_rule(q, mu.space.dim)
     phi = measure._potential_field(mu, points)
     d = 1.0 - points @ lam.as_array().conj()
     d2 = (d * d.conj()).real
@@ -479,13 +498,13 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     mu_path.write_text(json.dumps(cli.measure_to_dict(mu)))
     f_path.write_text(json.dumps(f))
     rows = []
-    potential = calculus._potential_field
+    poisson = calculus._poisson
 
-    def counted(mu, zs):
-        rows.append(len(zs))
-        return potential(mu, zs)
+    def counted(d_sq, z_norm_sq, n):
+        rows.append(len(d_sq))
+        return poisson(d_sq, z_norm_sq, n)
 
-    monkeypatch.setattr(calculus, "_potential_field", counted)
+    monkeypatch.setattr(calculus, "_poisson", counted)
     monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5

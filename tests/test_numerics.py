@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carlembed.errors import InputError, NumericError
+from carlembed.errors import InputError, NumericError, UnsupportedError
 from carlembed.geometry import Space
 from carlembed.numerics import (
     MAX_GAUSS_ORDER,
@@ -111,8 +111,94 @@ def test_ball_quadrature_volume_anchor():
 
 def test_ball_quadrature_dim_one_matches_disc():
     q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=16, tol=1e-8)
+    for got, want in zip(ball_rule(q, 1), disc_rule(q)):
+        assert np.array_equal(got, want)
     f = lambda zs: (zs[:, 0] * zs[:, 0].conj()).real
-    assert ball_quadrature(f, q, dim=1) == pytest.approx(disc_quadrature(f, q), abs=1e-14)
+    assert ball_quadrature(f, q, dim=1) == disc_quadrature(f, q)
+
+
+# The four separate rule builders that the product rule replaced, kept as
+# the oracle: the product rule must reproduce their nodes and weights bit
+# for bit, so that every quadrature-backed output stays the same.
+
+
+def _old_radial_rule(order, power):
+    x, w = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * (x + 1.0)
+    return s * s, 0.5 * w * 2.0 * s ** (2 * power + 1)
+
+
+def _old_disc_rule(radial_order, angular_order):
+    r, wr = _old_radial_rule(radial_order, 1)
+    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    wt = 2.0 * np.pi / angular_order
+    points = (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
+    return points, np.repeat(wr * wt, angular_order)
+
+
+def _old_ball2_rule(radial_order, angular_order, sphere_nodes):
+    r, wr = _old_radial_rule(radial_order, 3)
+    xe, we = np.polynomial.legendre.leggauss(sphere_nodes)
+    eta = 0.25 * np.pi * (xe + 1.0)
+    weta = 0.25 * np.pi * we * np.cos(eta) * np.sin(eta)
+    p = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    wp = 2.0 * np.pi / angular_order
+    R, E, P1, P2 = np.meshgrid(r, eta, p, p, indexing="ij")
+    z1 = (R * np.cos(E) * np.exp(1j * P1)).ravel()
+    z2 = (R * np.sin(E) * np.exp(1j * P2)).ravel()
+    WR, WE = np.meshgrid(wr, weta, p, p, indexing="ij")[:2]
+    return np.column_stack([z1, z2]), (WR * WE).ravel() * wp * wp
+
+
+def _old_circle_rule(angular_order):
+    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    return np.exp(1j * theta).reshape(-1, 1), np.full(angular_order, 1.0 / angular_order)
+
+
+def _old_sphere3_rule(angular_order, sphere_nodes):
+    xe, we = np.polynomial.legendre.leggauss(sphere_nodes)
+    eta = 0.25 * np.pi * (xe + 1.0)
+    weta = 0.25 * np.pi * we * np.cos(eta) * np.sin(eta)
+    p = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    E, P1, P2 = np.meshgrid(eta, p, p, indexing="ij")
+    z1 = (np.cos(E) * np.exp(1j * P1)).ravel()
+    z2 = (np.sin(E) * np.exp(1j * P2)).ravel()
+    WE = np.meshgrid(weta, p, p, indexing="ij")[0]
+    return np.column_stack([z1, z2]), WE.ravel() * (2.0 / angular_order ** 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(64, 128, 24), (48, 32, 24), (16, 24, 12), (7, 13, 5), (33, 100, 9), (64, 130, 24)],
+    ids=lambda spec: "-".join(map(str, spec)),
+)
+def test_product_rules_match_the_separate_builders_bit_for_bit(spec):
+    radial, angular, sphere = spec
+    q = QuadratureSpec(radial_order=radial, angular_order=angular, sphere_nodes=sphere)
+    pairs = [
+        (disc_rule(q), _old_disc_rule(radial, angular)),
+        (ball_rule(q, 1), _old_disc_rule(radial, angular)),
+        (boundary_rule(q, Space.disc()), _old_circle_rule(angular)),
+        (boundary_rule(q, Space.ball(2)), _old_sphere3_rule(angular, sphere)),
+    ]
+    if radial * sphere * angular ** 2 <= MAX_QUAD_NODES:
+        pairs.append((ball_rule(q, 2), _old_ball2_rule(radial, angular, sphere)))
+    for (points, weights), (want_points, want_weights) in pairs:
+        assert points.shape == want_points.shape and weights.shape == want_weights.shape
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(weights, want_weights)
+        assert not points.flags.writeable and not weights.flags.writeable
+
+
+def test_product_rules_are_cached_per_order_and_reject_dimension_three():
+    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
+    same_orders = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8, tol=1e-3)
+    assert ball_rule(q, 2)[0] is ball_rule(same_orders, 2)[0]
+    assert disc_rule(q)[0] is ball_rule(q, 1)[0]
+    with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
+        ball_rule(q, 3)
+    with pytest.raises(UnsupportedError, match="boundary quadrature"):
+        boundary_rule(q, Space.ball(3))
 
 
 def test_boundary_quadrature_masses():
