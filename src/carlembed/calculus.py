@@ -31,6 +31,7 @@ from .geometry import (
     poisson_kernel,
 )
 from .measure import (
+    _check_atom_count,
     _point_row,
     _potential_field,
     _row_blocks,
@@ -159,62 +160,52 @@ def hardy_norm_sq(f, space):
 # Finite-difference stencils.
 
 
-def _shift(zs, col, step):
-    out = zs.copy()
-    out[:, col] = out[:, col] + step
-    return out
+def _stencil_sum(u, zs, v, h, u0):
+    """u(z+hv) + u(z-hv) + u(z+ihv) + u(z-ihv) - 4 u(z); u0 = u(zs).
 
-
-def _stencil_sum(u, zs, col, h, u0):
-    """u(z+h) + u(z-h) + u(z+ih) + u(z-ih) - 4 u(z) in coordinate col; u0 = u(zs)."""
+    The direction v is one (n,) vector or one per row, (m, n); h is a
+    scalar or one step per row.
+    """
+    hv = np.asarray(h)[..., None] * v
     acc = -4.0 * u0
-    for step in (h, -h, 1j * h, -1j * h):
-        acc = acc + np.asarray(u(_shift(zs, col, step)), dtype=float)
+    for unit in (1, -1, 1j, -1j):
+        acc = acc + np.asarray(u(zs + unit * hv), dtype=float)
     return acc
 
 
 def _flat_laplacian_field(u, zs, h):
     """5-point Laplacian of u at the rows of zs; h scalar or per-row array."""
-    return _stencil_sum(u, zs, 0, h, np.asarray(u(zs), dtype=float)) / (h * h)
+    e_1 = np.eye(zs.shape[1])[0]
+    return _stencil_sum(u, zs, e_1, h, np.asarray(u(zs), dtype=float)) / (h * h)
 
 
 def _invariant_laplacian_field(u, zs, h):
-    """Invariant Laplacian 4 sum g^{ij} dbar_i d_j u via central differences.
+    """Invariant Laplacian 4 sum g^{ij} dbar_i d_j u by n complex-line stencils.
 
-    g^{ij}(z) = ((1 - |z|^2)/(n + 1)) (delta_ij - conj(z_i) z_j) are the
-    inverse Bergman metric components.  Diagonal terms need 4 points per
-    coordinate, off-diagonal pairs need the 16 corners of the four mixed
-    second partials; u real makes the (j, i) term the conjugate of (i, j).
+    In a unitary frame whose first vector spans z the inverse Bergman
+    metric g^{ij} = ((1 - |z|^2)/(n + 1)) (delta_ij - conj(z_i) z_j) is
+    diagonal: (1 - |z|^2)^2/(n + 1) along z and (1 - |z|^2)/(n + 1)
+    across it, so the operator is a weighted sum of flat 5-point
+    Laplacians along the frame's complex lines.  The frame is the
+    columns of the Householder reflection I - 2 w w^*/|w|^2 with
+    w = z/|z| + e^{i arg z_1} e_1, so |w|^2 >= 1; at the origin, where
+    the metric is isotropic, it is I - 2 e_1 e_1^T.
     """
     n = zs.shape[1]
-    c = (1.0 - _norm_sq_rows(zs)) / (n + 1)
-    h = np.asarray(h, dtype=float)
-    h2 = h * h
+    nrm = _norm_sq_rows(zs)
+    r = np.sqrt(nrm)
+    w = zs / np.where(r > 0.0, r, 1.0)[:, None]
+    w[:, 0] += np.exp(1j * np.angle(zs[:, 0]))
+    scale = 2.0 / _norm_sq_rows(w)
     u0 = np.asarray(u(zs), dtype=float)
-
-    total = np.zeros(zs.shape[0])
-    for i in range(n):
-        dbar_ii = _stencil_sum(u, zs, i, h, u0) / (4.0 * h2)
-        g_ii = c * (1.0 - (zs[:, i] * zs[:, i].conj()).real)
-        total += g_ii * dbar_ii
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            partials = []
-            for si, sj in ((1.0, 1.0), (1j, 1j), (1j, 1.0), (1.0, 1j)):
-                cross = (
-                    np.asarray(u(_shift(_shift(zs, i, si * h), j, sj * h)), dtype=float)
-                    - np.asarray(u(_shift(_shift(zs, i, si * h), j, -sj * h)), dtype=float)
-                    - np.asarray(u(_shift(_shift(zs, i, -si * h), j, sj * h)), dtype=float)
-                    + np.asarray(u(_shift(_shift(zs, i, -si * h), j, -sj * h)), dtype=float)
-                ) / (4.0 * h2)
-                partials.append(cross)
-            u_xx, u_yy, u_yx, u_xy = partials
-            dbar_ij = 0.25 * (u_xx + u_yy + 1j * (u_yx - u_xy))
-            g_ij = c * (-(zs[:, i].conj() * zs[:, j]))
-            total += 2.0 * (g_ij * dbar_ij).real
-
-    return 4.0 * total
+    across = (1.0 - nrm) / (n + 1)
+    total = 0.0
+    for k in range(n):
+        v = -(scale * w[:, k].conj())[:, None] * w  # column k of the reflection
+        v[:, k] += 1.0
+        weight = (1.0 - nrm) * across if k == 0 else across
+        total = total + weight * _stencil_sum(u, zs, v, h, u0)
+    return total / (h * h)
 
 
 def _as_field(u):
@@ -406,9 +397,10 @@ def greens_formula_check(u, space, q=None, laplacian=None):
         stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
         h_eff = np.minimum(FD_STEP, 0.25 * (1.0 - r))
         # Row blocks bound the stencil-shifted copies of the rule held at once.
-        lap = np.concatenate(
-            [stencil(u, points[rows], h_eff[rows]) for rows in _row_blocks(len(points), 1)]
-        )
+        lap = np.concatenate([
+            stencil(u, points[rows], h_eff[rows])
+            for rows in _row_blocks(len(points), 4 * space.dim)
+        ])
     else:
         lap = np.asarray(laplacian(points), dtype=float)
     if space.kind == DISC:
@@ -428,25 +420,19 @@ def greens_formula_check(u, space, q=None, laplacian=None):
 # The induced measure density and the proof inequalities.
 
 
-def _density_field(mu, zs, core):
-    """Lap(phi) * Green weight against dA (disc) or dV (ball); core = _atom_sum(mu, zs).
+def _density_field(n, nrm, core):
+    """Lap(phi) * Green weight against dV where |z|^2 = nrm; core = _atom_sum(mu, zs).
 
     The corollary integrates against this density, the Uchiyama measure
-    against e^phi times it.
+    against e^phi times it.  The (1 - |z|^2)^(n+1) cancellation between
+    Lap~(phi) and dg/dV is folded in analytically, so nothing blows up
+    at the boundary:
+      Lap~(phi) G / (1-|z|^2)^(n+1)
+        = (4 n^2/(n+1)) G sum_j w_j (1-|lam_j|^2) / |1-<z,lam_j>|^(2n+2).
+    At n = 1 this is the disc density (1/2pi) Delta(phi) log(1/|z|).
     """
-    n = mu.space.dim
-    if mu.space.kind == DISC:
-        r = np.abs(zs[:, 0])
-        lap = _potential_laplacian_field(mu.space, zs, core)
-        return lap * (-np.log(r)) / (2.0 * np.pi)
-    # Ball branch with the (1 - |z|^2)^(n+1) cancellation between
-    # Lap~(phi) and dg/dV folded in analytically, so nothing blows up
-    # at the boundary:
-    #   Lap~(phi) G / (1-|z|^2)^(n+1)
-    #     = (4 n^2/(n+1)) G sum_j w_j (1-|lam_j|^2) / |1-<z,lam_j>|^(2n+2).
-    r = np.sqrt(_norm_sq_rows(zs))
     scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
-    return scale * _green_ball_field(r, n) * core
+    return scale * _green_ball_field(np.sqrt(nrm), n) * core
 
 
 def uchiyama_density(mu, z):
@@ -458,13 +444,14 @@ def uchiyama_density(mu, z):
     zs = _point_row(mu, z)
     if z.norm_sq == 0.0:
         return math.inf
-    density = _density_field(mu, zs, _atom_sum(mu, zs))
+    density = _density_field(mu.space.dim, _norm_sq_rows(zs), _atom_sum(mu, zs))
     return float(np.exp(_potential_field(mu, zs))[0] * density[0])
 
 
 def _uchiyama_values(mu, f, q):
     """uchiyama_checks without its finiteness checks."""
     _check_poly_dim(f, mu.space)
+    _check_atom_count(len(mu), "measure has {} atoms")
     if q is None:
         q = default_quadrature(mu.space)
     n = mu.space.dim
@@ -483,17 +470,13 @@ def _uchiyama_values(mu, f, q):
         w_f_e = w_f * np.exp(phi)
         a = _atom_matrix(d_sq, n)
         del d_sq  # a view of a complex buffer twice its size
-        density = _density_field(mu, zs, a @ mass)
+        density = _density_field(n, nrm, a @ mass)
         contraction += float(np.sum(w_f_e * density))
         corollary += float(np.sum(w_f * density))
         phi_sup = max(phi_sup, float(np.max(-phi)))
         key += (w_f_e * (1.0 - nrm) ** n) @ a
 
-    if mu.space.kind == DISC:
-        prefactor, constant = 1.0 / math.pi, 0.5
-    else:
-        prefactor = math.factorial(n) / math.pi ** n
-        constant = beta_constant(n)
+    prefactor, constant = math.factorial(n) / math.pi ** n, beta_constant(n)
     norm_sq = hardy_norm_sq(f, mu.space)
     keys = []
     for (lam, _), k in zip(mu.atoms, key):

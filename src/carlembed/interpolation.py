@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
 from .geometry import DISC, SpacePoint, _szego_matrix
-from .measure import DiscreteMeasure, _check_resolution, embedding_norm_sq, kernel_constant_grid
+from .measure import (
+    DiscreteMeasure, _check_atom_count, _check_resolution, embedding_norm_sq, kernel_constant_grid,
+)
 from .numerics import HermitianMatrix, extreme_eigs
 
 _REL_SLACK = 1e-9
@@ -128,6 +130,7 @@ def orthogonalizer_cond(seq):
 def interpolation_report(seq, resolution=64):
     """Assemble the full section-3 chain for a finite sequence."""
     _check_resolution(resolution)
+    _check_atom_count(len(seq), "sequence has {} points")
     delta = carleson_delta(seq)
     if not delta > 0.0:
         raise InputError("delta must be positive for the interpolation chain")

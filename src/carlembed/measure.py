@@ -115,6 +115,12 @@ def kernel_constant_on_support(mu):
     return float(np.max(p @ mu.weights_array()))
 
 
+def _check_atom_count(count, what):
+    """Refuse more than MAX_ATOMS atoms before any count x count array is built."""
+    if count > MAX_ATOMS:
+        raise InputError(f"{what.format(count)}, practical guard is {MAX_ATOMS}")
+
+
 def _check_resolution(resolution):
     if not isinstance(resolution, int) or not 8 <= resolution <= MAX_GRID_RESOLUTION:
         raise InputError(
@@ -210,8 +216,7 @@ def box_constant(mu, directions=64):
 
 def embedding_norm_sq(mu):
     """Exact best constant A(mu)^2: top eigenvalue of the weighted Gram matrix."""
-    if len(mu) > MAX_ATOMS:
-        raise InputError(f"measure has {len(mu)} atoms, practical guard is {MAX_ATOMS}")
+    _check_atom_count(len(mu), "measure has {} atoms")
     pts = mu.points_array()
     root_w = np.sqrt(mu.weights_array())
     m = root_w[:, None] * _szego_matrix(pts, pts, mu.space.dim) * root_w[None, :]

@@ -25,10 +25,10 @@ from carlembed.calculus import (
     uchiyama_embedding_check,
 )
 from carlembed.errors import InputError
-from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, poisson_kernel
+from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson, poisson_kernel
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
-from conftest import measure_poly_corpus, random_point, random_poly
+from conftest import measure_poly_corpus, pair_corpus, random_point, random_poly
 
 DISC = Space.disc()
 BALL2 = Space.ball(2)
@@ -233,10 +233,10 @@ def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
     ]
     for space, u, q in cases:
         nodes = len(ball_rule(q, space.dim)[1])
-        assert len(measure._row_blocks(nodes, 1)) == 1
+        assert len(measure._row_blocks(nodes, 4 * space.dim)) == 1
         whole = greens_formula_check(u, space, q)
         monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
-        assert len(measure._row_blocks(nodes, 1)) >= 8
+        assert len(measure._row_blocks(nodes, 4 * space.dim)) >= 8
         assert greens_formula_check(u, space, q) == whole
         monkeypatch.undo()
 
@@ -316,6 +316,142 @@ def test_beta_constant_values():
 def test_poly_dimension_guard():
     with pytest.raises(InputError):
         uchiyama_embedding_check(MU0_BALL, ONE_DISC)
+
+
+# ---------------------------------------------------------------------------
+# The frame stencil against the coordinate stencil it replaced.  These
+# are the earlier bodies of calculus._shift, _stencil_sum and
+# _invariant_laplacian_field (a 4-point stencil per coordinate and the 16
+# corners of the mixed partials per coordinate pair, 4n + 16 n(n-1)/2 + 1
+# evaluations of u), kept as the oracle.
+
+
+def _shift(zs, col, step):
+    out = zs.copy()
+    out[:, col] = out[:, col] + step
+    return out
+
+
+def _coordinate_stencil_sum(u, zs, col, h, u0):
+    acc = -4.0 * u0
+    for step in (h, -h, 1j * h, -1j * h):
+        acc = acc + np.asarray(u(_shift(zs, col, step)), dtype=float)
+    return acc
+
+
+def _coordinate_invariant_laplacian(u, zs, h):
+    n = zs.shape[1]
+    c = (1.0 - _norm_sq_rows(zs)) / (n + 1)
+    h = np.asarray(h, dtype=float)
+    h2 = h * h
+    u0 = np.asarray(u(zs), dtype=float)
+
+    total = np.zeros(zs.shape[0])
+    for i in range(n):
+        dbar_ii = _coordinate_stencil_sum(u, zs, i, h, u0) / (4.0 * h2)
+        g_ii = c * (1.0 - (zs[:, i] * zs[:, i].conj()).real)
+        total += g_ii * dbar_ii
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            partials = []
+            for si, sj in ((1.0, 1.0), (1j, 1j), (1j, 1.0), (1.0, 1j)):
+                cross = (
+                    np.asarray(u(_shift(_shift(zs, i, si * h), j, sj * h)), dtype=float)
+                    - np.asarray(u(_shift(_shift(zs, i, si * h), j, -sj * h)), dtype=float)
+                    - np.asarray(u(_shift(_shift(zs, i, -si * h), j, sj * h)), dtype=float)
+                    + np.asarray(u(_shift(_shift(zs, i, -si * h), j, -sj * h)), dtype=float)
+                ) / (4.0 * h2)
+                partials.append(cross)
+            u_xx, u_yy, u_yx, u_xy = partials
+            dbar_ij = 0.25 * (u_xx + u_yy + 1j * (u_yx - u_xy))
+            g_ij = c * (-(zs[:, i].conj() * zs[:, j]))
+            total += 2.0 * (g_ij * dbar_ij).real
+
+    return 4.0 * total
+
+
+def _pair_arrays(count, dim, rmax, stream):
+    pairs = pair_corpus(count, dim, rmax, 20261018, stream)
+    zs = np.array([z.coords for z, _ in pairs], dtype=complex)
+    lams = np.array([lam.coords for _, lam in pairs], dtype=complex)
+    return zs, lams
+
+
+def _row_poisson(lams):
+    """u(zs)[k] = P_{zs[k]}(lams[k]): one kernel per row, vectorized."""
+    n = lams.shape[1]
+
+    def u(zs):
+        d = 1.0 - np.einsum("ij,ij->i", zs, lams.conj())
+        return _poisson((d * d.conj()).real, _norm_sq_rows(zs), n)
+
+    return u
+
+
+def _norm_sq_points(dim):
+    """z = 0, a point on the e_1 axis, points with z_1 = 0, and generic points."""
+    rng = rng_stream(20261018, 100 + dim)
+    rows = [np.zeros(dim), 0.6 * np.eye(dim)[0], -0.3j * np.eye(dim)[0]]
+    if dim > 1:
+        rows += [0.5j * np.eye(dim)[1], 0.4 * np.eye(dim)[-1] - 0.2j * np.eye(dim)[1]]
+    rows += [random_point(rng, dim, 0.9).coords for _ in range(20)]
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frame_stencil_matches_coordinate_stencil(dim):
+    # Both are second-order stencils for the same operator on different
+    # nodes; the worst relative gaps on these corpora are 3.7e-10, 3.6e-6
+    # and 2.6e-5 for n = 1, 2, 3.
+    zs, lams = _pair_arrays(300, dim, 0.8, dim)
+    u = _row_poisson(lams)
+    got = calculus._invariant_laplacian_field(u, zs, 1e-3)
+    want = _coordinate_invariant_laplacian(u, zs, 1e-3)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 3e-5
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frame_stencil_exact_on_norm_sq(dim):
+    # Lap~ |z|^2 = 4 (1 - |z|^2)(n - |z|^2)/(n + 1); the 5-point stencil
+    # is exact on quadratics along every complex line of the frame.
+    zs = _norm_sq_points(dim)
+    nrm = _norm_sq_rows(zs)
+    want = 4.0 * (1.0 - nrm) * (dim - nrm) / (dim + 1.0)
+    got = calculus._invariant_laplacian_field(_norm_sq_rows, zs, 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-9
+    space = Space.ball(dim)
+    for z, value in zip(zs, want):
+        point = SpacePoint(z)
+        fd = invariant_laplacian_fd(lambda p: p.norm_sq, point, space, 1e-3)
+        assert fd == pytest.approx(value, abs=1e-9)
+
+
+def test_invariant_laplacian_poisson_closed_vs_stencil_dim3():
+    ball3 = Space.ball(3)
+    for z, lam in pair_corpus(40, 3, 0.6, 20261018, 7):
+        closed = invariant_laplacian_poisson_ball(z, lam, ball3)
+        fd = invariant_laplacian_fd(lambda p: poisson_kernel(p, lam, ball3), z, ball3, 1e-3)
+        assert fd == pytest.approx(closed, rel=1e-5)
+        assert closed < 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencils_evaluate_u_4n_plus_1_times(dim):
+    zs, lams = _pair_arrays(7, dim, 0.8, 10 + dim)
+    u = _row_poisson(lams)
+    rows = []
+
+    def counted(points):
+        rows.append(len(points))
+        return u(points)
+
+    calculus._invariant_laplacian_field(counted, zs, np.full(len(zs), 1e-3))
+    assert rows == [len(zs)] * (4 * dim + 1)
+    if dim == 1:
+        rows.clear()
+        calculus._flat_laplacian_field(counted, zs, 1e-3)
+        assert rows == [len(zs)] * 5
 
 
 # ---------------------------------------------------------------------------

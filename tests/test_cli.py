@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from carlembed import calculus, cli, measure
+from carlembed import calculus, cli, interpolation, measure
 from carlembed.errors import InputError
 
 PAIR = {
@@ -244,6 +244,37 @@ def test_interpolate_checks_grid_before_eigensolves(tmp_path, capsys):
     rc = cli.main(["interpolate", path, "--grid", str(measure.MAX_GRID_RESOLUTION + 1)])
     assert rc == 2
     assert "resolution" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an atoms x atoms array was built before the size guard")
+
+
+def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkeypatch):
+    for owner, name in [
+        (interpolation, "carleson_delta"), (interpolation, "_szego_matrix"),
+        (measure, "_szego_matrix"), (measure, "_poisson_matrix"),
+        (calculus, "kernel_constant_on_support"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse)
+    count = measure.MAX_ATOMS + 1
+    z = 0.9 * np.exp(2j * np.pi * np.arange(count) / count)
+    seq = {"space": {"kind": "disc"}, "points": [[p.real, p.imag] for p in z]}
+    assert cli.main(["interpolate", write(tmp_path, "seq.json", seq)]) == 2
+    assert "sequence has 2001 points, practical guard is 2000" in capsys.readouterr().err
+    for dim in (1, 2):
+        points = [[p.real, p.imag] + [0.0, 0.0] * (dim - 1) for p in z]
+        mu = {
+            "space": {"kind": "disc"} if dim == 1 else {"kind": "ball", "dim": 2},
+            "atoms": [{"point": p, "weight": 1.0} for p in points],
+        }
+        poly = POLY if dim == 1 else {"dim": 2, "terms": [{"alpha": [0, 0], "re": 1.0}]}
+        mu_path = write(tmp_path, f"mu{dim}.json", mu)
+        poly_path = write(tmp_path, f"poly{dim}.json", poly)
+        assert cli.main(["uchiyama", mu_path, "--poly", poly_path]) == 2
+        assert "measure has 2001 atoms, practical guard is 2000" in capsys.readouterr().err
+        assert cli.main(["analyze", mu_path]) == 2
+        assert "measure has 2001 atoms" in capsys.readouterr().err
 
 
 def test_search_command_trace(tmp_path, capsys):
