@@ -30,14 +30,7 @@ from .geometry import (
     BALL, DISC, SpacePoint, _denominator_sq_matrix, _ipow, _norm_sq_rows, _poisson, inner,
     poisson_kernel,
 )
-from .measure import (
-    _check_atom_count,
-    _point_row,
-    _potential_field,
-    _row_blocks,
-    carleson_potential,
-    kernel_constant_on_support,
-)
+from .measure import _check_atom_count, _point_row, _potential_field, _row_blocks
 from .numerics import QuadratureSpec, ball_rule, boundary_quadrature, default_quadrature
 
 __all__ = [
@@ -138,13 +131,11 @@ def _check_poly_dim(f, space):
 def hardy_norm_sq(f, space):
     """Squared Hardy norm of an analytic polynomial.
 
-    Disc: sum of squared coefficient moduli.  Ball with sigma(S) = 1:
-    ||z^alpha||^2 = (n-1)! alpha! / (n-1+|alpha|)!, the standard monomial
-    orthogonality on the sphere.
+    With sigma(S) = 1, ||z^alpha||^2 = (n-1)! alpha! / (n-1+|alpha|)!, the
+    standard monomial orthogonality on the sphere; on the disc (n = 1)
+    every monomial has norm 1.
     """
     _check_poly_dim(f, space)
-    if space.dim == 1:
-        return float(sum((c * c.conjugate()).real for c in f.terms.values()))
     n = space.dim
     total = 0.0
     for alpha, coeff in f.terms.items():
@@ -404,7 +395,7 @@ def greens_formula_check(u, space, q=None, laplacian=None):
     else:
         lap = np.asarray(laplacian(points), dtype=float)
     if space.kind == DISC:
-        lhs = float(np.sum(weights * lap * (-np.log(r)))) / (2.0 * np.pi)
+        lhs = float(np.sum(weights * lap * _green_ball_field(r, 1))) / (2.0 * np.pi)
     else:
         n = space.dim
         density = _green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
@@ -458,7 +449,8 @@ def _uchiyama_values(mu, f, q):
     points, weights = ball_rule(q, mu.space.dim)
     lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)
     contraction = corollary = 0.0
-    phi_sup = kernel_constant_on_support(mu)
+    phi_atoms = _potential_field(mu, lams)
+    phi_sup = float(np.max(-phi_atoms))
     key = np.zeros(len(mu))
     for rows in _row_blocks(len(points), len(mu)):
         zs = points[rows]
@@ -478,11 +470,9 @@ def _uchiyama_values(mu, f, q):
 
     prefactor, constant = math.factorial(n) / math.pi ** n, beta_constant(n)
     norm_sq = hardy_norm_sq(f, mu.space)
-    keys = []
-    for (lam, _), k in zip(mu.atoms, key):
-        f_lam = f(lam)
-        rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
-        keys.append((prefactor * (1.0 - lam.norm_sq) * float(k), rhs))
+    lhs = prefactor * (1.0 - _norm_sq_rows(lams)) * key
+    rhs = constant * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
+    keys = list(zip(lhs.tolist(), rhs.tolist()))
     return (contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq), keys
 
 

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import calculus, extremal, geometry, interpolation, measure
+from .corpus import random_measure, random_point, random_poly
 from .errors import (
     InputError,
     NumericError,
@@ -198,35 +199,15 @@ def poly_from_dict(data):
 
 
 def analysis_report_to_dict(report, space):
-    return {
-        "space": space_to_dict(space),
-        "a_sq": report.a_sq,
-        "c_supp": report.c_supp,
-        "c_grid": report.c_grid,
-        "i_box": report.i_box,
-        "bound": report.bound,
-        "ratio": report.ratio,
-        "holds": report.holds,
-        "grid_resolution": report.grid_resolution,
-    }
+    return {"space": space_to_dict(space), **dataclasses.asdict(report)}
 
 
 def analysis_report_to_csv(report):
-    header = "a_sq,c_supp,c_grid,i_box,bound,ratio,holds,grid_resolution"
-    i_box = "" if report.i_box is None else _fmt(report.i_box)
-    row = ",".join(
-        [
-            _fmt(report.a_sq),
-            _fmt(report.c_supp),
-            _fmt(report.c_grid),
-            i_box,
-            _fmt(report.bound),
-            _fmt(report.ratio),
-            str(report.holds).lower(),
-            str(report.grid_resolution),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    """A header row and a value row: "" for None, lower-case bools."""
+    names = [f.name for f in dataclasses.fields(report)]
+    cells = [getattr(report, name) for name in names]
+    row = ["" if v is None else _fmt(v) if isinstance(v, float) else str(v).lower() for v in cells]
+    return ",".join(names) + "\n" + ",".join(row) + "\n"
 
 
 def _write_output(text, out_path):
@@ -254,37 +235,9 @@ def _cmd_analyze(args):
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
-def _random_interior(rng, dim, rmax):
-    raw = rng.normal(size=2 * dim)
-    vec = raw[::2] + 1j * raw[1::2]
-    vec /= math.sqrt(float(np.sum((vec * vec.conj()).real)))
-    return SpacePoint(vec * (rmax * rng.random()))
-
-
-def _random_measure(rng, space, max_atoms, rmax):
-    count = int(rng.integers(1, max_atoms + 1))
-    atoms = [
-        (_random_interior(rng, space.dim, rmax), math.exp(rng.normal(0.0, 0.5)))
-        for _ in range(count)
-    ]
-    return measure.DiscreteMeasure(space, atoms)
-
-
-def _random_poly(rng, dim, max_degree):
-    terms = {}
-    if dim == 1:
-        for k in range(max_degree + 1):
-            terms[(k,)] = complex(rng.normal(), rng.normal())
-    else:
-        for a in range(max_degree + 1):
-            for b in range(max_degree + 1 - a):
-                terms[(a, b)] = complex(rng.normal(), rng.normal())
-    return calculus.MultiPoly(dim, terms)
-
-
 def _random_pair(rng, dim, rmax):
     """(lam, z), drawn in that order."""
-    return _random_interior(rng, dim, rmax), _random_interior(rng, dim, rmax)
+    return random_point(rng, dim, rmax), random_point(rng, dim, rmax)
 
 
 def _worst(count, trial):
@@ -301,7 +254,7 @@ def _verify(space, rng, samples, h, tol):
     disc = space.kind == "disc"
 
     def normalization():
-        lam = _random_interior(rng, n, 0.95)
+        lam = random_point(rng, n, 0.95)
         want = (1.0 - lam.norm_sq) ** (-n / 2.0)
         got = geometry.normalized_kernel(lam, lam, space)
         return abs(got - want) / abs(want)
@@ -331,9 +284,9 @@ def _verify(space, rng, samples, h, tol):
     cap, degree, radius = (25, 3, 0.8) if disc else (10, 2, 0.75)
 
     def minorant():
-        mu = _random_measure(rng, space, 3, 0.6)
-        f = _random_poly(rng, n, degree)
-        z = _random_interior(rng, n, radius)
+        mu = random_measure(rng, space, 3, 0.6)
+        f = random_poly(rng, n, degree)
+        z = random_point(rng, n, radius)
 
         def u(p):
             val = f(p)
@@ -480,10 +433,6 @@ def _cmd_green_check(args):
 def _cmd_uchiyama(args):
     mu = measure_from_dict(load_json(args.path))
     f = poly_from_dict(load_json(args.poly))
-    if f.dim != mu.space.dim:
-        raise InputError(
-            f"polynomial dimension {f.dim} does not match space dimension {mu.space.dim}"
-        )
     q = default_quadrature(mu.space)
     if args.quad_order is not None:
         q = dataclasses.replace(q, radial_order=args.quad_order)

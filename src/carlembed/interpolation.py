@@ -4,7 +4,9 @@ For a finite sequence {lam_k} the separation constant is
 delta = min_k prod_{j != k} |(lam_k - lam_j)/(1 - conj(lam_j) lam_k)|.
 The induced measure sum_k (1 - |lam_k|^2) delta_{lam_k} has embedding
 norm K^2, and the normalized-kernel Gram matrix G realizes the
-orthogonalizer bound ||J|| ||J^-1|| = sqrt(cond(G)) <= delta^-1 K^2.
+orthogonalizer bound ||J|| ||J^-1|| = sqrt(cond(G)) <= delta^-1 K^2;
+G is that measure's weighted kernel matrix, so one eigensolve of G gives
+both K^2 and cond(G).
 Chaining K^2 <= 2e (1 + 2 ln delta^-1) gives the interpolation constant
 C = 2e delta^-1 (1 + 2 ln delta^-1).
 """
@@ -16,9 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
 from .geometry import DISC, SpacePoint, _szego_matrix
-from .measure import (
-    DiscreteMeasure, _check_atom_count, _check_resolution, embedding_norm_sq, kernel_constant_grid,
-)
+from .measure import DiscreteMeasure, _check_atom_count, _check_resolution, kernel_constant_grid
 from .numerics import HermitianMatrix, extreme_eigs
 
 _REL_SLACK = 1e-9
@@ -113,17 +113,27 @@ def gram_matrix(seq):
     return HermitianMatrix(a[:, None] * a[None, :] * _szego_matrix(pts, pts, 1))
 
 
-def orthogonalizer_cond(seq):
-    """sqrt(lambda_max(G) / lambda_min(G)), the realization of ||J|| ||J^-1||.
+def _gram_extremes(seq):
+    """(lambda_min(G), lambda_max(G)); refuses a numerically singular G.
 
-    J = G^(-1/2) orthonormalizes the kernel system, so ||J|| ||J^-1|| is
-    exactly the square root of the condition number of G.
+    G is also the weighted kernel matrix of sequence_measure(seq), so
+    lambda_max(G) is its embedding norm K^2.
     """
     lo, hi = extreme_eigs(gram_matrix(seq))
     if lo <= 1e-14 * hi:
         raise NumericError(
             f"degenerate sequence: smallest Gram eigenvalue {lo:.3e} vs largest {hi:.3e}"
         )
+    return lo, hi
+
+
+def orthogonalizer_cond(seq):
+    """sqrt(lambda_max(G) / lambda_min(G)), the realization of ||J|| ||J^-1||.
+
+    J = G^(-1/2) orthonormalizes the kernel system, so ||J|| ||J^-1|| is
+    exactly the square root of the condition number of G.
+    """
+    lo, hi = _gram_extremes(seq)
     return math.sqrt(hi / lo)
 
 
@@ -134,14 +144,13 @@ def interpolation_report(seq, resolution=64):
     delta = carleson_delta(seq)
     if not delta > 0.0:
         raise InputError("delta must be positive for the interpolation chain")
-    mu = sequence_measure(seq)
-    k_sq = embedding_norm_sq(mu)
-    gram_cond_root = orthogonalizer_cond(seq)
+    lo, k_sq = _gram_extremes(seq)
+    gram_cond_root = math.sqrt(k_sq / lo)
     log_inv = math.log(1.0 / delta)
     k_sq_bound = 2.0 * math.e * (1.0 + 2.0 * log_inv)
     orth_bound = k_sq / delta
     interp_constant = 2.0 * math.e / delta * (1.0 + 2.0 * log_inv)
-    kernel_sup = kernel_constant_grid(mu, resolution)
+    kernel_sup = kernel_constant_grid(sequence_measure(seq), resolution)
     kernel_sup_bound = 1.0 + 2.0 * log_inv
     return InterpolationReport(
         delta=delta,

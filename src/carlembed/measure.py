@@ -224,9 +224,7 @@ def embedding_norm_sq(mu):
 
 
 def theorem_bound_constant(space):
-    """2e on the disc; e (2n)! / (n!)^2 on the ball of dimension n."""
-    if space.kind == DISC:
-        return 2.0 * math.e
+    """e (2n)! / (n!)^2 on the ball of dimension n; 2e on the disc (n = 1)."""
     n = space.dim
     return math.e * math.factorial(2 * n) / math.factorial(n) ** 2
 

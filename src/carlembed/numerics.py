@@ -67,7 +67,7 @@ def default_quadrature(space):
     angular Fourier content, which 32 nodes per torus angle resolve far
     below the 1e-3 tolerances used for ball-side checks.
     """
-    if space.kind == "disc" or space.dim == 1:
+    if space.dim == 1:
         return QuadratureSpec()
     return QuadratureSpec(radial_order=48, angular_order=32, sphere_nodes=24, tol=1e-3)
 

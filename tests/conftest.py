@@ -1,4 +1,4 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpora for the test suite, drawn with carlembed.corpus.
 
 All randomness flows through seeded counter-based streams so every test
 is reproducible bit for bit.  Radius caps are chosen so that stencil and
@@ -6,47 +6,9 @@ quadrature truncation stay well inside the tolerances asserted by the
 tests that consume the corpus.
 """
 
-import cmath
-import math
-
-import numpy as np
-
-from carlembed.calculus import MultiPoly
-from carlembed.geometry import Space, SpacePoint
-from carlembed.measure import DiscreteMeasure
+from carlembed.corpus import random_measure, random_point, random_poly
+from carlembed.geometry import Space
 from carlembed.numerics import rng_stream
-
-
-def random_point(rng, dim, rmax):
-    """Uniform direction, uniform radius in [0, rmax)."""
-    if dim == 1:
-        return SpacePoint(cmath.rect(rmax * rng.random(), 2.0 * math.pi * rng.random()))
-    raw = rng.normal(size=2 * dim)
-    vec = raw[::2] + 1j * raw[1::2]
-    vec /= math.sqrt(float(np.sum((vec * vec.conj()).real)))
-    return SpacePoint(vec * (rmax * rng.random()))
-
-
-def random_measure(rng, space, max_atoms, rmax):
-    count = int(rng.integers(1, max_atoms + 1))
-    atoms = [
-        (random_point(rng, space.dim, rmax), math.exp(rng.normal(0.0, 0.5)))
-        for _ in range(count)
-    ]
-    return DiscreteMeasure(space, atoms)
-
-
-def random_poly(rng, dim, max_degree):
-    """Dense random polynomial of total degree <= max_degree."""
-    terms = {}
-    if dim == 1:
-        for k in range(max_degree + 1):
-            terms[(k,)] = complex(rng.normal(), rng.normal())
-    else:
-        for a in range(max_degree + 1):
-            for b in range(max_degree + 1 - a):
-                terms[(a, b)] = complex(rng.normal(), rng.normal())
-    return MultiPoly(dim, terms)
 
 
 def disc_measure_corpus(count, max_atoms, rmax, seed, stream):

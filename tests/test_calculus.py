@@ -24,11 +24,12 @@ from carlembed.calculus import (
     uchiyama_density,
     uchiyama_embedding_check,
 )
+from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError
 from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson, poisson_kernel
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
-from conftest import measure_poly_corpus, pair_corpus, random_point, random_poly
+from conftest import measure_poly_corpus, pair_corpus
 
 DISC = Space.disc()
 BALL2 = Space.ball(2)
@@ -61,6 +62,7 @@ def test_multipoly_eval():
 def test_hardy_norm_disc_is_coefficient_sum():
     f = MultiPoly(1, {(0,): 3.0, (1,): 4.0j, (5,): 1.0 + 1.0j})
     assert hardy_norm_sq(f, DISC) == pytest.approx(9.0 + 16.0 + 2.0, abs=1e-13)
+    assert hardy_norm_sq(f, DISC) == hardy_norm_sq(f, Space.ball(1))
 
 
 def test_hardy_norm_ball_monomials():
@@ -633,17 +635,24 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     mu_path, f_path = tmp_path / "mu.json", tmp_path / "f.json"
     mu_path.write_text(json.dumps(cli.measure_to_dict(mu)))
     f_path.write_text(json.dumps(f))
-    rows = []
-    poisson = calculus._poisson
+    rows, atom_rows = [], []
+    poisson, poisson_matrix = calculus._poisson, measure._poisson_matrix
 
     def counted(d_sq, z_norm_sq, n):
         rows.append(len(d_sq))
         return poisson(d_sq, z_norm_sq, n)
 
+    def counted_matrix(zs, lams, n):
+        atom_rows.append(len(zs))
+        return poisson_matrix(zs, lams, n)
+
     monkeypatch.setattr(calculus, "_poisson", counted)
+    monkeypatch.setattr(measure, "_poisson_matrix", counted_matrix)
     monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
     q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24, tol=1e-3)
     nodes = len(ball_rule(q, 2)[1])
     assert sum(rows) == nodes and len(rows) == len(measure._row_blocks(nodes, 3)) > 1
+    # phi at the three atoms, once for ||phi||_inf and every key inequality
+    assert atom_rows == [3]

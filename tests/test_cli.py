@@ -224,6 +224,11 @@ def test_uchiyama_dimension_mismatch(tmp_path, capsys):
     poly2 = {"dim": 2, "terms": [{"alpha": [0, 0], "re": 1.0}]}
     rc = cli.main(["uchiyama", mu_path, "--poly", write(tmp_path, "p2.json", poly2)])
     assert rc == 2
+    ball = {"space": {"kind": "ball", "dim": 2}, "atoms": [{"point": [0.5, 0, 0, 0], "weight": 1}]}
+    rc = cli.main(["uchiyama", write(tmp_path, "b.json", ball),
+                   "--poly", write(tmp_path, "p1.json", POLY)])
+    assert rc == 2
+    assert "polynomial has dimension 1, space has 2" in capsys.readouterr().err
 
 
 def test_interpolate_command(tmp_path, capsys):
@@ -254,7 +259,6 @@ def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkey
     for owner, name in [
         (interpolation, "carleson_delta"), (interpolation, "_szego_matrix"),
         (measure, "_szego_matrix"), (measure, "_poisson_matrix"),
-        (calculus, "kernel_constant_on_support"),
     ]:
         monkeypatch.setattr(owner, name, _refuse)
     count = measure.MAX_ATOMS + 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlembed.corpus import random_point
 from carlembed.errors import InputError, KernelConditioningWarning
 from carlembed.geometry import (
     Space,
@@ -17,8 +18,6 @@ from carlembed.geometry import (
     szego_kernel,
 )
 from carlembed.numerics import rng_stream
-
-from conftest import random_point
 
 
 def test_space_constructors():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlembed.corpus import random_point
 from carlembed.errors import InputError, UnsupportedError
 from carlembed.geometry import Space, SpacePoint, _poisson_matrix
 from carlembed.measure import (
@@ -21,7 +22,7 @@ from carlembed.measure import (
 )
 from carlembed.numerics import rng_stream
 
-from conftest import ball_measure_corpus, disc_measure_corpus, random_point
+from conftest import ball_measure_corpus, disc_measure_corpus
 
 
 def pair_measure():
@@ -181,7 +182,7 @@ def test_box_constant_rejects_ball_and_few_directions():
 
 def test_theorem_bound_constants():
     assert theorem_bound_constant(Space.disc()) == pytest.approx(2 * math.e, abs=1e-15)
-    assert theorem_bound_constant(Space.ball(1)) == pytest.approx(2 * math.e, abs=1e-15)
+    assert theorem_bound_constant(Space.ball(1)) == theorem_bound_constant(Space.disc())
     assert theorem_bound_constant(Space.ball(2)) == pytest.approx(6 * math.e, abs=1e-14)
     assert theorem_bound_constant(Space.ball(3)) == pytest.approx(20 * math.e, abs=1e-13)
 
