@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .geometry import (
-    BALL, DISC, SpacePoint, _denominator_sq_matrix, _ipow, _norm_sq_rows, _poisson, inner,
-    poisson_kernel,
+    BALL, DISC, Space, SpacePoint, _denominator, _denominator_sq_matrix, _ipow, _norm_sq_rows,
+    _poisson, inner, poisson_kernel,
 )
 from .measure import _check_atom_count, _point_row, _potential_field, _row_blocks
 from .numerics import QuadratureSpec, ball_rule, boundary_quadrature, default_quadrature
@@ -83,41 +83,31 @@ class MultiPoly:
     def __call__(self, z):
         if z.dim != self.dim:
             raise InputError(f"point has dimension {z.dim}, polynomial has {self.dim}")
-        total = 0j
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for c, a in zip(z.coords, alpha):
-                if a:
-                    term *= c ** a
-            total += term
-        return total
+        return _horner(self.terms, z.coords) if self.terms else 0j
 
     def eval_array(self, zs):
         """Values at the rows of zs as an (m,) complex array, by nested Horner."""
-        out = _horner(self.terms, zs) if self.terms else 0j
+        out = _horner(self.terms, zs.T) if self.terms else 0j
         return np.full(zs.shape[0], out) if np.isscalar(out) else out
 
 
-def _horner(terms, zs):
-    """Sum of coeff * prod_i zs[:, i]^alpha_i over a nonempty {alpha: coeff}.
+def _horner(terms, cols):
+    """Sum of coeff * prod_i cols[i]^alpha_i over a nonempty {alpha: coeff}.
 
-    Horner in the first column; the coefficient of each of its powers is
-    a polynomial in the remaining columns, evaluated the same way.
-    Returns a Python complex when every term is constant.
+    cols is z.coords (numbers) or zs.T (one array per variable).  Horner
+    in the first variable; the coefficient of each of its powers is a
+    polynomial in the remaining ones, evaluated the same way.
     """
-    if zs.shape[1] == 0:
+    if len(cols) == 0:
         return terms[()]
     by_power = {}
     for alpha, coeff in terms.items():
         by_power.setdefault(alpha[0], {})[alpha[1:]] = coeff
-    z, rest = zs[:, 0], zs[:, 1:]
+    z, rest = cols[0], cols[1:]
     top = max(by_power)
     out = _horner(by_power[top], rest)
     for k in range(top - 1, -1, -1):
-        if isinstance(out, np.ndarray):
-            out *= z  # a fresh array, never a view of zs
-        else:
-            out = out * z
+        out *= z  # in place only on a fresh array, never on a view of cols
         if k in by_power:
             out += _horner(by_power[k], rest)
     return out
@@ -242,13 +232,28 @@ def invariant_laplacian_fd(u, z, space, h=FD_STEP):
 # Closed-form derivatives of the Poisson-Szego kernel.
 
 
+def _laplacian_factor(space, z_norm_sq):
+    """factor in Lap_z P_z(lam) = -factor (1 - |lam|^2) / |1 - <z, lam>|^(2n+2).
+
+    4 on the disc (flat), (4 n^2/(n+1)) (1 - |z|^2)^(n+1) on the ball (invariant).
+    """
+    if space.kind == DISC:
+        return 4.0
+    n = space.dim
+    return (4.0 * n * n / (n + 1.0)) * (1.0 - z_norm_sq) ** (n + 1)
+
+
+def _poisson_laplacian(z, lam, space):
+    d = _denominator(z, lam, space)
+    atom = _atom_matrix((d * d.conjugate()).real, space.dim)
+    return -_laplacian_factor(space, z.norm_sq) * (1.0 - lam.norm_sq) * atom
+
+
 def laplacian_poisson_disc(z, lam):
     """Delta_z P_z(lam) = 4 (|lam|^2 - 1) / |1 - conj(lam) z|^4, always <= 0."""
     if z.dim != 1 or lam.dim != 1:
         raise InputError("disc formula needs one-dimensional points")
-    d = 1.0 - lam.coords[0].conjugate() * z.coords[0]
-    d2 = (d * d.conjugate()).real
-    return 4.0 * (lam.norm_sq - 1.0) / (d2 * d2)
+    return _poisson_laplacian(z, lam, Space.disc())
 
 
 def invariant_laplacian_poisson_ball(z, lam, space):
@@ -260,10 +265,7 @@ def invariant_laplacian_poisson_ball(z, lam, space):
     """
     if space.kind != BALL:
         raise InputError("invariant Laplacian formula needs a ball space")
-    n = space.dim
-    d = 1.0 - inner(z, lam)
-    root = (1.0 - lam.norm_sq) / (d * d.conjugate()).real
-    return -(4.0 * n * n / (n + 1.0)) * (1.0 - z.norm_sq) * poisson_kernel(z, lam, space) * root
+    return _poisson_laplacian(z, lam, space)
 
 
 def poisson_gradient_ball(z, lam, j, space):
@@ -298,11 +300,7 @@ def _atom_sum(mu, zs):
 
 def _potential_laplacian_field(space, zs, core):
     """Lap(phi) at the rows of zs, given core = _atom_sum(mu, zs)."""
-    if space.kind == DISC:
-        return 4.0 * core
-    n = space.dim
-    a_z = 1.0 - _norm_sq_rows(zs)
-    return (4.0 * n * n / (n + 1.0)) * a_z ** (n + 1) * core
+    return _laplacian_factor(space, _norm_sq_rows(zs)) * core
 
 
 def potential_laplacian_closed(mu, z):
@@ -326,7 +324,7 @@ def green_weight_disc(z):
         raise InputError("disc weight needs a one-dimensional point")
     if z.norm_sq == 0.0:
         return math.inf
-    return -0.5 * math.log(z.norm_sq)
+    return float(_green_ball_field(math.sqrt(z.norm_sq), 1))
 
 
 def _green_ball_field(r, n):
@@ -445,6 +443,11 @@ def _uchiyama_values(mu, f, q):
     _check_atom_count(len(mu), "measure has {} atoms")
     if q is None:
         q = default_quadrature(mu.space)
+    # |f|^2 has angular modes up to +-deg f, and the torus trapezoid rule
+    # integrates a mode exactly only below its order.
+    degree = max(map(sum, f.terms), default=0)
+    if degree >= q.angular_order:
+        raise InputError(f"polynomial degree {degree} is not below angular order {q.angular_order}")
     n = mu.space.dim
     points, weights = ball_rule(q, mu.space.dim)
     lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import calculus, extremal, geometry, interpolation, measure
 from .corpus import random_measure, random_point, random_poly
-from .errors import (
-    InputError,
-    NumericError,
-    SingularityError,
-    UnsupportedError,
-)
+from .errors import InputError, NumericError, SingularityError, UnsupportedError
 from .geometry import Space, SpacePoint
 from .numerics import default_quadrature, rng_stream
 
@@ -371,6 +366,13 @@ def _ball_rows(space, rng, samples, h, tol):
     ]
 
 
+def _print_verdicts(rows):
+    """Print one PASS or FAIL line per (ok, text) row; EXIT_OK when every row passes."""
+    for ok, text in rows:
+        print(f"{'PASS' if ok else 'FAIL'}  {text}")
+    return EXIT_OK if all(ok for ok, _ in rows) else EXIT_VIOLATION
+
+
 def _cmd_verify_identities(args):
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
@@ -380,12 +382,9 @@ def _cmd_verify_identities(args):
         raise _UsageError("--tol must be positive")
     space = _SPACES[args.space]
     rows = _verify(space, rng_stream(args.seed, 0), args.samples, args.fd_step, args.tol)
-    failed = 0
-    for name, err, tol in rows:
-        ok = err <= tol
-        failed += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name:34s} max_err={err:.3e}  tol={tol:.3e}")
-    return EXIT_OK if failed == 0 else EXIT_VIOLATION
+    return _print_verdicts([
+        (err <= tol, f"{name:34s} max_err={err:.3e}  tol={tol:.3e}") for name, err, tol in rows
+    ])
 
 
 _GREEN_FNS = {
@@ -437,31 +436,19 @@ def _cmd_uchiyama(args):
     if args.quad_order is not None:
         q = dataclasses.replace(q, radial_order=args.quad_order)
     slack = DISC_SLACK if mu.space.kind == "disc" else BALL_SLACK
-    failed = 0
-
     (integral, norm_sq), (corollary, bound), keys = calculus.uchiyama_checks(mu, f, q)
-    ok = integral <= norm_sq * (1.0 + slack) + 1e-15
-    failed += 0 if ok else 1
-    print(
-        f"{'PASS' if ok else 'FAIL'}  contraction      "
-        f"integral={_fmt(integral)}  norm_sq={_fmt(norm_sq)}"
+    rows = [
+        (integral <= norm_sq * (1.0 + slack) + 1e-15,
+         f"contraction      integral={_fmt(integral)}  norm_sq={_fmt(norm_sq)}"),
+        (corollary <= bound * (1.0 + slack) + 1e-15,
+         f"bounded corollary integral={_fmt(corollary)}  bound={_fmt(bound)}"),
+    ]
+    rows.extend(
+        (lhs >= rhs * (1.0 - slack) - 1e-15,
+         f"key inequality at atom {idx}: lhs={_fmt(lhs)}  rhs={_fmt(rhs)}")
+        for idx, (lhs, rhs) in enumerate(keys)
     )
-
-    ok = corollary <= bound * (1.0 + slack) + 1e-15
-    failed += 0 if ok else 1
-    print(
-        f"{'PASS' if ok else 'FAIL'}  bounded corollary "
-        f"integral={_fmt(corollary)}  bound={_fmt(bound)}"
-    )
-
-    for idx, (lhs, rhs) in enumerate(keys):
-        ok = lhs >= rhs * (1.0 - slack) - 1e-15
-        failed += 0 if ok else 1
-        print(
-            f"{'PASS' if ok else 'FAIL'}  key inequality at atom {idx}: "
-            f"lhs={_fmt(lhs)}  rhs={_fmt(rhs)}"
-        )
-    return EXIT_OK if failed == 0 else EXIT_VIOLATION
+    return _print_verdicts(rows)
 
 
 def _cmd_interpolate(args):
@@ -506,7 +493,7 @@ def _cmd_search(args):
         "best_measure = " + json.dumps(measure_to_dict(result.best_measure)),
         file=sys.stderr,
     )
-    if result.best_ratio > bound * (1.0 + 1e-9):
+    if result.best_ratio > bound * (1.0 + measure.BOUND_SLACK):
         return EXIT_VIOLATION
     return EXIT_OK
 

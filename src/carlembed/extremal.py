@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import CarlembedError, InputError, NumericError
 from .measure import (
-    DiscreteMeasure,
-    embedding_norm_sq,
-    kernel_constant_on_support,
-    theorem_bound_constant,
+    BOUND_SLACK, DiscreteMeasure, _check_atom_count, embedding_norm_sq,
+    kernel_constant_on_support, theorem_bound_constant,
 )
 from .numerics import rng_stream
 
@@ -40,6 +38,7 @@ class SearchConfig:
     def __post_init__(self):
         if not isinstance(self.atom_count, int) or self.atom_count < 1:
             raise InputError(f"atom_count must be a positive integer, got {self.atom_count!r}")
+        _check_atom_count(self.atom_count, "search measures have {} atoms")
         if self.iterations < 1 or self.restarts < 1:
             raise InputError("iterations and restarts must be >= 1")
         if self.seed < 0:
@@ -100,7 +99,7 @@ def _climb(cfg, restart, bound):
             value = None
         else:
             value = ratio(cand_mu)
-            if value > bound * (1.0 + 1e-9):
+            if value > bound * (1.0 + BOUND_SLACK):
                 warnings.warn(
                     f"search found ratio {value!r} above the theorem bound {bound!r}; "
                     "this falsifies the implementation or the theorem",

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
-from .geometry import DISC, SpacePoint, _szego_matrix
-from .measure import DiscreteMeasure, _check_atom_count, _check_resolution, kernel_constant_grid
-from .numerics import HermitianMatrix, extreme_eigs
-
-_REL_SLACK = 1e-9
+from .geometry import DISC, SpacePoint
+from .measure import (
+    BOUND_SLACK, DiscreteMeasure, _check_atom_count, _check_resolution, _weighted_kernel_matrix,
+    kernel_constant_grid,
+)
+from .numerics import extreme_eigs
 
 
 class PointSequence:
@@ -108,9 +109,7 @@ def gram_matrix(seq):
     unit diagonal, Hermitian, positive definite for separated sequences.
     """
     lam = seq.values()
-    a = np.sqrt(1.0 - (lam * lam.conj()).real)
-    pts = lam[:, None]
-    return HermitianMatrix(a[:, None] * a[None, :] * _szego_matrix(pts, pts, 1))
+    return _weighted_kernel_matrix(lam[:, None], np.sqrt(1.0 - (lam * lam.conj()).real))
 
 
 def _gram_extremes(seq):
@@ -161,8 +160,8 @@ def interpolation_report(seq, resolution=64):
         interp_constant=interp_constant,
         kernel_sup=kernel_sup,
         kernel_sup_bound=kernel_sup_bound,
-        holds_cond=bool(gram_cond_root <= orth_bound * (1.0 + _REL_SLACK)),
-        holds_embedding=bool(k_sq <= k_sq_bound * (1.0 + _REL_SLACK)),
-        holds_kernel_sup=bool(kernel_sup <= kernel_sup_bound * (1.0 + _REL_SLACK)),
+        holds_cond=bool(gram_cond_root <= orth_bound * (1.0 + BOUND_SLACK)),
+        holds_embedding=bool(k_sq <= k_sq_bound * (1.0 + BOUND_SLACK)),
+        holds_kernel_sup=bool(kernel_sup <= kernel_sup_bound * (1.0 + BOUND_SLACK)),
         grid_resolution=resolution,
     )

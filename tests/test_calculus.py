@@ -26,7 +26,9 @@ from carlembed.calculus import (
 )
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError
-from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson, poisson_kernel
+from carlembed.geometry import (
+    Space, SpacePoint, _ipow, _norm_sq_rows, _poisson, inner, poisson_kernel,
+)
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
 from conftest import measure_poly_corpus, pair_corpus
@@ -169,6 +171,45 @@ def test_potential_laplacian_is_nonnegative():
 def test_green_weight_disc_oracle():
     assert green_weight_disc(SpacePoint(0.5)) == pytest.approx(math.log(2.0), abs=1e-15)
     assert math.isinf(green_weight_disc(SpacePoint(0.0)))
+
+
+# The earlier closed forms, before they became the shared factor times the
+# atom kernel (Laplacians) and the n = 1 Green function (disc weight).
+
+
+def _laplacian_poisson_disc_oracle(z, lam):
+    d = 1.0 - lam.coords[0].conjugate() * z.coords[0]
+    d2 = (d * d.conjugate()).real
+    return 4.0 * (lam.norm_sq - 1.0) / (d2 * d2)
+
+
+def _invariant_laplacian_poisson_ball_oracle(z, lam, space):
+    n = space.dim
+    d = 1.0 - inner(z, lam)
+    root = (1.0 - lam.norm_sq) / (d * d.conjugate()).real
+    return -(4.0 * n * n / (n + 1.0)) * (1.0 - z.norm_sq) * poisson_kernel(z, lam, space) * root
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_laplacians_match_earlier_bodies(dim):
+    space = Space.ball(dim)
+    for z, lam in pair_corpus(500, dim, 0.99, 818, dim):
+        got = invariant_laplacian_poisson_ball(z, lam, space)
+        want = _invariant_laplacian_poisson_ball_oracle(z, lam, space)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        if dim == 1:
+            want = _laplacian_poisson_disc_oracle(z, lam)
+            assert abs(laplacian_poisson_disc(z, lam) - want) <= 1e-15 * abs(want)
+
+
+def test_green_weight_disc_matches_earlier_body():
+    # log(1/|z|) has condition number 1/log(1/|z|), so near the circle both
+    # forms keep only an absolute rounding error of a few ulps of 1.
+    for z, w in pair_corpus(2000, 1, 0.999, 818, 4):
+        for p in (z, w):
+            want = -0.5 * math.log(p.norm_sq)
+            tol = 1e-15 * want if math.sqrt(p.norm_sq) <= 0.9 else 1e-15
+            assert abs(green_weight_disc(p) - want) <= tol
 
 
 def test_green_function_ball_oracle_and_bound():
@@ -457,7 +498,8 @@ def test_stencils_evaluate_u_4n_plus_1_times(dim):
 
 
 # ---------------------------------------------------------------------------
-# MultiPoly.eval_array (nested Horner) against the scalar __call__.
+# MultiPoly.eval_array and __call__ (both nested Horner) against the
+# per-term powers of _eval_powers below.
 
 
 def _term_scale(f, z):
@@ -482,8 +524,10 @@ def test_multipoly_eval_array_matches_scalar_call(dim):
     for f in polys:
         got = f.eval_array(zs)
         assert got.dtype == complex and got.shape == (len(points),)
-        for value, z in zip(got, points):
-            assert abs(value - f(z)) <= 1e-14 * _term_scale(f, z)
+        for value, want, z in zip(got, _eval_powers(f, zs), points):
+            scale = _term_scale(f, z)
+            assert abs(value - want) <= 1e-14 * scale
+            assert type(f(z)) is complex and abs(f(z) - want) <= 1e-14 * scale
     assert not np.any(polys[0].eval_array(zs))
     assert np.all(polys[1].eval_array(zs) == 2.0 - 1.5j)
 
@@ -491,9 +535,11 @@ def test_multipoly_eval_array_matches_scalar_call(dim):
 # ---------------------------------------------------------------------------
 # uchiyama_checks against the three separate checks it replaced.  These
 # are the earlier bodies of uchiyama_embedding_check, corollary_check and
-# key_inequality_check (one full pass over the rule each), kept as the
-# oracle, with the earlier density and atom sum inlined; _eval_powers is
-# the earlier MultiPoly.eval_array.
+# key_inequality_check, kept as the oracle, with the earlier density and
+# atom sum inlined; _eval_powers is the earlier MultiPoly.eval_array.
+# The rule, |f|^2, phi and the atom sum behind the density are computed
+# once per (mu, f, q) by _oracle_fields and shared by the three oracles;
+# every formula and its order of operations is the earlier one.
 
 
 def _eval_powers(f, zs):
@@ -507,42 +553,47 @@ def _eval_powers(f, zs):
     return out
 
 
-def _density_oracle(mu, zs, factor):
+def _density_oracle(mu, zs):
+    """factor -> factor times the density at the rows of zs."""
     n = mu.space.dim
     lams = mu.points_array()
     d = 1.0 - zs @ lams.conj().T
     mass = mu.weights_array() * (1.0 - _norm_sq_rows(lams))
     core = (1.0 / _ipow((d * d.conj()).real, n + 1)) @ mass
     if mu.space.kind == "disc":
-        r = np.abs(zs[:, 0])
-        return factor * (4.0 * core) * (-np.log(r)) / (2.0 * np.pi)
-    r = np.sqrt(_norm_sq_rows(zs))
+        four_core, log_inv = 4.0 * core, -np.log(np.abs(zs[:, 0]))
+        return lambda factor: factor * four_core * log_inv / (2.0 * np.pi)
+    green = calculus._green_ball_field(np.sqrt(_norm_sq_rows(zs)), n)
     scale = math.factorial(n) / np.pi ** n * (4.0 * n * n / (n + 1.0))
-    return scale * factor * calculus._green_ball_field(r, n) * core
+    return lambda factor: scale * factor * green * core
 
 
-def _contraction_oracle(mu, f, q):
+def _oracle_fields(mu, f, q):
+    """(points, weights, |f|^2, phi, density) on the rule of q."""
     points, weights = ball_rule(q, mu.space.dim)
-    factor = np.exp(measure._potential_field(mu, points))
-    values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, factor)
+    f_sq = np.abs(_eval_powers(f, points)) ** 2
+    phi = measure._potential_field(mu, points)
+    return points, weights, f_sq, phi, _density_oracle(mu, points)
+
+
+def _contraction_oracle(mu, f, fields):
+    _, weights, f_sq, phi, density = fields
+    values = f_sq * density(np.exp(phi))
     return float(np.sum(weights * values)), hardy_norm_sq(f, mu.space)
 
 
-def _corollary_oracle(mu, f, q):
-    points, weights = ball_rule(q, mu.space.dim)
-    values = np.abs(_eval_powers(f, points)) ** 2 * _density_oracle(mu, points, 1.0)
+def _corollary_oracle(mu, f, fields):
+    _, weights, f_sq, phi, density = fields
+    values = f_sq * density(1.0)
     integral = float(np.sum(weights * values))
-    phi_sup = max(
-        kernel_constant_on_support(mu), float(np.max(-measure._potential_field(mu, points)))
-    )
+    phi_sup = max(kernel_constant_on_support(mu), float(np.max(-phi)))
     return integral, math.e * phi_sup * hardy_norm_sq(f, mu.space)
 
 
-def _key_oracle(mu, f, lambda_idx, q):
+def _key_oracle(mu, f, lambda_idx, fields):
     lam, _ = mu.atoms[lambda_idx]
     n = mu.space.dim
-    points, weights = ball_rule(q, mu.space.dim)
-    phi = measure._potential_field(mu, points)
+    points, weights, f_sq, phi, _ = fields
     d = 1.0 - points @ lam.as_array().conj()
     d2 = (d * d.conj()).real
     a_z = 1.0 - _norm_sq_rows(points)
@@ -552,7 +603,7 @@ def _key_oracle(mu, f, lambda_idx, q):
     else:
         prefactor = math.factorial(n) / math.pi ** n
         constant = beta_constant(n)
-    values = np.abs(_eval_powers(f, points)) ** 2 * np.exp(phi) * kernel
+    values = f_sq * np.exp(phi) * kernel
     lhs = prefactor * float(np.sum(weights * values))
     f_lam = f(lam)
     rhs = constant * math.exp(carleson_potential(mu, lam)) * (f_lam * f_lam.conjugate()).real
@@ -571,14 +622,15 @@ def _assert_close(got, want, rel):
 
 
 def _check_against_oracle(mu, f, q):
-    want = [*_contraction_oracle(mu, f, q), *_corollary_oracle(mu, f, q)]
+    fields = _oracle_fields(mu, f, q)
+    want = [*_contraction_oracle(mu, f, fields), *_corollary_oracle(mu, f, fields)]
     for idx in range(len(mu)):
-        want.extend(_key_oracle(mu, f, idx, q))
+        want.extend(_key_oracle(mu, f, idx, fields))
     _assert_close(_flat(uchiyama_checks(mu, f, q)), want, 1e-12)
 
 
 # The criterion 07/08 corpora; the ball pairs run on a 73,728-node rule
-# here (the default rule is 16x larger) to keep the oracle's 2 + m passes
+# here (the default rule is 16x larger) to keep the oracle's 1 + m passes
 # cheap, the bench-shaped inputs below run on the default rule.
 _ORACLE_SEED = 20260222
 _SMALL_BALL_RULE = QuadratureSpec(radial_order=24, angular_order=16, sphere_nodes=12, tol=1e-3)

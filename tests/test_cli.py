@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,23 @@ def test_uchiyama_dimension_mismatch(tmp_path, capsys):
     assert "polynomial has dimension 1, space has 2" in capsys.readouterr().err
 
 
+def test_uchiyama_refuses_degree_at_angular_order(tmp_path, capsys):
+    # |f|^2 has angular modes up to +-deg f; the default disc rule has
+    # angular order 128.  The check runs before any evaluation, so a huge
+    # exponent exits at once instead of stepping through every power.
+    mu_path = write(tmp_path, "pair.json", PAIR)
+    for degree in (128, 200_000_000):
+        poly = {"dim": 1, "terms": [{"alpha": [degree], "re": 1.0}]}
+        start = time.perf_counter()
+        rc = cli.main(["uchiyama", mu_path, "--poly", write(tmp_path, "big.json", poly)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"polynomial degree {degree} is not below angular order 128" in err
+    poly = {"dim": 1, "terms": [{"alpha": [127], "re": 1.0}]}
+    assert cli.main(["uchiyama", mu_path, "--poly", write(tmp_path, "p127.json", poly)]) != 2
+
+
 def test_interpolate_command(tmp_path, capsys):
     rc = cli.main(["interpolate", write(tmp_path, "seq.json", SEQ), "--grid", "16"])
     out = capsys.readouterr().out
@@ -257,8 +275,8 @@ def _refuse(*args, **kwargs):
 
 def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkeypatch):
     for owner, name in [
-        (interpolation, "carleson_delta"), (interpolation, "_szego_matrix"),
-        (measure, "_szego_matrix"), (measure, "_poisson_matrix"),
+        (interpolation, "carleson_delta"), (measure, "_szego_matrix"),
+        (measure, "_poisson_matrix"),
     ]:
         monkeypatch.setattr(owner, name, _refuse)
     count = measure.MAX_ATOMS + 1
@@ -279,6 +297,9 @@ def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkey
         assert "measure has 2001 atoms, practical guard is 2000" in capsys.readouterr().err
         assert cli.main(["analyze", mu_path]) == 2
         assert "measure has 2001 atoms" in capsys.readouterr().err
+    argv = ["search", "--atoms", str(count), "--iters", "1", "--restarts", "2"]
+    assert cli.main(argv) == 2
+    assert "search measures have 2001 atoms, practical guard is 2000" in capsys.readouterr().err
 
 
 def test_search_command_trace(tmp_path, capsys):

@@ -8,6 +8,7 @@ from carlembed.errors import InputError, KernelConditioningWarning
 from carlembed.geometry import (
     Space,
     SpacePoint,
+    _norm_sq_rows,
     _poisson_matrix,
     _szego_matrix,
     inner,
@@ -168,3 +169,13 @@ def test_scalar_kernels_match_matrix_entries(space):
             ):
                 worst = max(worst, abs(got - want) / abs(want))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_norm_sq_rows_equals_conjugate_product(dim):
+    # re^2 + im^2 summed over a row is bit-identical to the real part of
+    # sum z conj(z), without building a conjugated copy.
+    rng = rng_stream(909, dim)
+    zs = rng.normal(size=(100_003, dim)) + 1j * rng.normal(size=(100_003, dim))
+    zs *= rng.random((100_003, 1)) ** 3
+    assert np.array_equal(_norm_sq_rows(zs), np.einsum("ij,ij->i", zs, zs.conj()).real)

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from carlembed import interpolation, measure
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint
+from carlembed.geometry import Space, SpacePoint, _szego_matrix
 from carlembed.interpolation import (
     PointSequence,
     carleson_delta,
@@ -15,6 +16,7 @@ from carlembed.interpolation import (
 )
 from carlembed.measure import embedding_norm_sq
 from carlembed.numerics import extreme_eigs
+from conftest import sequence_corpus
 
 DISC = Space.disc()
 
@@ -57,6 +59,21 @@ def test_gram_matrix_matches_embedding_route():
     )
     _, top = extreme_eigs(gram_matrix(seq))
     assert top == pytest.approx(embedding_norm_sq(sequence_measure(seq)), rel=1e-12)
+
+
+def _gram_oracle(seq):
+    """The earlier body of gram_matrix, before the shared weighted-kernel builder."""
+    lam = seq.values()
+    a = np.sqrt(1.0 - (lam * lam.conj()).real)
+    pts = lam[:, None]
+    return a[:, None] * a[None, :] * _szego_matrix(pts, pts, 1)
+
+
+def test_gram_matrix_equals_earlier_body():
+    for seq in sequence_corpus(30, 12, 0.95, 1e-6, 717, 0):
+        got = gram_matrix(seq).entries
+        assert got.dtype == complex
+        assert np.array_equal(got, _gram_oracle(seq))
 
 
 def test_orthogonalizer_cond_exact_pair():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from carlembed import measure
 from carlembed.corpus import random_point
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint, _poisson_matrix
+from carlembed.geometry import Space, SpacePoint, _poisson_matrix, _szego_matrix
 from carlembed.measure import (
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
@@ -144,6 +145,47 @@ def _box_constant_loop(mu, directions=64):
             mass = float(np.sum(w[row <= r * (1.0 + 1e-12)]))
             best = max(best, mass / r)
     return best
+
+
+# The earlier bodies of kernel_constant_on_support, kernel_constant_grid
+# and embedding_norm_sq, which built their own Poisson and weighted kernel
+# matrices; the constants are now maxima of -phi and the weighted matrix
+# comes from one builder shared with the interpolation Gram matrix.
+
+
+def _support_constant_oracle(mu):
+    pts = mu.points_array()
+    p = _poisson_matrix(pts, pts, mu.space.dim)
+    return float(np.max(p @ mu.weights_array()))
+
+
+def _grid_constant_oracle(mu, resolution):
+    pts = mu.points_array()
+    w = mu.weights_array()
+    grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
+    return float(np.max([
+        np.max(_poisson_matrix(grid[rows], pts, mu.space.dim) @ w)
+        for rows in _row_blocks(len(grid), len(pts))
+    ]))
+
+
+def _embedding_norm_sq_oracle(mu):
+    pts = mu.points_array()
+    root_w = np.sqrt(mu.weights_array())
+    m = root_w[:, None] * _szego_matrix(pts, pts, mu.space.dim) * root_w[None, :]
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+@pytest.mark.parametrize("corpus", [disc_measure_corpus, ball_measure_corpus])
+def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
+    # small row blocks, so the grid scan runs over several of them
+    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 512)
+    for mu in corpus(20, 12, 0.95, 616, 0):
+        assert len(_row_blocks(len(_grid_points(mu.space, 32)), len(mu))) >= 3
+        assert kernel_constant_on_support(mu) == _support_constant_oracle(mu)
+        assert kernel_constant_grid(mu, 32) == _grid_constant_oracle(mu, 32)
+        want = _embedding_norm_sq_oracle(mu)
+        assert embedding_norm_sq(mu) == pytest.approx(want, rel=1e-13)
 
 
 def test_box_constant_matches_loop_oracle():
