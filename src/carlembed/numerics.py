@@ -113,6 +113,103 @@ def extreme_eigs(m):
     return float(eigs[0]), float(eigs[-1])
 
 
+# _certified_top_eig: power-iteration cap, bracket width relative to rho,
+# and the range of the largest diagonal entry it accepts (outside it the
+# squares in the norms and the factor could over- or underflow).
+_POWER_STEPS = 64
+_BRACKET_TOL = 1e-8
+_DIAGONAL_RANGE = (2.0 ** -200, 2.0 ** 200)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
+
+
+def _cholesky_error_factor(n):
+    """g with ||R^H R - B||_2 <= g tr(B) when a complex Cholesky factor R of B completes.
+
+    Each entry of R^H R - B is the rounding of one row of the factor: the
+    real and the imaginary part of b_jk - sum_{i<j} conj(r_ij) r_ik are
+    each a real sum of at most 2n - 1 products, then divided by r_jj (the
+    diagonal, b_jj - sum |r_ij|^2, likewise, then a square root).  In any
+    evaluation order each part is off by at most gamma_{2n} times the sum
+    of its products' magnitudes, and |Re a Re b| + |Im a Im b| <= |a| |b|,
+    so |R^H R - B| <= gamma |R|^T |R| entrywise with gamma =
+    sqrt(2) gamma_{2n+2} (gamma_k = k u / (1 - k u), u = 2^-53): the
+    real-arithmetic gamma_{n+1} of Demmel's bound, stretched for complex
+    parts.  Then ||R e_j||^2 = b_jj + (R^H R - B)_jj gives
+    ||R e_j||^2 <= b_jj / (1 - gamma), and
+    || |R|^T |R| ||_2 <= ||R||_F^2 <= tr(B) / (1 - gamma).
+    """
+    k = 2 * n + 2
+    gamma = math.sqrt(2.0) * k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    return gamma / (1.0 - gamma)
+
+
+def _certified_top_eig(a):
+    """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
+
+    a is an (n, n) complex Hermitian array with a positive diagonal; it is
+    overwritten, and the factor reads its upper triangle, as extreme_eigs
+    does.  rho is the Rayleigh quotient of a power iterate from
+    the all-ones vector, a lower bound up to its own rounding.  t is
+    proven by Rump's verified positive-definiteness test (S. M. Rump,
+    BIT 46 (2006) 433-452): the floating-point Cholesky factor of
+    s I - a completes.  The iteration stops on the residual
+    r = a v - rho v, once ||r|| plus the bracket's rounding allowance is
+    within 1e-8 rho; it never stops on successive rho, which can keep
+    flipping by an ulp after it has settled.
+
+    Returns None, and leaves a overwritten or not, when the diagonal lies
+    outside _DIAGONAL_RANGE, when the residual misses the stopping rule
+    within _POWER_STEPS products (a near-degenerate top pair, or a start
+    vector without a top component), or when the factor fails (the
+    iterate found a lower eigenvalue).  The allowance grows like n^2, so
+    from about n = 2800 on the rule is never met.
+    """
+    n = len(a)
+    diag = a.diagonal().real
+    if not (diag.min() > 0.0 and _DIAGONAL_RANGE[0] <= diag.max() <= _DIAGONAL_RANGE[1]):
+        return None
+    g = _cholesky_error_factor(n)
+    v = np.full(n, n ** -0.5, dtype=complex)
+    for _ in range(_POWER_STEPS):
+        w = a @ v
+        rho = np.vdot(v, w).real
+        res = float(np.linalg.norm(w - rho * v))
+        # Rump's shift for s = rho + res + shift: since the diagonal is
+        # positive and 2 g n < 1, g tr(s I - a) < g n s < shift.  s stays
+        # above rho + res by it, so a tiny ||r|| cannot fail the factor
+        # through rounding alone.  Below, t - s is at most
+        # 2 g n s (1 + u) + 2 u s and an ulp, so t - rho stays under
+        # res + 5 g n (rho + res).
+        shift = 2.0 * g * n * (rho + res)
+        if res + 5.0 * g * n * (rho + res) <= _BRACKET_TOL * rho:
+            break
+        v = w / np.linalg.norm(w)
+    else:
+        return None
+    s = rho + res + shift
+    # B = s I - a in place: -a_jk is exact, only b_jj = fl(s - a_jj) rounds.
+    np.negative(a, out=a)
+    a.flat[:: n + 1] += s
+    try:
+        np.linalg.cholesky(a, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    # B + E = R^H R is positive semidefinite with ||E||_2 <= g tr(B), so
+    # lambda_min(B) >= -g tr(B).  s I - a differs from B by the diagonal
+    # rounding, at most u b_jj per entry.  Gradual underflow adds at most
+    # about 2 eta per complex product and eta r_jj per division to each
+    # entry of E (eta the smallest subnormal), so at most
+    # 8 n (n + 1 + max b_jj) eta in 2-norm.  Hence
+    # lambda_max(a) <= s + g tr(B) + u max b_jj + that term; c doubles it
+    # to cover the rounding of c itself, and nextafter the rounding of s + c.
+    b = a.diagonal().real
+    bmax = float(b.max())
+    c = 2.0 * (g * float(b.sum()) + _UNIT_ROUNDOFF * bmax
+               + 8.0 * n * (n + 1 + bmax) * _SMALLEST_SUBNORMAL)
+    return float(rho), float(np.nextafter(s + c, np.inf))
+
+
 @functools.lru_cache(maxsize=None)
 def _leggauss(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)

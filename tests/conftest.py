@@ -6,6 +6,8 @@ quadrature truncation stay well inside the tolerances asserted by the
 tests that consume the corpus.
 """
 
+import numpy as np
+
 from carlembed.corpus import random_measure, random_point, random_poly
 from carlembed.geometry import Space
 from carlembed.numerics import rng_stream
@@ -63,3 +65,15 @@ def sequence_corpus(count, max_points, rmax, min_delta, seed, stream):
         if carleson_delta(seq) > min_delta:
             out.append(seq)
     return out
+
+
+def hermitian_with_spectrum(eigs, seed, top_orthogonal_to_ones=False):
+    """Q diag(eigs) Q^H for a seeded unitary Q; its first column can be made orthogonal to ones."""
+    rng = rng_stream(seed, 0)
+    n = len(eigs)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if top_orthogonal_to_ones:
+        x[:, 0] -= x[:, 0].mean()
+    q, _ = np.linalg.qr(x)
+    a = (q * np.asarray(eigs)) @ q.conj().T
+    return (a + a.conj().T) / 2

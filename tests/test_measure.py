@@ -8,11 +8,13 @@ from carlembed.corpus import random_point
 from carlembed.errors import InputError, UnsupportedError
 from carlembed.geometry import Space, SpacePoint, _poisson_matrix, _szego_matrix
 from carlembed.measure import (
+    _CERTIFIED_MIN_ORDER,
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
     _grid_points,
     _potential_field,
     _row_blocks,
+    _weighted_kernel_matrix,
     analyze,
     box_constant,
     carleson_potential,
@@ -21,9 +23,9 @@ from carlembed.measure import (
     kernel_constant_on_support,
     theorem_bound_constant,
 )
-from carlembed.numerics import rng_stream
+from carlembed.numerics import HermitianMatrix, extreme_eigs, rng_stream
 
-from conftest import ball_measure_corpus, disc_measure_corpus
+from conftest import ball_measure_corpus, disc_measure_corpus, hermitian_with_spectrum
 
 
 def pair_measure():
@@ -53,6 +55,18 @@ def test_measure_validates_weights_and_dims():
     for weight in (True, np.True_, math.inf, math.nan):
         with pytest.raises(InputError):
             DiscreteMeasure(sp, [(SpacePoint(0.5), weight)])
+
+
+def test_measure_arrays_are_built_once_and_read_only():
+    mu = pair_measure()
+    pts, w = mu.points_array(), mu.weights_array()
+    assert mu.points_array() is pts and mu.weights_array() is w
+    assert pts.tolist() == [[0.5], [-0.5]] and w.tolist() == [0.75, 0.75]
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert embedding_norm_sq(mu) == pytest.approx(1.6, abs=1e-13)
 
 
 def test_carleson_potential_single_atom_oracle():
@@ -255,3 +269,119 @@ def test_scaling_moves_constants_linearly():
     assert kernel_constant_on_support(big) == pytest.approx(
         3 * kernel_constant_on_support(mu), rel=1e-14
     )
+
+
+def sized_measure(space, count, seed):
+    rng = rng_stream(seed, count)
+    atoms = [(random_point(rng, space.dim, 0.95), math.exp(rng.normal(0.0, 0.5)))
+             for _ in range(count)]
+    return DiscreteMeasure(space, atoms)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the result of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(m):
+        result = original(m)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def dense_top_eig(mu):
+    m = _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array()))
+    return extreme_eigs(m)[1]
+
+
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
+@pytest.mark.parametrize("count", [256, 600, 2000])
+def test_embedding_norm_sq_certified_bracket_holds_the_eigensolve(space, count, monkeypatch):
+    mu = sized_measure(space, count, 700)
+    want = _embedding_norm_sq_oracle(mu)
+    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    dense = count_calls(monkeypatch, measure, "extreme_eigs")
+    got = embedding_norm_sq(mu)
+    assert dense == []  # a path that always fell back would call the eigensolve
+    (rho, t), = brackets
+    assert got == rho
+    assert got == pytest.approx(want, rel=1e-13)
+    assert t - rho <= 1e-8 * rho
+    # rho is a Rayleigh quotient; eigvalsh, backward stable, may return
+    # a value a few ulps below it
+    assert rho <= want * (1 + 1e-13) and want <= t
+
+
+def test_embedding_norm_sq_below_threshold_uses_the_eigensolve(monkeypatch):
+    mu = sized_measure(Space.ball(2), _CERTIFIED_MIN_ORDER - 1, 701)
+    dense = count_calls(monkeypatch, measure, "extreme_eigs")
+    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    assert embedding_norm_sq(mu) == pytest.approx(_embedding_norm_sq_oracle(mu), rel=1e-13)
+    assert len(dense) == 1 and brackets == []
+
+
+def test_embedding_norm_sq_falls_back_on_near_degenerate_top_pair(monkeypatch):
+    # Two mirrored clusters near the circle, the second 0.1% heavier:
+    # lambda_2 / lambda_1 = 0.9978, too close for 64 power steps.
+    z = 0.999 * np.exp(1j * 1e-3 * np.arange(150) / 150)
+    mu = DiscreteMeasure(Space.disc(), [(SpacePoint(complex(p)), 1.0) for p in z]
+                         + [(SpacePoint(complex(-p)), 1.001) for p in z])
+    eigs = np.linalg.eigvalsh(
+        _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array())).entries)
+    assert eigs[-2] / eigs[-1] > 0.99
+    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    dense = count_calls(monkeypatch, measure, "extreme_eigs")
+    assert embedding_norm_sq(mu) == dense_top_eig(mu)
+    assert brackets == [None] and len(dense) == 1
+
+
+def test_embedding_norm_sq_falls_back_when_top_vector_is_orthogonal_to_start(monkeypatch):
+    # The certificate fails after it has overwritten the matrix, so the
+    # fallback must rebuild it.
+    eigs = np.concatenate([[1.2, 1.0], np.linspace(0.1, 0.01, 298)])
+    a = hermitian_with_spectrum(eigs, 13, top_orthogonal_to_ones=True)
+    monkeypatch.setattr(measure, "_weighted_kernel_matrix",
+                        lambda *args: HermitianMatrix(a.copy()))
+    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    mu = sized_measure(Space.disc(), 300, 702)
+    assert embedding_norm_sq(mu) == extreme_eigs(a)[1]
+    assert brackets == [None]
+
+
+@pytest.mark.parametrize("weight", [1e-300, 1e300])
+def test_analyze_extreme_weights_take_the_eigensolve(weight):
+    # Outside the certificate's diagonal range embedding_norm_sq falls
+    # back to eigvalsh, so the report is the dense path's, bit for bit.
+    rng = rng_stream(300, 1)
+    for space in (Space.disc(), Space.ball(2)):
+        atoms = [(random_point(rng, space.dim, 0.95), weight * (1.0 + rng.random()))
+                 for _ in range(300)]
+        mu = DiscreteMeasure(space, atoms)
+        rep = analyze(mu, resolution=16)
+        assert rep.a_sq == dense_top_eig(mu)
+        assert rep.c_supp == _support_constant_parent_body(mu)
+        assert rep.holds
+
+
+def _support_constant_parent_body(mu):
+    """kernel_constant_on_support as it stood before analyze shared the grid scan."""
+    return float(np.max(-_potential_field(mu, mu.points_array())))
+
+
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
+@pytest.mark.parametrize("resolution", [8, 64, 256])
+def test_analyze_constants_from_one_scan_equal_separate_scans(space, resolution, monkeypatch):
+    # No eigensolve or box scan: only the two kernel constants are compared.
+    monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
+    monkeypatch.setattr(measure, "box_constant", lambda mu: 1.0)
+    counts = (1, 2, 37, 300) + ((2000,) if resolution == 64 else ())
+    for count in counts:
+        mu = sized_measure(space, count, 703)
+        rep = analyze(mu, resolution)
+        assert rep.c_supp == _support_constant_parent_body(mu)
+        assert rep.c_supp == kernel_constant_on_support(mu)
+        assert rep.c_grid == _grid_constant_oracle(mu, resolution)
+        assert rep.c_grid == kernel_constant_grid(mu, resolution)

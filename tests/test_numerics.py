@@ -10,6 +10,7 @@ from carlembed.numerics import (
     MAX_QUAD_NODES,
     HermitianMatrix,
     QuadratureSpec,
+    _certified_top_eig,
     ball_quadrature,
     ball_rule,
     boundary_rule,
@@ -21,6 +22,8 @@ from carlembed.numerics import (
     gauss_legendre,
     rng_stream,
 )
+
+from conftest import hermitian_with_spectrum
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -249,6 +252,51 @@ def test_extreme_eigs_two_by_two_oracle():
     lo, hi = extreme_eigs(m)
     assert lo == pytest.approx(1.0, abs=1e-14)
     assert hi == pytest.approx(3.0, abs=1e-14)
+
+
+def test_certified_top_eig_brackets_a_known_spectrum():
+    eigs = np.concatenate([[3.0, 1.0], np.linspace(0.9, 0.1, 298)])
+    a = hermitian_with_spectrum(eigs, 11)
+    rho, t = _certified_top_eig(a.copy())
+    assert rho == pytest.approx(3.0, rel=1e-13)
+    assert 3.0 <= t <= rho * (1 + 1e-8)
+
+
+def test_certified_top_eig_declines_near_degenerate_top_pair(monkeypatch):
+    factors = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *a, **k: factors.append(1))
+    eigs = np.concatenate([[1.0, 0.995], np.linspace(0.5, 0.1, 298)])
+    a = hermitian_with_spectrum(eigs, 12)
+    b = a.copy()
+    assert _certified_top_eig(b) is None
+    # the residual never met the rule, so no factor was tried and b is intact
+    assert factors == []
+    assert np.array_equal(a, b)
+
+
+def test_certified_top_eig_declines_top_vector_orthogonal_to_start(monkeypatch):
+    # The iterate from the all-ones vector settles on the second
+    # eigenvalue 1 within a few products; only the factor of
+    # s I - a, which fails for s < 1.2, reveals the eigenvalue above it.
+    eigs = np.concatenate([[1.2, 1.0], np.linspace(0.1, 0.01, 298)])
+    a = hermitian_with_spectrum(eigs, 13, top_orthogonal_to_ones=True)
+    assert abs(np.linalg.eigh(a)[1][:, -1].sum()) < 1e-12
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def counted(b, **kwargs):
+        factors.append(b.shape)
+        return cholesky(b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert _certified_top_eig(a.copy()) is None
+    assert factors == [a.shape]
+
+
+def test_certified_top_eig_declines_diagonal_out_of_range():
+    a = hermitian_with_spectrum(np.linspace(2.0, 1.0, 20), 14)
+    for scale in (2.0 ** 300, 2.0 ** -300, -1.0, np.nan):
+        assert _certified_top_eig(a * scale) is None
 
 
 def test_rng_stream_determinism_and_independence():
