@@ -32,10 +32,13 @@ _GRID_RADIUS_CAP = 1.0 - 1e-4
 _GRID_DIRECTION_SEED = 20231115
 
 # From this order on embedding_norm_sq tries the certified power
-# iteration first.  On ball(2) Gram matrices it beats the dense
-# eigensolve from about order 100 on (3x at 256, 7x at 2000); the margin
-# keeps the 100-atom and smaller measures on the dense path, where a
-# declined certificate would cost a second matrix build.
+# iteration first.  Best of several runs on random disc and ball(2)
+# measures (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31), eigvalsh against the
+# certificate: order 100, 0.7 ms against 0.5-0.7 ms, a tie; order 256,
+# 6.5-6.7 ms against 2.2-2.8 ms; order 2000, 1.76-1.80 s against
+# 0.25-0.27 s.  At orders 150 and 200 the ball(2) certificate declined
+# (top pair too close for the step cap), which costs a second matrix
+# build on top of eigvalsh, so smaller measures stay on the dense path.
 _CERTIFIED_MIN_ORDER = 256
 
 # The grid and box scans work on row blocks of about this many

@@ -191,8 +191,11 @@ def _certified_top_eig(a):
     # B = s I - a in place: -a_jk is exact, only b_jj = fl(s - a_jj) rounds.
     np.negative(a, out=a)
     a.flat[:: n + 1] += s
+    # a.T is a view whose lower triangle is the upper triangle of B, so
+    # cholesky factors conj(B): the same trace and spectrum, and numpy
+    # 1.x has no upper= keyword.
     try:
-        np.linalg.cholesky(a, upper=True)
+        np.linalg.cholesky(a.T)
     except np.linalg.LinAlgError:
         return None
     # B + E = R^H R is positive semidefinite with ||E||_2 <= g tr(B), so

@@ -362,26 +362,21 @@ def test_analyze_extreme_weights_take_the_eigensolve(weight):
         mu = DiscreteMeasure(space, atoms)
         rep = analyze(mu, resolution=16)
         assert rep.a_sq == dense_top_eig(mu)
-        assert rep.c_supp == _support_constant_parent_body(mu)
+        assert rep.c_supp == kernel_constant_on_support(mu)
         assert rep.holds
-
-
-def _support_constant_parent_body(mu):
-    """kernel_constant_on_support as it stood before analyze shared the grid scan."""
-    return float(np.max(-_potential_field(mu, mu.points_array())))
 
 
 @pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
 @pytest.mark.parametrize("resolution", [8, 64, 256])
 def test_analyze_constants_from_one_scan_equal_separate_scans(space, resolution, monkeypatch):
-    # No eigensolve or box scan: only the two kernel constants are compared.
+    # No eigensolve or box scan: only the two kernel constants are compared,
+    # c_supp with kernel_constant_on_support, which keeps its own scan.
     monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
     monkeypatch.setattr(measure, "box_constant", lambda mu: 1.0)
     counts = (1, 2, 37, 300) + ((2000,) if resolution == 64 else ())
     for count in counts:
         mu = sized_measure(space, count, 703)
         rep = analyze(mu, resolution)
-        assert rep.c_supp == _support_constant_parent_body(mu)
         assert rep.c_supp == kernel_constant_on_support(mu)
         assert rep.c_grid == _grid_constant_oracle(mu, resolution)
         assert rep.c_grid == kernel_constant_grid(mu, resolution)

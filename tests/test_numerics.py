@@ -293,6 +293,26 @@ def test_certified_top_eig_declines_top_vector_orthogonal_to_start(monkeypatch):
     assert factors == [a.shape]
 
 
+def test_certified_top_eig_factors_with_the_numpy_1_signature(monkeypatch):
+    # numpy 1.x cholesky takes the matrix alone and factors its lower
+    # triangle; the routine must work with that signature and hand it the
+    # upper triangle of s I - a.
+    eigs = np.concatenate([[3.0, 1.0], np.linspace(0.9, 0.1, 298)])
+    a = hermitian_with_spectrum(eigs, 11)
+    want = _certified_top_eig(a.copy())
+    cholesky = np.linalg.cholesky
+    factored = []
+
+    def numpy_1_cholesky(b):
+        factored.append(np.array_equal(np.tril(b), np.triu(a_work).T))
+        return cholesky(b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", numpy_1_cholesky)
+    a_work = a.copy()
+    assert _certified_top_eig(a_work) == want
+    assert factored == [True]
+
+
 def test_certified_top_eig_declines_diagonal_out_of_range():
     a = hermitian_with_spectrum(np.linspace(2.0, 1.0, 20), 14)
     for scale in (2.0 ** 300, 2.0 ** -300, -1.0, np.nan):
