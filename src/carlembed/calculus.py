@@ -59,9 +59,18 @@ __all__ = [
 # a quarter of the remaining distance so stencils stay inside the ball.
 FD_STEP = 1e-3
 
+# Largest total degree of a MultiPoly.  Evaluation (_horner) and
+# hardy_norm_sq cost O(degree) whatever the number of terms.  uchiyama
+# needs a degree below the angular order of its rule (128 on the disc,
+# 32 on ball(2)), so no command integrates a polynomial near the cap.
+MAX_POLY_DEGREE = 4096
+
 
 class MultiPoly:
-    """Analytic polynomial in n complex variables: multi-index -> coefficient."""
+    """Analytic polynomial in n complex variables: multi-index -> coefficient.
+
+    The total degree is at most MAX_POLY_DEGREE.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -77,8 +86,12 @@ class MultiPoly:
             coeff = complex(coeff)
             if coeff != 0:
                 cleaned[alpha] = cleaned.get(alpha, 0.0) + coeff
+        terms = {a: c for a, c in cleaned.items() if c != 0}
+        degree = max(map(sum, terms), default=0)
+        if degree > MAX_POLY_DEGREE:
+            raise InputError(f"polynomial degree {degree} exceeds the cap {MAX_POLY_DEGREE}")
         self.dim = dim
-        self.terms = {a: c for a, c in cleaned.items() if c != 0}
+        self.terms = terms
 
     def __call__(self, z):
         if z.dim != self.dim:

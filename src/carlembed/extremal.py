@@ -7,6 +7,17 @@ maps to the point tanh(|y|) y/|y| and a raw scalar v maps to the weight
 exp(v); the ratio is invariant under a common weight scale, so v is
 recentered every step.  Restarts draw from independent seeded streams;
 the merge picks the best ratio, ties broken by the lower restart index.
+
+The restarts climb in lockstep.  Each iteration stacks their proposals,
+computes the atom points and weights from the stack as arrays, and
+evaluates them with one batched Gram eigensolve and one Poisson stack.
+Every restart draws the same numbers in the same order as a climb run
+on its own, and its trace and best ratio are bit-identical to one.  A
+DiscreteMeasure is built for each restart's start and for the winner's
+best point, and for a proposal that the arrays cannot stand for, which
+is evaluated as ratio(_build_measure(...)): an atom at or near the
+boundary, a bad weight, two rows of equal norm, or 256 atoms and more,
+where embedding_norm_sq certifies its eigenvalue one matrix at a time.
 """
 
 import warnings
@@ -15,14 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarlembedError, InputError, NumericError
+from .geometry import CONDITIONING_MARGIN, _norm_sq_rows, _poisson_matrix
 from .measure import (
-    BOUND_SLACK, DiscreteMeasure, _check_atom_count, embedding_norm_sq,
-    kernel_constant_on_support, theorem_bound_constant,
+    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _row_blocks,
+    _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
-from .numerics import rng_stream
+from .numerics import _top_eigs, rng_stream
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
+
+# A proposal with a row whose vectorized |z|^2 reaches this is built as a
+# measure, so that SpacePoint's exact fsum decides the boundary error and
+# the conditioning warning.  The vectorized sum of 2n squares is off by
+# about 2n ulps, far inside the 1e-12 of room.
+_EDGE_SCREEN = 1.0 - CONDITIONING_MARGIN - 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,87 +81,148 @@ def ratio(mu):
     return embedding_norm_sq(mu) / kernel_constant_on_support(mu)
 
 
-def _build_measure(space, y, v):
-    v = v - np.mean(v)
-    radii_raw = np.sqrt(np.sum(y * y, axis=1))
+def _proposal_arrays(y, v):
+    """Points (..., m, n) and weights (..., m) of raw vectors y (..., m, 2n) and v (..., m)."""
+    v = v - np.mean(v, axis=-1, keepdims=True)
+    radii_raw = np.sqrt(np.sum(y * y, axis=-1))
     scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
-    scaled = y * scale[:, None]
-    atoms = []
-    for row, vj in zip(scaled, v):
-        coords = row[::2] + 1j * row[1::2]
-        atoms.append((coords, float(np.exp(vj))))
-    return DiscreteMeasure(space, atoms)
+    scaled = y * scale[..., None]
+    return scaled[..., ::2] + 1j * scaled[..., 1::2], np.exp(v)
 
 
-def _climb(cfg, restart, bound):
-    rng = rng_stream(cfg.seed, restart)
-    dim2 = 2 * cfg.space.dim
-    y = rng.normal(0.0, 0.7, size=(cfg.atom_count, dim2))
-    v = rng.normal(0.0, 0.3, size=cfg.atom_count)
-    mu = _build_measure(cfg.space, y, v)
-    best = ratio(mu)
-    best_mu = mu
-    trace = [(0, best)]
-    step = cfg.step_init
-    stall = 0
-    for it in range(1, cfg.iterations + 1):
-        dy = rng.normal(0.0, 1.0, size=y.shape)
-        dv = rng.normal(0.0, 1.0, size=v.shape)
-        cand_y = y + step * dy
-        cand_v = v + 0.5 * step * dv
+def _build_measure(space, y, v):
+    points, weights = _proposal_arrays(y, v)
+    return DiscreteMeasure(space, [(p, float(w)) for p, w in zip(points, weights)])
+
+
+def _ratios(space, y, v):
+    """ratio of each proposal (y[i], v[i]) of a stack: (values, measures, errors).
+
+    values[i] is NaN when proposal i is no measure (a rejected step) or
+    its evaluation raised errors[i].  A proposal is evaluated on the
+    stack when its arrays are the atoms of its measure as they stand:
+    every row inside _EDGE_SCREEN, every weight positive and finite, no
+    two rows of equal |z|^2 (so none equal, and DiscreteMeasure merges
+    nothing), and fewer atoms than embedding_norm_sq's certified path
+    takes.  Any other is built by _build_measure, kept in measures[i],
+    and evaluated by ratio, with every check and warning of the measure
+    path.
+    """
+    points, weights = _proposal_arrays(y, v)
+    order = points.shape[1]
+    nsq = np.sort(_norm_sq_rows(points), axis=-1)
+    stacked = (
+        (nsq[:, -1] < _EDGE_SCREEN)
+        & ~np.any(nsq[:, 1:] == nsq[:, :-1], axis=-1)
+        & np.all((weights > 0.0) & (weights < np.inf), axis=-1)
+        & (order < _CERTIFIED_MIN_ORDER)
+    )
+    values = np.full(len(y), np.nan)
+    measures, errors = {}, {}
+    for i in np.flatnonzero(~stacked):
         try:
-            cand_mu = _build_measure(cfg.space, cand_y, cand_v)
+            measures[i] = _build_measure(space, y[i], v[i])
         except InputError:
             # tanh(|y|) rounds to 1 once |y| >= 19, putting an atom on the
             # boundary: the proposal counts as one rejected step.
-            value = None
-        else:
-            value = ratio(cand_mu)
-            if value > bound * (1.0 + BOUND_SLACK):
-                warnings.warn(
-                    f"search found ratio {value!r} above the theorem bound {bound!r}; "
-                    "this falsifies the implementation or the theorem",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if value is not None and value > best:
-            y, v = cand_y, cand_v
-            best, best_mu = value, cand_mu
-            trace.append((it, best))
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                step *= cfg.step_decay
-                stall = 0
-    return best, best_mu, tuple(trace)
+            continue
+        try:
+            values[i] = ratio(measures[i])
+        except CarlembedError as exc:
+            errors[i] = exc
+    ready = np.flatnonzero(stacked)
+    # stacks of about 2^20 Gram entries, so memory stays that of one matrix
+    # at large orders
+    for rows in _row_blocks(len(ready), order * order):
+        idx = ready[rows]
+        pts, w = points[idx], weights[idx]
+        tops = _top_eigs(_weighted_gram(pts, np.sqrt(w)))
+        c_supp = np.max((_poisson_matrix(pts, pts, pts.shape[-1]) @ w[..., None])[..., 0], axis=-1)
+        for i, top, c in zip(idx, tops, c_supp):
+            if isinstance(top, CarlembedError):
+                errors[i] = top
+            else:
+                values[i] = top / c
+    return values, measures, errors
 
 
 def search(cfg):
     """Random-restart hill climbing; deterministic for a fixed config.
 
-    Every restart owns the generator stream (seed, restart index).  A
-    restart that dies with a numeric error is recorded as a failed entry
-    and does not disturb the others.
+    Every restart owns the generator stream (seed, restart index), and
+    the restarts advance one iteration at a time.  A restart that dies
+    with a numeric error is recorded as a failed entry and does not
+    disturb the others.
     """
     bound = theorem_bound_constant(cfg.space)
-    winner = None
-    notes = []
-    for r in range(cfg.restarts):
+    shape = (cfg.atom_count, 2 * cfg.space.dim)
+    rngs = [rng_stream(cfg.seed, r) for r in range(cfg.restarts)]
+    y = np.empty((cfg.restarts,) + shape)
+    v = np.empty((cfg.restarts, cfg.atom_count))
+    best = np.full(cfg.restarts, np.nan)
+    best_mu, traces, notes = {}, {}, {}
+    for r, rng in enumerate(rngs):
+        y[r] = rng.normal(0.0, 0.7, size=shape)
+        v[r] = rng.normal(0.0, 0.3, size=cfg.atom_count)
         try:
-            outcome = _climb(cfg, r, bound)
+            best_mu[r] = _build_measure(cfg.space, y[r], v[r])
+            best[r] = ratio(best_mu[r])
         except CarlembedError as exc:
-            notes.append(f"restart {r} aborted: {exc}")
+            notes[r] = f"restart {r} aborted: {exc}"
             continue
-        if winner is None or outcome[0] > winner[0]:
-            winner = outcome
-    if winner is None:
+        traces[r] = [(0, float(best[r]))]
+    live = np.array(sorted(traces), dtype=int)
+    step = np.full(cfg.restarts, cfg.step_init)
+    stall = np.zeros(cfg.restarts, dtype=int)
+    dy, dv = np.empty_like(y), np.empty_like(v)
+    for it in range(1, cfg.iterations + 1):
+        if not len(live):
+            break
+        for j, r in enumerate(live):
+            dy[j] = rngs[r].normal(0.0, 1.0, size=shape)
+            dv[j] = rngs[r].normal(0.0, 1.0, size=cfg.atom_count)
+        cand_y = y[live] + step[live, None, None] * dy[:len(live)]
+        cand_v = v[live] + (0.5 * step[live])[:, None] * dv[:len(live)]
+        values, measures, errors = _ratios(cfg.space, cand_y, cand_v)
+        for i in np.flatnonzero(values > bound * (1.0 + BOUND_SLACK)):
+            warnings.warn(
+                f"search found ratio {float(values[i])!r} above the theorem bound {bound!r}; "
+                "this falsifies the implementation or the theorem",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        ok = np.ones(len(live), dtype=bool)
+        for i, exc in errors.items():
+            notes[int(live[i])] = f"restart {live[i]} aborted: {exc}"
+            ok[i] = False
+        accept = values > best[live]
+        for i in np.flatnonzero(accept):
+            best_mu[live[i]] = measures.get(i)
+            traces[live[i]].append((it, float(values[i])))
+        took = live[accept]
+        y[took], v[took], best[took] = cand_y[accept], cand_v[accept], values[accept]
+        stall[took] = 0
+        held = live[ok & ~accept]
+        stall[held] += 1
+        decay = held[stall[held] >= _STALL_WINDOW]
+        step[decay] *= cfg.step_decay
+        stall[decay] = 0
+        live = live[ok]
+    survivors = [r for r in range(cfg.restarts) if r not in notes]
+    notes = tuple(notes[r] for r in sorted(notes))
+    if not survivors:
         raise NumericError("all restarts failed: " + "; ".join(notes))
-    best, best_mu, trace = winner
+    winner = survivors[0]
+    for r in survivors[1:]:
+        if best[r] > best[winner]:
+            winner = r
+    best_measure = best_mu[winner]
+    if best_measure is None:
+        best_measure = _build_measure(cfg.space, y[winner], v[winner])
     return SearchResult(
-        best_ratio=best,
-        best_measure=best_mu,
-        trace=trace,
+        best_ratio=float(best[winner]),
+        best_measure=best_measure,
+        trace=tuple(traces[winner]),
         seed=cfg.seed,
-        notes=tuple(notes),
+        notes=notes,
     )

@@ -6,9 +6,9 @@ kernel is K(z, w) = 1 / (1 - <z, w>)^n, its normalization is
 k_lam(z) = (1 - |lam|^2)^(n/2) * K(z, lam), and the Poisson-Szego
 kernel is P_z(lam) = |k_z(lam)|^2 = (1 - |z|^2)^n / |1 - <lam, z>|^(2n).
 
-The module also exposes private vectorized helpers used by the measure
-and calculus modules; those operate on (m, n) complex coordinate arrays
-instead of SpacePoint values.
+The module also exposes private vectorized helpers used by the measure,
+calculus and extremal modules; those operate on (m, n) complex
+coordinate arrays, or stacks of them, instead of SpacePoint values.
 """
 
 import math
@@ -196,28 +196,29 @@ def pseudo_hyperbolic(a, b, s):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized internals over (m, n) complex coordinate arrays.
+# Vectorized internals over (..., m, n) complex coordinate arrays: one
+# (m, n) array, or a stack of them with the same leading axes.
 
 
 def _norm_sq_rows(zs):
     """|z|^2 per row: re^2 + im^2 by columns, bit-identical to Re sum z conj(z), no copies."""
-    out = zs[:, 0].real ** 2 + zs[:, 0].imag ** 2
-    for col in zs.T[1:]:
-        out += col.real ** 2 + col.imag ** 2
+    out = zs[..., 0].real ** 2 + zs[..., 0].imag ** 2
+    for k in range(1, zs.shape[-1]):
+        out += zs[..., k].real ** 2 + zs[..., k].imag ** 2
     return out
 
 
 def _denominator_sq_matrix(zs, lams):
-    """Matrix D[i, j] = |1 - <zs[i], lams[j]>|^2 of shape (m, N)."""
-    d = 1.0 - zs @ lams.conj().T
+    """Matrix D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2 of shape (..., m, N)."""
+    d = 1.0 - zs @ lams.conj().swapaxes(-1, -2)
     return (d * d.conj()).real
 
 
 def _poisson_matrix(zs, lams, n):
-    """Matrix P[i, j] = P_{zs[i]}(lams[j]) of shape (m, N)."""
-    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[:, None], n)
+    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N)."""
+    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[..., None], n)
 
 
 def _szego_matrix(zs, ws, n):
-    """Matrix K[i, j] = K(zs[i], ws[j]) of shape (m, N)."""
-    return _szego(1.0 - zs @ ws.conj().T, n)
+    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N)."""
+    return _szego(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)

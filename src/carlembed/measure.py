@@ -246,14 +246,24 @@ def box_constant(mu, directions=64):
     return float(np.max([block_max(rows) for rows in _row_blocks(len(centers), len(lam))]))
 
 
+def _weighted_gram(points, root_w):
+    """M[..., j, k] = r_j r_k K(lam_j, lam_k) for atoms lam_j (rows of points), r = root_w.
+
+    points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
+    """
+    m = _szego_matrix(points, points, points.shape[-1])
+    # In place, (r_j r_k) K_jk over blocks of 2^17 weights per matrix: a
+    # square weight array beside m would raise the peak resident memory
+    # by half of m.
+    order = m.shape[-1]
+    for rows in _row_blocks(order, 8 * order):
+        m[..., rows, :] *= root_w[..., rows, None] * root_w[..., None, :]
+    return m
+
+
 def _weighted_kernel_matrix(points, root_w):
-    """M[j, k] = r_j r_k K(lam_j, lam_k) for atoms lam_j (rows of points), r = root_w."""
-    m = _szego_matrix(points, points, points.shape[1])
-    # In place, (r_j r_k) K_jk over blocks of 2^17 weights: a square weight
-    # array beside m would raise the peak resident memory by half of m.
-    for rows in _row_blocks(len(m), 8 * len(m)):
-        m[rows] *= root_w[rows, None] * root_w[None, :]
-    return HermitianMatrix(m)
+    """The weighted Gram matrix of one measure as a checked HermitianMatrix."""
+    return HermitianMatrix(_weighted_gram(points, root_w))
 
 
 def embedding_norm_sq(mu):

@@ -72,6 +72,23 @@ def default_quadrature(space):
     return QuadratureSpec(radial_order=48, angular_order=32, sphere_nodes=24, tol=1e-3)
 
 
+def _hermitian_deviation(a):
+    """The deviation test over the last two axes of a: (deviation, scale, fails).
+
+    deviation is max |a - a^H| and scale max |a| per matrix; a matrix
+    fails when its deviation exceeds 1e-12 * scale.
+    """
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    deviation = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return deviation, scale, deviation > 1e-12 * np.maximum(scale, 1e-300)
+
+
+def _not_hermitian(deviation, scale):
+    return InputError(
+        f"matrix is not Hermitian: deviation {deviation:.3e} exceeds 1e-12 * {scale:.3e}"
+    )
+
+
 class HermitianMatrix:
     """Dense Hermitian matrix with the deviation check done at construction.
 
@@ -84,18 +101,22 @@ class HermitianMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
-        scale = np.max(np.abs(a))
-        deviation = np.max(np.abs(a - a.conj().T))
-        if deviation > 1e-12 * max(scale, 1e-300):
-            raise InputError(
-                f"matrix is not Hermitian: deviation {deviation:.3e} "
-                f"exceeds 1e-12 * {scale:.3e}"
-            )
+        deviation, scale, fails = _hermitian_deviation(a)
+        if fails:
+            raise _not_hermitian(deviation, scale)
         self.entries = a
 
     @property
     def order(self):
         return self.entries.shape[0]
+
+
+def _eigvalsh(a):
+    """Ascending eigenvalues of a Hermitian matrix or stack, read from the upper triangle."""
+    try:
+        return np.linalg.eigvalsh(a, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def extreme_eigs(m):
@@ -106,11 +127,33 @@ def extreme_eigs(m):
     """
     if not isinstance(m, HermitianMatrix):
         m = HermitianMatrix(m)
-    try:
-        eigs = np.linalg.eigvalsh(m.entries, UPLO="U")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    eigs = _eigvalsh(m.entries)
     return float(eigs[0]), float(eigs[-1])
+
+
+def _top_eigs(a):
+    """Largest eigenvalue of each matrix of a (r, k, k) complex stack.
+
+    Each matrix that fails HermitianMatrix's deviation test gets its
+    InputError in place of a value; the others go to one batched
+    eigensolve.  When that fails to converge, they are solved one at a
+    time, so a NumericError belongs only to the matrix that raised it.
+    """
+    deviation, scale, fails = _hermitian_deviation(a)
+    out = [_not_hermitian(deviation[i], scale[i]) if fails[i] else None for i in range(len(a))]
+    good = np.flatnonzero(~fails)
+    try:
+        tops = _eigvalsh(a[good])[:, -1]
+    except NumericError:
+        tops = []
+        for i in good:
+            try:
+                tops.append(_eigvalsh(a[i])[-1])
+            except NumericError as exc:
+                tops.append(exc)
+    for i, top in zip(good, tops):
+        out[i] = top if isinstance(top, NumericError) else float(top)
+    return out
 
 
 # _certified_top_eig: power-iteration cap, bracket width relative to rho,

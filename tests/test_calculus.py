@@ -61,6 +61,18 @@ def test_multipoly_eval():
     assert g(SpacePoint([0.3, 0.5])) == pytest.approx(0.15, abs=1e-16)
 
 
+def test_multipoly_refuses_degree_above_cap():
+    # evaluation and hardy_norm_sq cost O(degree), however sparse the terms
+    cap = calculus.MAX_POLY_DEGREE
+    with pytest.raises(InputError, match=f"polynomial degree 2000000 exceeds the cap {cap}"):
+        MultiPoly(1, {(2_000_000,): 1, (0,): 1})
+    with pytest.raises(InputError, match=f"degree {cap + 1} exceeds"):
+        MultiPoly(2, {(cap, 1): 1.0})
+    f = MultiPoly(2, {(cap - 1, 1): 1.0, (0, 0): 1.0})
+    assert f(SpacePoint([0.5, 0.5])) == pytest.approx(1.0 + 0.5 ** cap, abs=1e-16)
+    assert MultiPoly(1, {(10 ** 9,): 0.0}).terms == {}
+
+
 def test_hardy_norm_disc_is_coefficient_sum():
     f = MultiPoly(1, {(0,): 3.0, (1,): 4.0j, (5,): 1.0 + 1.0j})
     assert hardy_norm_sq(f, DISC) == pytest.approx(9.0 + 16.0 + 2.0, abs=1e-13)

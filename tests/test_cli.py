@@ -234,17 +234,23 @@ def test_uchiyama_dimension_mismatch(tmp_path, capsys):
 
 def test_uchiyama_refuses_degree_at_angular_order(tmp_path, capsys):
     # |f|^2 has angular modes up to +-deg f; the default disc rule has
-    # angular order 128.  The check runs before any evaluation, so a huge
-    # exponent exits at once instead of stepping through every power.
+    # angular order 128.  The checks run before any evaluation, so a huge
+    # exponent exits at once instead of stepping through every power:
+    # above MAX_POLY_DEGREE the file is refused when it is read.
     mu_path = write(tmp_path, "pair.json", PAIR)
-    for degree in (128, 200_000_000):
-        poly = {"dim": 1, "terms": [{"alpha": [degree], "re": 1.0}]}
+    cap = calculus.MAX_POLY_DEGREE
+    cases = [
+        ([[128]], "polynomial degree 128 is not below angular order 128"),
+        ([[200_000_000]], f"polynomial degree 200000000 exceeds the cap {cap}"),
+        ([[2_000_000], [0]], f"polynomial degree 2000000 exceeds the cap {cap}"),
+    ]
+    for alphas, message in cases:
+        poly = {"dim": 1, "terms": [{"alpha": alpha, "re": 1.0} for alpha in alphas]}
         start = time.perf_counter()
         rc = cli.main(["uchiyama", mu_path, "--poly", write(tmp_path, "big.json", poly)])
         assert time.perf_counter() - start < 5.0
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"polynomial degree {degree} is not below angular order 128" in err
+        assert message in capsys.readouterr().err
     poly = {"dim": 1, "terms": [{"alpha": [127], "re": 1.0}]}
     assert cli.main(["uchiyama", mu_path, "--poly", write(tmp_path, "p127.json", poly)]) != 2
 

@@ -1,15 +1,102 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from carlembed import extremal
-from carlembed.errors import InputError, KernelConditioningWarning, NumericError
+from carlembed.errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
-from carlembed.measure import DiscreteMeasure, theorem_bound_constant
+from carlembed.measure import (
+    BOUND_SLACK, DiscreteMeasure, _weighted_kernel_matrix, theorem_bound_constant,
+)
+from carlembed.numerics import rng_stream
 
 DISC = Space.disc()
+BALL2 = Space.ball(2)
+
+
+# The search before the lockstep climb, kept as the oracle: each restart
+# climbs alone and builds a DiscreteMeasure for every proposal.
+_STALL_WINDOW = 20
+
+
+def _oracle_build_measure(space, y, v):
+    v = v - np.mean(v)
+    radii_raw = np.sqrt(np.sum(y * y, axis=1))
+    scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
+    scaled = y * scale[:, None]
+    atoms = []
+    for row, vj in zip(scaled, v):
+        coords = row[::2] + 1j * row[1::2]
+        atoms.append((coords, float(np.exp(vj))))
+    return DiscreteMeasure(space, atoms)
+
+
+def _climb(cfg, restart, bound):
+    rng = rng_stream(cfg.seed, restart)
+    dim2 = 2 * cfg.space.dim
+    y = rng.normal(0.0, 0.7, size=(cfg.atom_count, dim2))
+    v = rng.normal(0.0, 0.3, size=cfg.atom_count)
+    mu = _oracle_build_measure(cfg.space, y, v)
+    best = ratio(mu)
+    best_mu = mu
+    trace = [(0, best)]
+    step = cfg.step_init
+    stall = 0
+    for it in range(1, cfg.iterations + 1):
+        dy = rng.normal(0.0, 1.0, size=y.shape)
+        dv = rng.normal(0.0, 1.0, size=v.shape)
+        cand_y = y + step * dy
+        cand_v = v + 0.5 * step * dv
+        try:
+            cand_mu = _oracle_build_measure(cfg.space, cand_y, cand_v)
+        except InputError:
+            value = None
+        else:
+            value = ratio(cand_mu)
+            if value > bound * (1.0 + BOUND_SLACK):
+                warnings.warn(f"search found ratio {value!r} above the theorem bound {bound!r}; "
+                              "this falsifies the implementation or the theorem",
+                              RuntimeWarning, stacklevel=2)
+        if value is not None and value > best:
+            y, v = cand_y, cand_v
+            best, best_mu = value, cand_mu
+            trace.append((it, best))
+            stall = 0
+        else:
+            stall += 1
+            if stall >= _STALL_WINDOW:
+                step *= cfg.step_decay
+                stall = 0
+    return best, best_mu, tuple(trace)
+
+
+def _oracle_outcomes(cfg):
+    """Per restart, the oracle climb's (best, best_mu, trace) or its abort note."""
+    bound = theorem_bound_constant(cfg.space)
+    outcomes = []
+    for r in range(cfg.restarts):
+        try:
+            outcomes.append(_climb(cfg, r, bound))
+        except CarlembedError as exc:
+            outcomes.append(f"restart {r} aborted: {exc}")
+    return outcomes
+
+
+def _winner(outcomes, skip=()):
+    winner = None
+    for r, outcome in enumerate(outcomes):
+        if r in skip or isinstance(outcome, str):
+            continue
+        if winner is None or outcome[0] > winner[0]:
+            winner = outcome
+    return winner
+
+
+def _atoms(mu):
+    return [(p.coords, w) for p, w in mu.atoms]
 
 
 def test_ratio_single_atom_is_one():
@@ -83,27 +170,143 @@ def test_search_ball_smoke():
     assert 1.0 - 1e-9 <= res.best_ratio <= 6 * math.e * (1 + 1e-9)
 
 
+ORACLE_CONFIGS = [
+    SearchConfig(space=DISC, atom_count=1, iterations=100, restarts=2, seed=3),
+    SearchConfig(space=DISC, atom_count=2, iterations=400, restarts=3, seed=7),
+    SearchConfig(space=DISC, atom_count=3, iterations=300, restarts=2, seed=11),
+    SearchConfig(space=DISC, atom_count=8, iterations=200, restarts=4, seed=5),
+    SearchConfig(space=BALL2, atom_count=2, iterations=200, restarts=3, seed=5),
+    SearchConfig(space=BALL2, atom_count=8, iterations=100, restarts=4, seed=6),
+    SearchConfig(space=DISC, atom_count=2, iterations=100, restarts=2, seed=1, step_init=20.0),
+    SearchConfig(space=DISC, atom_count=2, iterations=2500, restarts=4, seed=42),
+]
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: (
+    f"{c.space.kind}{c.space.dim}-m{c.atom_count}-it{c.iterations}-step{c.step_init:g}"))
+def test_search_matches_per_restart_oracle(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        outcomes = _oracle_outcomes(cfg)
+        res = search(cfg)
+    winner = _winner(outcomes)
+    assert res.best_ratio == winner[0]
+    assert res.trace == winner[2]
+    assert _atoms(res.best_measure) == _atoms(winner[1])
+    assert res.notes == tuple(o for o in outcomes if isinstance(o, str))
+
+
+ABORT_CFG = SearchConfig(space=DISC, atom_count=2, iterations=150, restarts=3, seed=9)
+
+
+def _abort_setup():
+    """The oracle outcomes of ABORT_CFG, its winning restart, and that restart's Gram matrices."""
+    outcomes = _oracle_outcomes(ABORT_CFG)
+    best = max(range(ABORT_CFG.restarts), key=lambda r: (outcomes[r][0], -r))
+    rng = rng_stream(ABORT_CFG.seed, best)
+    y = rng.normal(0.0, 0.7, size=(ABORT_CFG.atom_count, 2))
+    v = rng.normal(0.0, 0.3, size=ABORT_CFG.atom_count)
+
+    def gram(mu):
+        return _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array())).entries
+
+    start = gram(_oracle_build_measure(DISC, y, v))
+    # the best measure of that restart is a proposal accepted mid-climb
+    assert outcomes[best][2][-1][0] > 0
+    return outcomes, best, {"start": start, "mid-climb": gram(outcomes[best][1])}
+
+
+def _holds(a, target):
+    return any(np.array_equal(m, target) for m in (a if a.ndim == 3 else [a]))
+
+
 def test_search_records_aborted_restart(monkeypatch):
-    cfg = SearchConfig(space=DISC, atom_count=2, iterations=150, restarts=3, seed=9)
-    bound = theorem_bound_constant(DISC)
-    outcomes = [extremal._climb(cfg, r, bound) for r in range(cfg.restarts)]
-    best = max(range(cfg.restarts), key=lambda r: (outcomes[r][0], -r))
-    climb = extremal._climb
+    outcomes, best, grams = _abort_setup()
+    eigvalsh = np.linalg.eigvalsh
+    for target in grams.values():
 
-    def fail(cfg, restart, bound):
-        raise NumericError("eigensolve failed")
+        def fail_best(a, UPLO="L"):
+            # a batched call holding the matrix fails, then the matrix alone
+            if _holds(a, target):
+                raise np.linalg.LinAlgError("eigensolve failed")
+            return eigvalsh(a, UPLO=UPLO)
 
-    def fail_best(cfg, restart, bound):
-        return (fail if restart == best else climb)(cfg, restart, bound)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_best)
+        res = search(ABORT_CFG)
+        assert res.notes == (
+            f"restart {best} aborted: eigensolver failed to converge: eigensolve failed",
+        )
+        winner = _winner(outcomes, skip={best})
+        assert res.best_ratio == winner[0]
+        assert res.trace == winner[2]
+        assert _atoms(res.best_measure) == _atoms(winner[1])
 
-    monkeypatch.setattr(extremal, "_climb", fail_best)
-    res = search(cfg)
-    assert res.notes == (f"restart {best} aborted: eigensolve failed",)
-    rest = [outcomes[r] for r in range(cfg.restarts) if r != best]
-    winner = max(rest, key=lambda o: o[0])
+    def fail(a, UPLO="L"):
+        raise np.linalg.LinAlgError("eigensolve failed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="all restarts failed"):
+        search(ABORT_CFG)
+
+
+def test_search_aborts_restart_with_non_hermitian_gram(monkeypatch):
+    outcomes, best, grams = _abort_setup()
+    target = grams["mid-climb"]
+    weighted_gram = extremal._weighted_gram
+
+    def skewed(points, root_w):
+        m = weighted_gram(points, root_w)
+        for a in m:
+            if np.array_equal(a, target):
+                a[0, 1] += 1.0
+        return m
+
+    monkeypatch.setattr(extremal, "_weighted_gram", skewed)
+    res = search(ABORT_CFG)
+    assert len(res.notes) == 1
+    assert res.notes[0].startswith(f"restart {best} aborted: matrix is not Hermitian: deviation ")
+    winner = _winner(outcomes, skip={best})
     assert res.best_ratio == winner[0]
     assert res.trace == winner[2]
 
-    monkeypatch.setattr(extremal, "_climb", fail)
-    with pytest.raises(NumericError, match="all restarts failed"):
-        search(cfg)
+
+def _stack(rows_y, rows_v):
+    return np.array(rows_y, dtype=float), np.array(rows_v, dtype=float)
+
+
+def test_stacked_proposal_with_equal_rows_is_merged():
+    rng = np.random.default_rng(0)
+    y, v = rng.normal(0.0, 0.7, size=(3, 4, 2)), rng.normal(0.0, 0.3, size=(3, 4))
+    y[1, 2] = y[1, 0]
+    values, measures, errors = extremal._ratios(DISC, y, v)
+    assert errors == {}
+    assert list(measures) == [1] and len(measures[1]) == 3
+    for i in range(3):
+        assert values[i] == ratio(extremal._build_measure(DISC, y[i], v[i]))
+
+
+def test_stacked_proposal_past_the_boundary_is_rejected():
+    rng = np.random.default_rng(1)
+    y, v = rng.normal(0.0, 0.7, size=(2, 3, 4)), rng.normal(0.0, 0.3, size=(2, 3))
+    y[0, 1] = [40.0, 0.0, 0.0, 0.0]  # tanh(40) rounds to 1: |z|^2 = 1
+    values, measures, errors = extremal._ratios(BALL2, y, v)
+    assert math.isnan(values[0]) and errors == {} and measures == {}
+    assert values[1] == ratio(extremal._build_measure(BALL2, y[1], v[1]))
+
+
+def test_stacked_proposal_near_the_boundary_warns_like_spacepoint():
+    rng = np.random.default_rng(2)
+    y, v = rng.normal(0.0, 0.7, size=(2, 3, 2)), rng.normal(0.0, 0.3, size=(2, 3))
+    y[1, 2] = [6.0, 8.0]  # |y| = 10: 1 - tanh(10)^2 = 8.2e-9
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        SpacePoint(extremal._proposal_arrays(y[1], v[1])[0][2])
+    with pytest.warns(KernelConditioningWarning) as stacked:
+        values, measures, errors = extremal._ratios(DISC, y, v)
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in direct]
+    assert "kernel values are ill conditioned" in str(direct[0].message)
+    assert errors == {} and list(measures) == [1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        assert values[1] == ratio(extremal._build_measure(DISC, y[1], v[1]))
+    assert values[0] == ratio(extremal._build_measure(DISC, y[0], v[0]))

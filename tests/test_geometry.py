@@ -179,3 +179,20 @@ def test_norm_sq_rows_equals_conjugate_product(dim):
     zs = rng.normal(size=(100_003, dim)) + 1j * rng.normal(size=(100_003, dim))
     zs *= rng.random((100_003, 1)) ** 3
     assert np.array_equal(_norm_sq_rows(zs), np.einsum("ij,ij->i", zs, zs.conj()).real)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("atoms", [1, 3, 8])
+def test_kernel_matrices_of_a_stack_match_each_matrix(dim, atoms):
+    # The lockstep search evaluates a stack of measures at once; each
+    # matrix of the stack must be bit-identical to the 2-D call on its rows.
+    rng = rng_stream(910, 10 * dim + atoms)
+    stack = rng.normal(size=(5, atoms, dim)) + 1j * rng.normal(size=(5, atoms, dim))
+    stack /= 1.5 * np.sqrt(_norm_sq_rows(stack))[..., None]
+    nsq = _norm_sq_rows(stack)
+    szego = _szego_matrix(stack, stack, dim)
+    poisson = _poisson_matrix(stack, stack, dim)
+    for i, zs in enumerate(stack):
+        assert np.array_equal(nsq[i], _norm_sq_rows(zs))
+        assert np.array_equal(szego[i], _szego_matrix(zs, zs, dim))
+        assert np.array_equal(poisson[i], _poisson_matrix(zs, zs, dim))
