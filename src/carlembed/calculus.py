@@ -161,9 +161,12 @@ def _stencil_sum(u, zs, v, h, u0):
     scalar or one step per row.
     """
     hv = np.asarray(h)[..., None] * v
+    shifted = np.empty(np.broadcast_shapes(zs.shape, hv.shape), dtype=complex)
     acc = -4.0 * u0
     for unit in (1, -1, 1j, -1j):
-        acc = acc + np.asarray(u(zs + unit * hv), dtype=float)
+        np.multiply(hv, unit, out=shifted)
+        shifted += zs
+        acc += np.asarray(u(shifted), dtype=float)
     return acc
 
 
@@ -392,25 +395,30 @@ def greens_formula_check(u, space, q=None, laplacian=None):
     """
     if q is None:
         q = default_quadrature(space)
-    points, weights = ball_rule(q, space.dim)
-    nrm2 = _norm_sq_rows(points)
-    r = np.sqrt(nrm2)
-    if laplacian is None:
-        stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
-        h_eff = np.minimum(FD_STEP, 0.25 * (1.0 - r))
-        # Row blocks bound the stencil-shifted copies of the rule held at once.
-        lap = np.concatenate([
-            stencil(u, points[rows], h_eff[rows])
-            for rows in _row_blocks(len(points), 4 * space.dim)
-        ])
-    else:
-        lap = np.asarray(laplacian(points), dtype=float)
+    n = space.dim
+    points, weights = ball_rule(q, n)
+    stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
+    # Every per-node quantity lives only in its row block, which bounds the
+    # stencil-shifted copies of the rule held at once; the one sum over all
+    # terms keeps the summation order of the whole array.
+    terms = np.empty(len(weights))
+    for rows in _row_blocks(len(points), 4 * n):
+        zs = points[rows]
+        nrm2 = _norm_sq_rows(zs)
+        r = np.sqrt(nrm2)
+        if laplacian is None:
+            lap = stencil(u, zs, np.minimum(FD_STEP, 0.25 * (1.0 - r)))
+        else:
+            lap = np.asarray(laplacian(zs), dtype=float)
+        if space.kind == DISC:
+            density = _green_ball_field(r, 1)
+        else:
+            density = _green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
+        np.multiply(weights[rows] * lap, density, out=terms[rows])
     if space.kind == DISC:
-        lhs = float(np.sum(weights * lap * _green_ball_field(r, 1))) / (2.0 * np.pi)
+        lhs = float(np.sum(terms)) / (2.0 * np.pi)
     else:
-        n = space.dim
-        density = _green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
-        lhs = math.factorial(n) / np.pi ** n * float(np.sum(weights * lap * density))
+        lhs = math.factorial(n) / np.pi ** n * float(np.sum(terms))
     origin = np.zeros((1, space.dim), dtype=complex)
     rhs = boundary_quadrature(u, q, space) - float(np.asarray(u(origin), dtype=float)[0])
     _check_finite("Green's formula lhs", lhs)

@@ -98,15 +98,19 @@ def _build_measure(space, y, v):
 def _ratios(space, y, v):
     """ratio of each proposal (y[i], v[i]) of a stack: (values, measures, errors).
 
-    values[i] is NaN when proposal i is no measure (a rejected step) or
-    its evaluation raised errors[i].  A proposal is evaluated on the
-    stack when its arrays are the atoms of its measure as they stand:
-    every row inside _EDGE_SCREEN, every weight positive and finite, no
-    two rows of equal |z|^2 (so none equal, and DiscreteMeasure merges
-    nothing), and fewer atoms than embedding_norm_sq's certified path
-    takes.  Any other is built by _build_measure, kept in measures[i],
-    and evaluated by ratio, with every check and warning of the measure
-    path.
+    values[i] is NaN when proposal i is a rejected step or its
+    evaluation raised errors[i].  A rejected step is no measure, or a
+    measure whose Gram matrix fails the Hermitian test (the InputError
+    of ratio or _top_eigs); any other CarlembedError, such as a
+    NumericError, goes to errors[i] and aborts the restart.
+
+    A proposal is evaluated on the stack when its arrays are the atoms
+    of its measure as they stand: every row inside _EDGE_SCREEN, every
+    weight positive and finite, no two rows of equal |z|^2 (so none
+    equal, and DiscreteMeasure merges nothing), and fewer atoms than
+    embedding_norm_sq's certified path takes.  Any other is built by
+    _build_measure, kept in measures[i], and evaluated by ratio, with
+    every check and warning of the measure path.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
@@ -128,17 +132,23 @@ def _ratios(space, y, v):
             continue
         try:
             values[i] = ratio(measures[i])
+        except InputError:
+            # a Gram matrix that fails the Hermitian test, as atoms within
+            # rounding of the sphere leave it: one rejected step
+            continue
         except CarlembedError as exc:
             errors[i] = exc
     ready = np.flatnonzero(stacked)
-    # stacks of about 2^20 Gram entries, so memory stays that of one matrix
-    # at large orders
+    # stacks of about _BLOCK_ENTRIES Gram entries, so memory stays that of
+    # one matrix at large orders
     for rows in _row_blocks(len(ready), order * order):
         idx = ready[rows]
         pts, w = points[idx], weights[idx]
         tops = _top_eigs(_weighted_gram(pts, np.sqrt(w)))
         c_supp = np.max((_poisson_matrix(pts, pts, pts.shape[-1]) @ w[..., None])[..., 0], axis=-1)
         for i, top, c in zip(idx, tops, c_supp):
+            if isinstance(top, InputError):
+                continue
             if isinstance(top, CarlembedError):
                 errors[i] = top
             else:
@@ -172,7 +182,7 @@ def search(cfg):
             continue
         traces[r] = [(0, float(best[r]))]
     live = np.array(sorted(traces), dtype=int)
-    step = np.full(cfg.restarts, cfg.step_init)
+    step = np.full(cfg.restarts, cfg.step_init, dtype=float)
     stall = np.zeros(cfg.restarts, dtype=int)
     dy, dv = np.empty_like(y), np.empty_like(v)
     for it in range(1, cfg.iterations + 1):

@@ -41,9 +41,13 @@ _GRID_DIRECTION_SEED = 20231115
 # build on top of eigvalsh, so smaller measures stay on the dense path.
 _CERTIFIED_MIN_ORDER = 256
 
-# The grid and box scans work on row blocks of about this many
-# point-by-atom entries, so no full (points x atoms) matrix is held.
-_BLOCK_ENTRIES = 1 << 20
+# Every blocked pass (the grid and box scans, the Gram weighting, the
+# search's Gram stacks, uchiyama and the Green's-formula stencil) works
+# on row blocks of about this many entries, so no full (rows x columns)
+# matrix is held.  A complex block is 1 MiB, so a block's temporaries
+# stay in a 2 MiB L2 cache: of 2^14-2^20, 2^15-2^16 ran the ball(2)
+# green-check and uchiyama passes fastest (fresh processes, 2 vCPUs).
+_BLOCK_ENTRIES = 1 << 16
 
 
 class DiscreteMeasure:
@@ -252,9 +256,9 @@ def _weighted_gram(points, root_w):
     points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
     """
     m = _szego_matrix(points, points, points.shape[-1])
-    # In place, (r_j r_k) K_jk over blocks of 2^17 weights per matrix: a
-    # square weight array beside m would raise the peak resident memory
-    # by half of m.
+    # In place, (r_j r_k) K_jk over blocks of _BLOCK_ENTRIES / 8 weights
+    # per matrix: a square weight array beside m would raise the peak
+    # resident memory by half of m.
     order = m.shape[-1]
     for rows in _row_blocks(order, 8 * order):
         m[..., rows, :] *= root_w[..., rows, None] * root_w[..., None, :]

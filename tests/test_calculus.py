@@ -288,12 +288,24 @@ def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
     ]
     for space, u, q in cases:
         nodes = len(ball_rule(q, space.dim)[1])
+        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
         assert len(measure._row_blocks(nodes, 4 * space.dim)) == 1
         whole = greens_formula_check(u, space, q)
         monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
         assert len(measure._row_blocks(nodes, 4 * space.dim)) >= 8
         assert greens_formula_check(u, space, q) == whole
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fn", ["mixed", "radial"])
+def test_greens_formula_default_ball_rule_equals_old_block_size(fn, monkeypatch):
+    # The stencil, the density and the terms are per node, and one sum
+    # over the whole rule keeps its order: the result does not depend on
+    # the block size, down to the last bit.
+    u, lap = cli._green_case(BALL2, fn)
+    got = greens_formula_check(u, BALL2, laplacian=lap)
+    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
+    assert greens_formula_check(u, BALL2, laplacian=lap) == got
 
 
 def test_uchiyama_density_is_bounded_near_boundary():
@@ -678,6 +690,23 @@ def test_uchiyama_checks_blocked_equals_one_block(monkeypatch):
         monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
         assert len(measure._row_blocks(8192, len(mu))) >= 8
         _assert_close(_flat(uchiyama_checks(mu, f, q)), whole, 1e-13)
+        monkeypatch.undo()
+
+
+def test_uchiyama_checks_ball_match_old_block_size(monkeypatch):
+    # Per-block sums of the contraction, the corollary and the key
+    # inequalities reorder with the block size, so the default ball(2)
+    # rule agrees with the old 2^20-entry blocks to rounding, not bit for bit.
+    rng = rng_stream(_ORACLE_SEED, 12)
+    q = default_quadrature(BALL2)
+    for _ in range(2):
+        mu = DiscreteMeasure(
+            BALL2, [(random_point(rng, 2, 0.6), math.exp(rng.normal(0.0, 0.5))) for _ in range(3)]
+        )
+        f = random_poly(rng, 2, 5)
+        got = _flat(uchiyama_checks(mu, f, q))
+        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
+        _assert_close(got, _flat(uchiyama_checks(mu, f, q)), 1e-13)
         monkeypatch.undo()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -201,6 +202,26 @@ def test_uchiyama_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("PASS") == 4  # contraction, corollary, two atoms
+
+
+@pytest.mark.parametrize("space, point, flag", [
+    ({"kind": "disc"}, [0.99, 0.0], "1 atom(s) with |lam| > 0.9 (up to 0.9900)"),
+    ({"kind": "ball", "dim": 2}, [0.0, 0.0, 0.95, 0.0], "1 atom(s) with |lam| > 0.8 (up to 0.9500)"),
+])
+def test_uchiyama_flags_atoms_near_the_boundary(tmp_path, capsys, space, point, flag):
+    dim = len(point) // 2
+    inner = {"space": space, "atoms": [{"point": [0.3] + [0.0] * (2 * dim - 1), "weight": 1.0}]}
+    outer = {"space": space, "atoms": inner["atoms"] + [{"point": point, "weight": 1.0}]}
+    poly = {"dim": dim, "terms": [{"alpha": [0] * dim, "re": 1.0},
+                                  {"alpha": [1] + [0] * (dim - 1), "re": 0.5}]}
+    poly_path = write(tmp_path, "poly.json", poly)
+    cli.main(["uchiyama", write(tmp_path, "inner.json", inner), "--poly", poly_path])
+    assert capsys.readouterr().err == ""
+    cli.main(["uchiyama", write(tmp_path, "outer.json", outer), "--poly", poly_path])
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 4  # the verdicts, on stdout only
+    assert err.count("\n") == 1 and err.startswith("warning: " + flag)
+    assert not re.search(r"\bFAIL\b", err)
 
 
 def test_quadrature_limits_are_input_errors(tmp_path, capsys):

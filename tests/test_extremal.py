@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carlembed import extremal
+from carlembed import extremal, measure
 from carlembed.errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
@@ -52,10 +52,10 @@ def _climb(cfg, restart, bound):
         cand_v = v + 0.5 * step * dv
         try:
             cand_mu = _oracle_build_measure(cfg.space, cand_y, cand_v)
-        except InputError:
+            value = ratio(cand_mu)
+        except InputError:  # no measure, or a Gram matrix that is not Hermitian
             value = None
         else:
-            value = ratio(cand_mu)
             if value > bound * (1.0 + BOUND_SLACK):
                 warnings.warn(f"search found ratio {value!r} above the theorem bound {bound!r}; "
                               "this falsifies the implementation or the theorem",
@@ -249,25 +249,55 @@ def test_search_records_aborted_restart(monkeypatch):
         search(ABORT_CFG)
 
 
-def test_search_aborts_restart_with_non_hermitian_gram(monkeypatch):
+def test_search_rejects_step_with_non_hermitian_gram(monkeypatch):
     outcomes, best, grams = _abort_setup()
     target = grams["mid-climb"]
-    weighted_gram = extremal._weighted_gram
+    weighted_gram = measure._weighted_gram
+    hits = []
 
     def skewed(points, root_w):
         m = weighted_gram(points, root_w)
-        for a in m:
+        for a in m if m.ndim == 3 else [m]:
             if np.array_equal(a, target):
                 a[0, 1] += 1.0
+                hits.append(1)
         return m
 
+    # the stacked path and the measure path (the oracle's ratio) both see it
     monkeypatch.setattr(extremal, "_weighted_gram", skewed)
+    monkeypatch.setattr(measure, "_weighted_gram", skewed)
     res = search(ABORT_CFG)
-    assert len(res.notes) == 1
-    assert res.notes[0].startswith(f"restart {best} aborted: matrix is not Hermitian: deviation ")
-    winner = _winner(outcomes, skip={best})
+    assert hits and res.notes == ()
+    skewed_outcomes = _oracle_outcomes(ABORT_CFG)
+    assert skewed_outcomes[best][2] != outcomes[best][2]  # the step was rejected
+    winner = _winner(skewed_outcomes)
     assert res.best_ratio == winner[0]
     assert res.trace == winner[2]
+    assert _atoms(res.best_measure) == _atoms(winner[1])
+
+
+def test_search_integer_step_init_equals_float():
+    # 200 iterations stall often enough to decay the integer step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        a, b = (search(SearchConfig(space=DISC, atom_count=2, iterations=200, restarts=2, seed=4,
+                                    step_init=step)) for step in (10, 10.0))
+    assert a.best_ratio == b.best_ratio and a.trace == b.trace and a.notes == b.notes
+    assert _atoms(a.best_measure) == _atoms(b.best_measure)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_ball_large_steps_reject_non_hermitian_proposals(seed):
+    # Steps this large put atoms within rounding of the sphere, where the
+    # Gram matrix fails the Hermitian test: each such proposal is one
+    # rejected step, not an aborted restart.
+    cfg = SearchConfig(BALL2, atom_count=3, iterations=100, restarts=6, step_init=10.0, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        res = search(cfg)
+    assert res.notes == ()
+    assert math.isfinite(res.best_ratio)
+    assert res.best_ratio <= theorem_bound_constant(BALL2) * (1.0 + BOUND_SLACK)
 
 
 def _stack(rows_y, rows_v):
