@@ -8,16 +8,16 @@ exp(v); the ratio is invariant under a common weight scale, so v is
 recentered every step.  Restarts draw from independent seeded streams;
 the merge picks the best ratio, ties broken by the lower restart index.
 
-The restarts climb in lockstep.  Each iteration stacks their proposals,
-computes the atom points and weights from the stack as arrays, and
-evaluates them with one batched Gram eigensolve and one Poisson stack.
-Every restart draws the same numbers in the same order as a climb run
-on its own, and its trace and best ratio are bit-identical to one.  A
-DiscreteMeasure is built for each restart's start and for the winner's
-best point, and for a proposal that the arrays cannot stand for, which
-is evaluated as ratio(_build_measure(...)): an atom at or near the
-boundary, a bad weight, two rows of equal norm, or 256 atoms and more,
-where embedding_norm_sq certifies its eigenvalue one matrix at a time.
+The restarts climb in lockstep, and every evaluation, of the starts and
+of each iteration's proposals, is one _ratios call on their stack: the
+atom points and weights as arrays, one batched Gram eigensolve and one
+Poisson stack.  Every restart draws the same numbers in the same order
+as a climb run on its own, and its trace and best ratio are
+bit-identical to one.  A DiscreteMeasure is built only for the winner
+and for a proposal that the arrays cannot stand for: an atom at or near
+the boundary, a bad weight, two rows of equal norm, or 256 atoms and
+more, where embedding_norm_sq certifies its eigenvalue one matrix at a
+time.
 """
 
 import warnings
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarlembedError, InputError, NumericError
+from .errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from .geometry import CONDITIONING_MARGIN, _norm_sq_rows, _poisson_matrix
 from .measure import (
     _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _row_blocks,
@@ -96,21 +96,19 @@ def _build_measure(space, y, v):
 
 
 def _ratios(space, y, v):
-    """ratio of each proposal (y[i], v[i]) of a stack: (values, measures, errors).
+    """ratio of each proposal (y[i], v[i]) of a stack: (values, errors).
 
-    values[i] is NaN when proposal i is a rejected step or its
-    evaluation raised errors[i].  A rejected step is no measure, or a
-    measure whose Gram matrix fails the Hermitian test (the InputError
-    of ratio or _top_eigs); any other CarlembedError, such as a
-    NumericError, goes to errors[i] and aborts the restart.
+    A CarlembedError of proposal i goes to errors[i], and values[i] stays
+    NaN; the caller decides what it means.  An InputError says that the
+    proposal is no measure (tanh(|y|) rounds to 1 once |y| >= 19, an atom
+    on the boundary) or that its Gram matrix fails the Hermitian test.
 
     A proposal is evaluated on the stack when its arrays are the atoms
     of its measure as they stand: every row inside _EDGE_SCREEN, every
     weight positive and finite, no two rows of equal |z|^2 (so none
     equal, and DiscreteMeasure merges nothing), and fewer atoms than
-    embedding_norm_sq's certified path takes.  Any other is built by
-    _build_measure, kept in measures[i], and evaluated by ratio, with
-    every check and warning of the measure path.
+    embedding_norm_sq's certified path takes.  Any other is evaluated as
+    ratio(_build_measure(...)), with every check and warning of that path.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
@@ -122,20 +120,10 @@ def _ratios(space, y, v):
         & (order < _CERTIFIED_MIN_ORDER)
     )
     values = np.full(len(y), np.nan)
-    measures, errors = {}, {}
+    errors = {}
     for i in np.flatnonzero(~stacked):
         try:
-            measures[i] = _build_measure(space, y[i], v[i])
-        except InputError:
-            # tanh(|y|) rounds to 1 once |y| >= 19, putting an atom on the
-            # boundary: the proposal counts as one rejected step.
-            continue
-        try:
-            values[i] = ratio(measures[i])
-        except InputError:
-            # a Gram matrix that fails the Hermitian test, as atoms within
-            # rounding of the sphere leave it: one rejected step
-            continue
+            values[i] = ratio(_build_measure(space, y[i], v[i]))
         except CarlembedError as exc:
             errors[i] = exc
     ready = np.flatnonzero(stacked)
@@ -147,88 +135,89 @@ def _ratios(space, y, v):
         tops = _top_eigs(_weighted_gram(pts, np.sqrt(w)))
         c_supp = np.max((_poisson_matrix(pts, pts, pts.shape[-1]) @ w[..., None])[..., 0], axis=-1)
         for i, top, c in zip(idx, tops, c_supp):
-            if isinstance(top, InputError):
-                continue
             if isinstance(top, CarlembedError):
                 errors[i] = top
             else:
                 values[i] = top / c
-    return values, measures, errors
+    return values, errors
 
 
 def search(cfg):
     """Random-restart hill climbing; deterministic for a fixed config.
 
     Every restart owns the generator stream (seed, restart index), and
-    the restarts advance one iteration at a time.  A restart that dies
-    with a numeric error is recorded as a failed entry and does not
-    disturb the others.
+    the restarts advance one iteration at a time.  A restart whose start
+    raises, or whose step raises anything but an InputError (a rejected
+    step), is recorded as a failed entry and does not disturb the others.
+    The KernelConditioningWarnings of atoms near the sphere come out as
+    one warning that counts them.
     """
     bound = theorem_bound_constant(cfg.space)
     shape = (cfg.atom_count, 2 * cfg.space.dim)
     rngs = [rng_stream(cfg.seed, r) for r in range(cfg.restarts)]
     y = np.empty((cfg.restarts,) + shape)
     v = np.empty((cfg.restarts, cfg.atom_count))
-    best = np.full(cfg.restarts, np.nan)
-    best_mu, traces, notes = {}, {}, {}
     for r, rng in enumerate(rngs):
         y[r] = rng.normal(0.0, 0.7, size=shape)
         v[r] = rng.normal(0.0, 0.3, size=cfg.atom_count)
-        try:
-            best_mu[r] = _build_measure(cfg.space, y[r], v[r])
-            best[r] = ratio(best_mu[r])
-        except CarlembedError as exc:
-            notes[r] = f"restart {r} aborted: {exc}"
-            continue
-        traces[r] = [(0, float(best[r]))]
-    live = np.array(sorted(traces), dtype=int)
-    step = np.full(cfg.restarts, cfg.step_init, dtype=float)
-    stall = np.zeros(cfg.restarts, dtype=int)
-    dy, dv = np.empty_like(y), np.empty_like(v)
-    for it in range(1, cfg.iterations + 1):
-        if not len(live):
-            break
-        for j, r in enumerate(live):
-            dy[j] = rngs[r].normal(0.0, 1.0, size=shape)
-            dv[j] = rngs[r].normal(0.0, 1.0, size=cfg.atom_count)
-        cand_y = y[live] + step[live, None, None] * dy[:len(live)]
-        cand_v = v[live] + (0.5 * step[live])[:, None] * dv[:len(live)]
-        values, measures, errors = _ratios(cfg.space, cand_y, cand_v)
-        for i in np.flatnonzero(values > bound * (1.0 + BOUND_SLACK)):
-            warnings.warn(
-                f"search found ratio {float(values[i])!r} above the theorem bound {bound!r}; "
-                "this falsifies the implementation or the theorem",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        ok = np.ones(len(live), dtype=bool)
-        for i, exc in errors.items():
-            notes[int(live[i])] = f"restart {live[i]} aborted: {exc}"
-            ok[i] = False
-        accept = values > best[live]
-        for i in np.flatnonzero(accept):
-            best_mu[live[i]] = measures.get(i)
-            traces[live[i]].append((it, float(values[i])))
-        took = live[accept]
-        y[took], v[took], best[took] = cand_y[accept], cand_v[accept], values[accept]
-        stall[took] = 0
-        held = live[ok & ~accept]
-        stall[held] += 1
-        decay = held[stall[held] >= _STALL_WINDOW]
-        step[decay] *= cfg.step_decay
-        stall[decay] = 0
-        live = live[ok]
-    survivors = [r for r in range(cfg.restarts) if r not in notes]
-    notes = tuple(notes[r] for r in sorted(notes))
-    if not survivors:
-        raise NumericError("all restarts failed: " + "; ".join(notes))
-    winner = survivors[0]
-    for r in survivors[1:]:
-        if best[r] > best[winner]:
-            winner = r
-    best_measure = best_mu[winner]
-    if best_measure is None:
+    edge = []
+    with warnings.catch_warnings():
+        # count every KernelConditioningWarning; show any other as it comes
+        warnings.simplefilter("always", KernelConditioningWarning)
+        show = warnings.showwarning
+        warnings.showwarning = lambda message, category, *rest: (
+            edge.append(message) if issubclass(category, KernelConditioningWarning)
+            else show(message, category, *rest))
+        best, errors = _ratios(cfg.space, y, v)
+        notes = {int(r): f"restart {r} aborted: {exc}" for r, exc in errors.items()}
+        traces = {r: [(0, float(best[r]))] for r in range(cfg.restarts) if r not in notes}
+        live = np.array(sorted(traces), dtype=int)
+        step = np.full(cfg.restarts, cfg.step_init, dtype=float)
+        stall = np.zeros(cfg.restarts, dtype=int)
+        dy, dv = np.empty_like(y), np.empty_like(v)
+        for it in range(1, cfg.iterations + 1):
+            if not len(live):
+                break
+            for j, r in enumerate(live):
+                dy[j] = rngs[r].normal(0.0, 1.0, size=shape)
+                dv[j] = rngs[r].normal(0.0, 1.0, size=cfg.atom_count)
+            cand_y = y[live] + step[live, None, None] * dy[:len(live)]
+            cand_v = v[live] + (0.5 * step[live])[:, None] * dv[:len(live)]
+            values, errors = _ratios(cfg.space, cand_y, cand_v)
+            for i in np.flatnonzero(values > bound * (1.0 + BOUND_SLACK)):
+                warnings.warn(
+                    f"search found ratio {float(values[i])!r} above the theorem bound {bound!r}; "
+                    "this falsifies the implementation or the theorem",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            ok = np.ones(len(live), dtype=bool)
+            for i, exc in errors.items():
+                if not isinstance(exc, InputError):
+                    notes[int(live[i])] = f"restart {live[i]} aborted: {exc}"
+                    ok[i] = False
+            accept = values > best[live]
+            for i in np.flatnonzero(accept):
+                traces[live[i]].append((it, float(values[i])))
+            took = live[accept]
+            y[took], v[took], best[took] = cand_y[accept], cand_v[accept], values[accept]
+            stall[took] = 0
+            held = live[ok & ~accept]
+            stall[held] += 1
+            decay = held[stall[held] >= _STALL_WINDOW]
+            step[decay] *= cfg.step_decay
+            stall[decay] = 0
+            live = live[ok]
+        survivors = [r for r in range(cfg.restarts) if r not in notes]
+        notes = tuple(notes[r] for r in sorted(notes))
+        if not survivors:
+            raise NumericError("all restarts failed: " + "; ".join(notes))
+        winner = max(survivors, key=lambda r: best[r])  # the first of equal ratios
         best_measure = _build_measure(cfg.space, y[winner], v[winner])
+    if edge:
+        warnings.warn(f"search built {len(edge)} proposal atoms with 1 - |z|^2 below "
+                      f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned",
+                      KernelConditioningWarning, stacklevel=2)
     return SearchResult(
         best_ratio=float(best[winner]),
         best_measure=best_measure,

@@ -279,14 +279,11 @@ def embedding_norm_sq(mu):
     order, it comes from the dense eigensolve.
     """
     _check_atom_count(len(mu), "measure has {} atoms")
-    root_w = np.sqrt(mu.weights_array())
-    m = _weighted_kernel_matrix(mu.points_array(), root_w)
+    m = _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array()))
     if m.order >= _CERTIFIED_MIN_ORDER:
         bracket = _certified_top_eig(m.entries)
         if bracket is not None:
             return bracket[0]
-        # the certificate may have overwritten the matrix
-        m = _weighted_kernel_matrix(mu.points_array(), root_w)
     return extreme_eigs(m)[1]
 
 

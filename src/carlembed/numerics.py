@@ -191,20 +191,20 @@ def _certified_top_eig(a):
     """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
 
     a is an (n, n) complex Hermitian array with a positive diagonal; it is
-    overwritten, and the factor reads its upper triangle, as extreme_eigs
-    does.  rho is the Rayleigh quotient of a power iterate from
-    the all-ones vector, a lower bound up to its own rounding.  t is
-    proven by Rump's verified positive-definiteness test (S. M. Rump,
-    BIT 46 (2006) 433-452): the floating-point Cholesky factor of
-    s I - a completes.  The iteration stops on the residual
+    overwritten when a bracket is returned, and the factor reads its
+    upper triangle, as extreme_eigs does.  rho is the Rayleigh quotient
+    of a power iterate from the all-ones vector, a lower bound up to its
+    own rounding.  t is proven by Rump's verified positive-definiteness
+    test (S. M. Rump, BIT 46 (2006) 433-452): the floating-point Cholesky
+    factor of s I - a completes.  The iteration stops on the residual
     r = a v - rho v, once ||r|| plus the bracket's rounding allowance is
     within 1e-8 rho; it never stops on successive rho, which can keep
     flipping by an ulp after it has settled.
 
-    Returns None, and leaves a overwritten or not, when the diagonal lies
-    outside _DIAGONAL_RANGE, when the residual misses the stopping rule
-    within _POWER_STEPS products (a near-degenerate top pair, or a start
-    vector without a top component), or when the factor fails (the
+    Returns None, and leaves a as it was bit for bit, when the diagonal
+    lies outside _DIAGONAL_RANGE, when the residual misses the stopping
+    rule within _POWER_STEPS products (a near-degenerate top pair, or a
+    start vector without a top component), or when the factor fails (the
     iterate found a lower eigenvalue).  The allowance grows like n^2, so
     from about n = 2800 on the rule is never met.
     """
@@ -231,6 +231,7 @@ def _certified_top_eig(a):
     else:
         return None
     s = rho + res + shift
+    saved = a.diagonal().copy()
     # B = s I - a in place: -a_jk is exact, only b_jj = fl(s - a_jj) rounds.
     np.negative(a, out=a)
     a.flat[:: n + 1] += s
@@ -240,6 +241,9 @@ def _certified_top_eig(a):
     try:
         np.linalg.cholesky(a.T)
     except np.linalg.LinAlgError:
+        # -(-a_jk) is exact: a is restored for the dense eigensolve
+        np.negative(a, out=a)
+        a.flat[:: n + 1] = saved
         return None
     # B + E = R^H R is positive semidefinite with ||E||_2 <= g tr(B), so
     # lambda_min(B) >= -g tr(B).  s I - a differs from B by the diagonal

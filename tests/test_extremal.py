@@ -1,10 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from carlembed import extremal, measure
+from carlembed import cli, extremal, measure
 from carlembed.errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
@@ -249,9 +250,10 @@ def test_search_records_aborted_restart(monkeypatch):
         search(ABORT_CFG)
 
 
-def test_search_rejects_step_with_non_hermitian_gram(monkeypatch):
+@pytest.mark.parametrize("case", ["start", "mid-climb"])
+def test_search_rejects_step_with_non_hermitian_gram(monkeypatch, case):
     outcomes, best, grams = _abort_setup()
-    target = grams["mid-climb"]
+    target = grams[case]
     weighted_gram = measure._weighted_gram
     hits = []
 
@@ -267,9 +269,14 @@ def test_search_rejects_step_with_non_hermitian_gram(monkeypatch):
     monkeypatch.setattr(extremal, "_weighted_gram", skewed)
     monkeypatch.setattr(measure, "_weighted_gram", skewed)
     res = search(ABORT_CFG)
-    assert hits and res.notes == ()
     skewed_outcomes = _oracle_outcomes(ABORT_CFG)
-    assert skewed_outcomes[best][2] != outcomes[best][2]  # the step was rejected
+    if case == "start":
+        # a start that is no measure to evaluate aborts its restart
+        assert hits and res.notes == (skewed_outcomes[best],)
+        assert res.notes[0].startswith(f"restart {best} aborted: matrix is not Hermitian: ")
+    else:
+        assert hits and res.notes == ()
+        assert skewed_outcomes[best][2] != outcomes[best][2]  # the step was rejected
     winner = _winner(skewed_outcomes)
     assert res.best_ratio == winner[0]
     assert res.trace == winner[2]
@@ -300,43 +307,100 @@ def test_search_ball_large_steps_reject_non_hermitian_proposals(seed):
     assert res.best_ratio <= theorem_bound_constant(BALL2) * (1.0 + BOUND_SLACK)
 
 
-def _stack(rows_y, rows_v):
-    return np.array(rows_y, dtype=float), np.array(rows_v, dtype=float)
+def _measure_path(monkeypatch):
+    """The measure of every proposal that _ratios evaluates through extremal.ratio."""
+    measures = []
+
+    def counted(mu):
+        measures.append(mu)
+        return ratio(mu)
+
+    monkeypatch.setattr(extremal, "ratio", counted)
+    return measures
 
 
-def test_stacked_proposal_with_equal_rows_is_merged():
+def test_stacked_proposal_with_equal_rows_is_merged(monkeypatch):
     rng = np.random.default_rng(0)
     y, v = rng.normal(0.0, 0.7, size=(3, 4, 2)), rng.normal(0.0, 0.3, size=(3, 4))
     y[1, 2] = y[1, 0]
-    values, measures, errors = extremal._ratios(DISC, y, v)
+    measures = _measure_path(monkeypatch)
+    values, errors = extremal._ratios(DISC, y, v)
     assert errors == {}
-    assert list(measures) == [1] and len(measures[1]) == 3
+    assert len(measures) == 1 and len(measures[0]) == 3
+    assert _atoms(measures[0]) == _atoms(extremal._build_measure(DISC, y[1], v[1]))
     for i in range(3):
         assert values[i] == ratio(extremal._build_measure(DISC, y[i], v[i]))
 
 
-def test_stacked_proposal_past_the_boundary_is_rejected():
+def test_stacked_proposal_past_the_boundary_is_rejected(monkeypatch):
     rng = np.random.default_rng(1)
     y, v = rng.normal(0.0, 0.7, size=(2, 3, 4)), rng.normal(0.0, 0.3, size=(2, 3))
     y[0, 1] = [40.0, 0.0, 0.0, 0.0]  # tanh(40) rounds to 1: |z|^2 = 1
-    values, measures, errors = extremal._ratios(BALL2, y, v)
-    assert math.isnan(values[0]) and errors == {} and measures == {}
+    measures = _measure_path(monkeypatch)
+    values, errors = extremal._ratios(BALL2, y, v)
+    assert math.isnan(values[0]) and measures == []
+    assert list(errors) == [0] and isinstance(errors[0], InputError)
+    assert "strictly inside the unit ball" in str(errors[0])
     assert values[1] == ratio(extremal._build_measure(BALL2, y[1], v[1]))
 
 
-def test_stacked_proposal_near_the_boundary_warns_like_spacepoint():
+def test_stacked_proposal_near_the_boundary_warns_like_spacepoint(monkeypatch):
     rng = np.random.default_rng(2)
     y, v = rng.normal(0.0, 0.7, size=(2, 3, 2)), rng.normal(0.0, 0.3, size=(2, 3))
     y[1, 2] = [6.0, 8.0]  # |y| = 10: 1 - tanh(10)^2 = 8.2e-9
     with warnings.catch_warnings(record=True) as direct:
         warnings.simplefilter("always")
         SpacePoint(extremal._proposal_arrays(y[1], v[1])[0][2])
+    measures = _measure_path(monkeypatch)
     with pytest.warns(KernelConditioningWarning) as stacked:
-        values, measures, errors = extremal._ratios(DISC, y, v)
+        values, errors = extremal._ratios(DISC, y, v)
     assert [str(w.message) for w in stacked] == [str(w.message) for w in direct]
     assert "kernel values are ill conditioned" in str(direct[0].message)
-    assert errors == {} and list(measures) == [1]
+    assert errors == {} and len(measures) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KernelConditioningWarning)
+        assert _atoms(measures[0]) == _atoms(extremal._build_measure(DISC, y[1], v[1]))
         assert values[1] == ratio(extremal._build_measure(DISC, y[1], v[1]))
     assert values[0] == ratio(extremal._build_measure(DISC, y[0], v[0]))
+
+
+def test_all_stacked_search_builds_only_the_winner(monkeypatch):
+    # 8 disc atoms, as on the benchmark: no proposal needs the measure path
+    cfg = ORACLE_CONFIGS[3]
+    measures = _measure_path(monkeypatch)
+    builds = []
+    init = DiscreteMeasure.__init__
+
+    def counted(self, space, atoms):
+        builds.append(1)
+        init(self, space, atoms)
+
+    monkeypatch.setattr(DiscreteMeasure, "__init__", counted)
+    res = search(cfg)
+    assert measures == [] and builds == [1] and len(res.best_measure) == cfg.atom_count
+
+
+def test_search_shows_one_conditioning_warning(capsys):
+    # Steps this large put 931 ball(2) proposal atoms within 1e-8 of the
+    # sphere; each used to raise its own warning (707 distinct messages).
+    argv = ["search", "--space", "ball2", "--atoms", "3", "--iters", "100", "--restarts", "6",
+            "--step-init", "10", "--seed", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert [w.category for w in caught] == [KernelConditioningWarning]
+    assert str(caught[0].message) == (
+        "search built 931 proposal atoms with 1 - |z|^2 below 1e-08; "
+        "kernel values are ill conditioned")
+    cfg = SearchConfig(BALL2, atom_count=3, iterations=100, restarts=6, step_init=10.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        winner = _winner(_oracle_outcomes(cfg))
+    assert out == "iteration,best_ratio\n" + "".join(
+        f"{it},{cli._fmt(val)}\n" for it, val in winner[2])
+    bound = cli._fmt(theorem_bound_constant(BALL2))
+    assert err.splitlines() == [
+        f"best_ratio = {cli._fmt(winner[0])}  (bound {bound})",
+        "best_measure = " + json.dumps(cli.measure_to_dict(winner[1])),
+    ]

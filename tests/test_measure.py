@@ -339,16 +339,22 @@ def test_embedding_norm_sq_falls_back_on_near_degenerate_top_pair(monkeypatch):
 
 
 def test_embedding_norm_sq_falls_back_when_top_vector_is_orthogonal_to_start(monkeypatch):
-    # The certificate fails after it has overwritten the matrix, so the
-    # fallback must rebuild it.
+    # The certificate fails after it has overwritten the matrix and
+    # restores it, so the fallback needs no second build.
     eigs = np.concatenate([[1.2, 1.0], np.linspace(0.1, 0.01, 298)])
     a = hermitian_with_spectrum(eigs, 13, top_orthogonal_to_ones=True)
-    monkeypatch.setattr(measure, "_weighted_kernel_matrix",
-                        lambda *args: HermitianMatrix(a.copy()))
+    builds = []
+
+    def build(*args):
+        builds.append(1)
+        return HermitianMatrix(a.copy())
+
+    monkeypatch.setattr(measure, "_weighted_kernel_matrix", build)
     brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
     mu = sized_measure(Space.disc(), 300, 702)
     assert embedding_norm_sq(mu) == extreme_eigs(a)[1]
     assert brackets == [None]
+    assert builds == [1]
 
 
 @pytest.mark.parametrize("weight", [1e-300, 1e300])

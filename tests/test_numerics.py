@@ -319,6 +319,30 @@ def test_certified_top_eig_declines_diagonal_out_of_range():
         assert _certified_top_eig(a * scale) is None
 
 
+def test_certified_top_eig_leaves_a_declined_matrix_unchanged(monkeypatch):
+    # one matrix per way to decline: the diagonal out of range, a
+    # near-degenerate top pair, and a factor that fails
+    declined = [
+        hermitian_with_spectrum(np.linspace(2.0, 1.0, 20), 14) * 2.0 ** 300,
+        hermitian_with_spectrum(np.concatenate([[1.0, 0.995], np.linspace(0.5, 0.1, 298)]), 12),
+        hermitian_with_spectrum(np.concatenate([[1.2, 1.0], np.linspace(0.1, 0.01, 298)]), 13,
+                                top_orthogonal_to_ones=True),
+    ]
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def counted(b, **kwargs):
+        factors.append(b.shape)
+        return cholesky(b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for a in declined:
+        b = a.copy()
+        assert _certified_top_eig(b) is None
+        assert b.tobytes() == a.tobytes()
+    assert factors == [(300, 300)]  # only the last reached the factor
+
+
 def test_rng_stream_determinism_and_independence():
     a = rng_stream(42, 0).normal(size=8)
     b = rng_stream(42, 0).normal(size=8)
