@@ -42,6 +42,10 @@ BALL_SLACK = 1e-3
 DISC_RESOLVED_RADIUS = 0.9
 BALL_RESOLVED_RADIUS = 0.8
 
+# verify-identities samples points up to |z| = 0.8, and a stencil of
+# step h needs 1 - |z| > 2h.
+_FD_STEP_LIMIT = 0.1
+
 # Values of --space in verify-identities, green-check and search.
 _SPACES = {"disc": Space.disc(), "ball2": Space.ball(2)}
 
@@ -215,8 +219,11 @@ def _write_output(text, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,8 @@ def _cmd_verify_identities(args):
         raise _UsageError("--samples must be >= 1")
     if not args.fd_step > 0:
         raise _UsageError("--fd-step must be positive")
+    if not args.fd_step < _FD_STEP_LIMIT:
+        raise _UsageError(f"--fd-step must be below {_FD_STEP_LIMIT}")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
     space = _SPACES[args.space]

@@ -111,14 +111,15 @@ def inner(z, w):
     return complex(sum(a * b.conjugate() for a, b in zip(z.coords, w.coords)))
 
 
-def _ipow(base, n):
+def _ipow(base, n, out=None):
     """Integer power by repeated multiplication (no branch ambiguity).
 
-    Takes Python numbers and numpy arrays alike (arrays multiply in place).
+    Takes Python numbers and numpy arrays alike (arrays multiply in place,
+    into out when it is given and n > 1).
     """
     if n == 1:
         return base
-    out = base * base
+    out = base * base if out is None else np.multiply(base, base, out=out)
     for _ in range(n - 2):
         out *= base
     return out
@@ -132,9 +133,16 @@ def _szego(d, n):
     return 1.0 / _ipow(d, n)
 
 
-def _poisson(d_sq, z_norm_sq, n):
-    """P_z(lam) = (1 - |z|^2)^n / |d|^(2n), given d_sq = |d|^2 with d = 1 - <lam, z>."""
-    return (1.0 - z_norm_sq) ** n / _ipow(d_sq, n)
+def _poisson(d_sq, z_norm_sq, n, out=None):
+    """P_z(lam) = (1 - |z|^2)^n / |d|^(2n), given d_sq = |d|^2 with d = 1 - <lam, z>.
+
+    out, an array other than d_sq, receives the values when it is given;
+    without it, Python numbers give a Python number.
+    """
+    num = (1.0 - z_norm_sq) ** n
+    if out is None:
+        return num / _ipow(d_sq, n)
+    return np.divide(num, _ipow(d_sq, n, out), out=out)
 
 
 def _denominator(a, b, s):
@@ -208,15 +216,45 @@ def _norm_sq_rows(zs):
     return out
 
 
-def _denominator_sq_matrix(zs, lams):
-    """Matrix D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2 of shape (..., m, N)."""
-    d = 1.0 - zs @ lams.conj().swapaxes(-1, -2)
-    return (d * d.conj()).real
+def _poisson_scratch(rows, cols):
+    """Scratch for _poisson_matrix(..., out=) on blocks of up to rows x cols entries.
+
+    A complex pair for d and its conjugate, and a C-contiguous float
+    block for P: a matvec over a strided P (the real part of a complex
+    block) sums in another order and moves the last bit.
+    """
+    return np.empty((2, rows, cols), dtype=complex), np.empty((rows, cols))
 
 
-def _poisson_matrix(zs, lams, n):
-    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N)."""
-    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[..., None], n)
+def _denominator_sq_matrix(zs, lams, out=None):
+    """Matrix D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2 of shape (..., m, N).
+
+    D is the real part of the complex product d * conj(d), as in the
+    scalar kernels: |d|^2 summed from the parts rounds differently where
+    numpy fuses that product.  out, for 2-D zs, is complex scratch of
+    shape (2, k, N) with k >= m; D is then a view into it.
+    """
+    d = d_conj = None
+    if out is not None:
+        d, d_conj = out[:, :len(zs)]
+    # Without out this allocates what `1.0 - zs @ lams^H` and `d * d.conj()`
+    # did (numpy writes that product into the temporary conjugate): under
+    # other allocation orders the blocked uchiyama pass faulted its pages
+    # in 2-5 times as often.
+    d = np.subtract(1.0, np.matmul(zs, lams.conj().swapaxes(-1, -2), out=d), out=d)
+    d_conj = np.conjugate(d, out=d_conj)
+    return np.multiply(d, d_conj, out=d_conj).real
+
+
+def _poisson_matrix(zs, lams, n, out=None):
+    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N).
+
+    out, for 2-D zs, is a _poisson_scratch of at least m rows; P is then
+    written into the first m rows of its float block.
+    """
+    d_scratch, p = (None, None) if out is None else (out[0], out[1][:len(zs)])
+    d_sq = _denominator_sq_matrix(zs, lams, d_scratch)
+    return _poisson(d_sq, _norm_sq_rows(zs)[..., None], n, p)
 
 
 def _szego_matrix(zs, ws, n):

@@ -16,7 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
-from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson_matrix, _szego_matrix
+from .geometry import (
+    DISC, SpacePoint, _norm_sq_rows, _poisson_matrix, _poisson_scratch, _szego_matrix,
+)
 from .numerics import HermitianMatrix, _certified_top_eig, extreme_eigs, rng_stream
 
 MAX_ATOMS = 2000
@@ -192,13 +194,17 @@ def _support_and_grid_constants(mu, resolution):
 
     The atoms are the last rows of the scan, so c_supp is the maximum
     over those rows; each row's value does not depend on its block, and
-    c_supp equals kernel_constant_on_support bit for bit.
+    c_supp equals kernel_constant_on_support bit for bit.  Every block
+    is written into one scratch, allocated for the largest block.
     """
-    grid = np.concatenate([_grid_points(mu.space, resolution), mu.points_array()], axis=0)
+    pts, w = mu.points_array(), mu.weights_array()
+    grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
     first_atom = len(grid) - len(mu)
+    blocks = _row_blocks(len(grid), len(mu))
+    scratch = _poisson_scratch(min(blocks[0].stop, len(grid)), len(mu))
     c_supp = c_grid = -math.inf
-    for rows in _row_blocks(len(grid), len(mu)):
-        values = -_potential_field(mu, grid[rows])
+    for rows in blocks:
+        values = _poisson_matrix(grid[rows], pts, mu.space.dim, out=scratch) @ w
         c_grid = max(c_grid, float(np.max(values)))
         if rows.stop > first_atom:
             c_supp = max(c_supp, float(np.max(values[max(first_atom - rows.start, 0):])))
@@ -241,13 +247,25 @@ def box_constant(mu, directions=64):
     ])
     centers = np.exp(1j * angles)
 
-    def block_max(rows):
-        dist = np.abs(lam[None, :] - centers[rows, None])
-        order = np.argsort(dist, axis=1)
-        mass = np.cumsum(w[order], axis=1)
-        return np.max(mass / np.take_along_axis(dist, order, axis=1))
-
-    return float(np.max([block_max(rows) for rows in _row_blocks(len(centers), len(lam))]))
+    # Scratch for the largest block of centers, reused by every block:
+    # ordered holds the weights, then the distances, in distance order.
+    blocks = _row_blocks(len(centers), len(lam))
+    size = min(blocks[0].stop, len(centers))
+    diff = np.empty((size, len(lam)), dtype=complex)
+    dist, ordered, mass = np.empty((3, size, len(lam)))
+    row_starts = len(lam) * np.arange(size)[:, None]
+    best = -math.inf
+    for rows in blocks:
+        block = centers[rows, None]
+        k = len(block)
+        np.abs(np.subtract(lam[None, :], block, out=diff[:k]), out=dist[:k])
+        order = np.argsort(dist[:k], axis=1)
+        np.take(w, order, out=ordered[:k], mode="clip")
+        np.cumsum(ordered[:k], axis=1, out=mass[:k])
+        order += row_starts[:k]
+        np.take(dist[:k], order, out=ordered[:k], mode="clip")
+        best = max(best, float(np.max(np.divide(mass[:k], ordered[:k], out=ordered[:k]))))
+    return best
 
 
 def _weighted_gram(points, root_w):

@@ -147,6 +147,22 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("space", ["disc", "ball2"])
+def test_verify_identities_fd_step_below_stencil_limit(space, capsys):
+    # Points reach |z| = 0.8 and stencils need 1 - |z| > 2h: h = 0.1 is
+    # refused up front, whatever the seed draws, and h = 0.099 runs.
+    rc = cli.main(["verify-identities", "--space", space, "--fd-step", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "usage error: --fd-step must be below 0.1\n"
+    for seed in range(8):
+        argv = ["verify-identities", "--space", space, "--seed", str(seed), "--fd-step", "0.099"]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc in (0, 3) and err == ""
+        assert out.count("PASS") + out.count("FAIL") == 6
+
+
 def test_verify_identities_runs_clean(capsys):
     rc = cli.main(["verify-identities", "--space", "disc", "--samples", "10"])
     out = capsys.readouterr().out
@@ -348,6 +364,19 @@ def test_search_command_trace(tmp_path, capsys):
     rc2 = cli.main(args)
     assert rc2 == 0
     assert out_path.read_text().strip().splitlines() == lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{pair}"],
+    ["search", "--atoms", "2", "--iters", "1", "--restarts", "1"],
+])
+def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.txt"
+    argv = [a.format(pair=write(tmp_path, "pair.json", PAIR)) for a in argv]
+    assert cli.main(argv + ["--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_help_exits_zero():

@@ -6,7 +6,9 @@ import pytest
 from carlembed import measure
 from carlembed.corpus import random_point
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint, _poisson_matrix, _szego_matrix
+from carlembed.geometry import (
+    Space, SpacePoint, _ipow, _norm_sq_rows, _poisson_matrix, _szego_matrix,
+)
 from carlembed.measure import (
     _CERTIFIED_MIN_ORDER,
     MAX_GRID_RESOLUTION,
@@ -14,6 +16,7 @@ from carlembed.measure import (
     _grid_points,
     _potential_field,
     _row_blocks,
+    _support_and_grid_constants,
     _weighted_kernel_matrix,
     analyze,
     box_constant,
@@ -200,6 +203,84 @@ def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
         assert kernel_constant_grid(mu, 32) == _grid_constant_oracle(mu, 32)
         want = _embedding_norm_sq_oracle(mu)
         assert embedding_norm_sq(mu) == pytest.approx(want, rel=1e-13)
+
+
+# The blocked scans before they wrote every block into scratch allocated
+# once per call: each block built its Poisson matrix and box temporaries
+# afresh.  The scratch path must equal them bit for bit.
+
+
+def _fresh_block_poisson_matrix(zs, lams, n):
+    d = 1.0 - zs @ lams.conj().T
+    return (1.0 - _norm_sq_rows(zs)[:, None]) ** n / _ipow((d * d.conj()).real, n)
+
+
+def _fresh_block_scan_oracle(mu, resolution):
+    """(c_supp, c_grid) from the per-block scan of -phi = P @ w with fresh temporaries."""
+    pts, w = mu.points_array(), mu.weights_array()
+    grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
+    first_atom = len(grid) - len(mu)
+    c_supp = c_grid = -math.inf
+    for rows in _row_blocks(len(grid), len(mu)):
+        values = _fresh_block_poisson_matrix(grid[rows], pts, mu.space.dim) @ w
+        c_grid = max(c_grid, float(np.max(values)))
+        if rows.stop > first_atom:
+            c_supp = max(c_supp, float(np.max(values[max(first_atom - rows.start, 0):])))
+    return c_supp, c_grid
+
+
+def _fresh_block_box_oracle(mu, directions=64):
+    """box_constant with a fresh block_max per block of centers."""
+    lam = mu.points_array()[:, 0]
+    w = mu.weights_array()
+    base_step = 2.0 * np.pi / directions
+    halves = base_step * 2.0 ** -np.arange(1.0, 7.0)
+    offsets = np.concatenate([[0.0], np.column_stack([halves, -halves]).ravel()])
+    t = np.arctan2(lam.imag, lam.real)[lam != 0.0]
+    angles = np.concatenate([
+        2.0 * np.pi * np.arange(directions) / directions,
+        (t[:, None] + offsets[None, :]).ravel(),
+    ])
+    centers = np.exp(1j * angles)
+
+    def block_max(rows):
+        dist = np.abs(lam[None, :] - centers[rows, None])
+        order = np.argsort(dist, axis=1)
+        mass = np.cumsum(w[order], axis=1)
+        return np.max(mass / np.take_along_axis(dist, order, axis=1))
+
+    return float(np.max([block_max(rows) for rows in _row_blocks(len(centers), len(lam))]))
+
+
+def _random_measure(space, count, rmax, seed):
+    rng = rng_stream(seed, 0)
+    atoms = [(random_point(rng, space.dim, rmax), 0.1 + rng.random()) for _ in range(count)]
+    return DiscreteMeasure(space, atoms)
+
+
+@pytest.mark.parametrize("space, count, resolution, shape", [
+    (Space.disc(), 100, 64, "short last block"),
+    (Space.ball(2), 2000, 64, "MAX_ATOMS"),
+    (Space.ball(3), 300, 32, "ball(3)"),
+    (Space.disc(), 2, 64, "one block"),
+    (Space.disc(), 72, 32, "atoms straddle two blocks"),
+])
+def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
+    mu = _random_measure(space, count, 0.95, 1500 + count)
+    rows = len(_grid_points(space, resolution)) + count
+    blocks = _row_blocks(rows, count)
+    assert {
+        "short last block": len(blocks) > 1 and blocks[-1].stop > rows,
+        "MAX_ATOMS": count == measure.MAX_ATOMS and len(blocks) > 1,
+        "ball(3)": space.dim == 3 and len(blocks) > 1,
+        "one block": len(blocks) == 1,
+        "atoms straddle two blocks": sum(b.stop > rows - count for b in blocks) == 2,
+    }[shape]
+    c_supp, c_grid = _support_and_grid_constants(mu, resolution)
+    assert (c_supp, c_grid) == _fresh_block_scan_oracle(mu, resolution)
+    assert kernel_constant_grid(mu, resolution) == c_grid
+    if space.dim == 1:
+        assert box_constant(mu) == _fresh_block_box_oracle(mu)
 
 
 def test_box_constant_matches_loop_oracle():
