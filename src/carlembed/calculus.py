@@ -28,9 +28,9 @@ import numpy as np
 from .errors import InputError, NumericError
 from .geometry import (
     BALL, DISC, Space, SpacePoint, _denominator, _denominator_sq_matrix, _ipow, _norm_sq_rows,
-    _poisson, inner, poisson_kernel,
+    inner, poisson_kernel,
 )
-from .measure import _check_atom_count, _point_row, _potential_field, _row_blocks
+from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field, _row_blocks
 from .numerics import QuadratureSpec, ball_rule, boundary_quadrature, default_quadrature
 
 __all__ = [
@@ -476,16 +476,12 @@ def _uchiyama_values(mu, f, q):
     phi_atoms = _potential_field(mu, lams)
     phi_sup = float(np.max(-phi_atoms))
     key = np.zeros(len(mu))
-    for rows in _row_blocks(len(points), len(mu)):
-        zs = points[rows]
-        nrm = _norm_sq_rows(zs)
-        w_f = weights[rows] * np.abs(f.eval_array(zs)) ** 2
-        # phi (as measure._potential_field) and the atom matrix share d_sq.
-        d_sq = _denominator_sq_matrix(zs, lams)
-        phi = -(_poisson(d_sq, nrm[:, None], n) @ wts)
+    # phi (as measure._potential_field) and the atom matrix share d_sq.
+    for rows, nrm, d_sq, p in _poisson_blocks(points, lams, n):
+        w_f = weights[rows] * np.abs(f.eval_array(points[rows])) ** 2
+        phi = -(p @ wts)
         w_f_e = w_f * np.exp(phi)
         a = _atom_matrix(d_sq, n)
-        del d_sq  # a view of a complex buffer twice its size
         density = _density_field(n, nrm, a @ mass)
         contraction += float(np.sum(w_f_e * density))
         corollary += float(np.sum(w_f * density))

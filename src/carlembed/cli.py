@@ -106,6 +106,8 @@ def _point_from_list(raw, dim, where):
         values = [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: point entries must be numbers") from exc
+    except OverflowError as exc:
+        raise InputError(f"{where}: point entry out of floating-point range") from exc
     coords = [complex(values[2 * i], values[2 * i + 1]) for i in range(dim)]
     try:
         return SpacePoint(coords)

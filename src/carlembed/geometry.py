@@ -217,7 +217,7 @@ def _norm_sq_rows(zs):
 
 
 def _poisson_scratch(rows, cols):
-    """Scratch for _poisson_matrix(..., out=) on blocks of up to rows x cols entries.
+    """Scratch for _denominator_sq_matrix and _poisson on blocks of up to rows x cols entries.
 
     A complex pair for d and its conjugate, and a C-contiguous float
     block for P: a matvec over a strided P (the real part of a complex
@@ -234,27 +234,15 @@ def _denominator_sq_matrix(zs, lams, out=None):
     numpy fuses that product.  out, for 2-D zs, is complex scratch of
     shape (2, k, N) with k >= m; D is then a view into it.
     """
-    d = d_conj = None
-    if out is not None:
-        d, d_conj = out[:, :len(zs)]
-    # Without out this allocates what `1.0 - zs @ lams^H` and `d * d.conj()`
-    # did (numpy writes that product into the temporary conjugate): under
-    # other allocation orders the blocked uchiyama pass faulted its pages
-    # in 2-5 times as often.
+    d, d_conj = (None, None) if out is None else out[:, :len(zs)]
     d = np.subtract(1.0, np.matmul(zs, lams.conj().swapaxes(-1, -2), out=d), out=d)
     d_conj = np.conjugate(d, out=d_conj)
     return np.multiply(d, d_conj, out=d_conj).real
 
 
-def _poisson_matrix(zs, lams, n, out=None):
-    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N).
-
-    out, for 2-D zs, is a _poisson_scratch of at least m rows; P is then
-    written into the first m rows of its float block.
-    """
-    d_scratch, p = (None, None) if out is None else (out[0], out[1][:len(zs)])
-    d_sq = _denominator_sq_matrix(zs, lams, d_scratch)
-    return _poisson(d_sq, _norm_sq_rows(zs)[..., None], n, p)
+def _poisson_matrix(zs, lams, n):
+    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N)."""
+    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[..., None], n)
 
 
 def _szego_matrix(zs, ws, n):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
 from .geometry import (
-    DISC, SpacePoint, _norm_sq_rows, _poisson_matrix, _poisson_scratch, _szego_matrix,
+    DISC, SpacePoint, _denominator_sq_matrix, _norm_sq_rows, _poisson, _poisson_scratch,
+    _szego_matrix,
 )
 from .numerics import HermitianMatrix, _certified_top_eig, extreme_eigs, rng_stream
 
@@ -43,12 +44,13 @@ _GRID_DIRECTION_SEED = 20231115
 # build on top of eigvalsh, so smaller measures stay on the dense path.
 _CERTIFIED_MIN_ORDER = 256
 
-# Every blocked pass (the grid and box scans, the Gram weighting, the
-# search's Gram stacks, uchiyama and the Green's-formula stencil) works
-# on row blocks of about this many entries, so no full (rows x columns)
-# matrix is held.  A complex block is 1 MiB, so a block's temporaries
-# stay in a 2 MiB L2 cache: of 2^14-2^20, 2^15-2^16 ran the ball(2)
-# green-check and uchiyama passes fastest (fresh processes, 2 vCPUs).
+# Every blocked pass works on row blocks of about this many entries, so
+# no full (rows x columns) matrix is held: the Poisson blocks behind
+# every potential field (c_supp, the grid scan, uchiyama's atoms and
+# nodes), the box scan, the Gram weighting, the search's Gram stacks and
+# the Green's-formula stencil.  A complex block is 1 MiB; of 2^14-2^20,
+# 2^15-2^16 ran the ball(2) green-check and uchiyama passes fastest
+# (fresh processes, 2 vCPUs).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -126,9 +128,30 @@ def _point_row(mu, z):
     return z.as_array().reshape(1, -1)
 
 
+def _poisson_blocks(zs, lams, n):
+    """(rows, |z|^2, D, P) for each row block of zs against the atoms lams.
+
+    D[i, j] = |1 - <z_i, lam_j>|^2 and P[i, j] = P_{z_i}(lam_j) over the
+    rows z_i of zs[rows].  Every block is written into one
+    _poisson_scratch sized for the largest, so D and P hold only until
+    the next block is drawn.
+    """
+    blocks = _row_blocks(len(zs), len(lams))
+    d_scratch, p_scratch = _poisson_scratch(min(blocks[0].stop, len(zs)), len(lams))
+    for rows in blocks:
+        block = zs[rows]
+        nrm = _norm_sq_rows(block)
+        d_sq = _denominator_sq_matrix(block, lams, d_scratch)
+        yield rows, nrm, d_sq, _poisson(d_sq, nrm[:, None], n, p_scratch[:len(block)])
+
+
 def _potential_field(mu, zs):
-    """phi at every row z of zs."""
-    return -(_poisson_matrix(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
+    """phi at every row z of zs, one Poisson row block at a time."""
+    w = mu.weights_array()
+    phi = np.empty(len(zs))
+    for rows, _, _, p in _poisson_blocks(zs, mu.points_array(), mu.space.dim):
+        phi[rows] = -(p @ w)
+    return phi
 
 
 def carleson_potential(mu, z):
@@ -190,25 +213,13 @@ def _row_blocks(rows, cols):
 
 
 def _support_and_grid_constants(mu, resolution):
-    """(c_supp, c_grid) from one blocked scan of -phi over the grid union the atoms.
+    """(c_supp, c_grid): maxima of -phi over the atoms and over the grid union the atoms.
 
-    The atoms are the last rows of the scan, so c_supp is the maximum
-    over those rows; each row's value does not depend on its block, and
-    c_supp equals kernel_constant_on_support bit for bit.  Every block
-    is written into one scratch, allocated for the largest block.
+    The atoms are the last rows of one potential field over both.
     """
-    pts, w = mu.points_array(), mu.weights_array()
-    grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
-    first_atom = len(grid) - len(mu)
-    blocks = _row_blocks(len(grid), len(mu))
-    scratch = _poisson_scratch(min(blocks[0].stop, len(grid)), len(mu))
-    c_supp = c_grid = -math.inf
-    for rows in blocks:
-        values = _poisson_matrix(grid[rows], pts, mu.space.dim, out=scratch) @ w
-        c_grid = max(c_grid, float(np.max(values)))
-        if rows.stop > first_atom:
-            c_supp = max(c_supp, float(np.max(values[max(first_atom - rows.start, 0):])))
-    return c_supp, c_grid
+    grid = np.concatenate([_grid_points(mu.space, resolution), mu.points_array()], axis=0)
+    phi = _potential_field(mu, grid)
+    return -float(np.min(phi[-len(mu):])), -float(np.min(phi))
 
 
 def kernel_constant_grid(mu, resolution):

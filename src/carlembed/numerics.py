@@ -425,7 +425,7 @@ def rng_stream(seed, stream):
     Distinct streams are statistically independent; identical pairs
     reproduce identical draws on every platform.
     """
-    if seed < 0 or stream < 0:
-        raise InputError("seed and stream must be non-negative integers")
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise InputError("seed and stream must be integers in [0, 2**64)")
     bit_gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     return np.random.Generator(bit_gen)

@@ -728,24 +728,21 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     mu_path, f_path = tmp_path / "mu.json", tmp_path / "f.json"
     mu_path.write_text(json.dumps(cli.measure_to_dict(mu)))
     f_path.write_text(json.dumps(f))
-    rows, atom_rows = [], []
-    poisson, poisson_matrix = calculus._poisson, measure._poisson_matrix
+    rows = []
+    poisson = measure._poisson
 
-    def counted(d_sq, z_norm_sq, n):
+    def counted(d_sq, z_norm_sq, n, out=None):
         rows.append(len(d_sq))
-        return poisson(d_sq, z_norm_sq, n)
+        return poisson(d_sq, z_norm_sq, n, out)
 
-    def counted_matrix(zs, lams, n):
-        atom_rows.append(len(zs))
-        return poisson_matrix(zs, lams, n)
-
-    monkeypatch.setattr(calculus, "_poisson", counted)
-    monkeypatch.setattr(measure, "_poisson_matrix", counted_matrix)
+    monkeypatch.setattr(measure, "_poisson", counted)
     monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
     q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24, tol=1e-3)
     nodes = len(ball_rule(q, 2)[1])
-    assert sum(rows) == nodes and len(rows) == len(measure._row_blocks(nodes, 3)) > 1
-    # phi at the three atoms, once for ||phi||_inf and every key inequality
-    assert atom_rows == [3]
+    # phi at the three atoms, once for ||phi||_inf and every key inequality,
+    # then each node block once
+    atom_rows, node_rows = rows[0], rows[1:]
+    assert atom_rows == 3
+    assert sum(node_rows) == nodes and len(node_rows) == len(measure._row_blocks(nodes, 3)) > 1

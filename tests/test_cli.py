@@ -319,7 +319,7 @@ def _refuse(*args, **kwargs):
 def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkeypatch):
     for owner, name in [
         (interpolation, "carleson_delta"), (measure, "_szego_matrix"),
-        (measure, "_poisson_matrix"),
+        (measure, "_poisson_blocks"),
     ]:
         monkeypatch.setattr(owner, name, _refuse)
     count = measure.MAX_ATOMS + 1
@@ -343,6 +343,32 @@ def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkey
     argv = ["search", "--atoms", str(count), "--iters", "1", "--restarts", "2"]
     assert cli.main(argv) == 2
     assert "search measures have 2001 atoms, practical guard is 2000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "interpolate", "uchiyama"])
+def test_coordinate_beyond_float_range_is_input_error(command, tmp_path, capsys):
+    # JSON integers have no size limit, and float() of this one overflows
+    point = [10 ** 400, 0.0]
+    if command == "interpolate":
+        data, where = {"space": {"kind": "disc"}, "points": [point, [0.5, 0.0]]}, "points[0]"
+    else:
+        data, where = {"space": {"kind": "disc"}, "atoms": [{"point": point, "weight": 1.0}]}, "atoms[0]"
+    argv = [command, write(tmp_path, "big.json", data)]
+    if command == "uchiyama":
+        argv += ["--poly", write(tmp_path, "poly.json", POLY)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {where}: point entry out of floating-point range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--atoms", "2", "--iters", "1", "--restarts", "1"],
+    ["verify-identities", "--samples", "2"],
+])
+def test_seed_must_fit_in_64_bits(argv, capsys):
+    assert cli.main(argv + ["--seed", str(2 ** 64)]) == 2
+    assert capsys.readouterr().err == "input error: seed and stream must be integers in [0, 2**64)\n"
+    assert cli.main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
 
 
 def test_search_command_trace(tmp_path, capsys):

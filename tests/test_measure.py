@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from carlembed import measure
-from carlembed.corpus import random_point
+from carlembed import calculus, geometry, measure
+from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
+from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
 from carlembed.geometry import (
-    Space, SpacePoint, _ipow, _norm_sq_rows, _poisson_matrix, _szego_matrix,
+    Space, SpacePoint, _denominator_sq_matrix, _ipow, _norm_sq_rows, _poisson, _poisson_matrix,
+    _szego_matrix,
 )
 from carlembed.measure import (
     _CERTIFIED_MIN_ORDER,
@@ -26,7 +28,9 @@ from carlembed.measure import (
     kernel_constant_on_support,
     theorem_bound_constant,
 )
-from carlembed.numerics import HermitianMatrix, extreme_eigs, rng_stream
+from carlembed.numerics import (
+    HermitianMatrix, QuadratureSpec, ball_rule, extreme_eigs, rng_stream,
+)
 
 from conftest import ball_measure_corpus, disc_measure_corpus, hermitian_with_spectrum
 
@@ -164,10 +168,45 @@ def _box_constant_loop(mu, directions=64):
     return best
 
 
-# The earlier bodies of kernel_constant_on_support, kernel_constant_grid
-# and embedding_norm_sq, which built their own Poisson and weighted kernel
-# matrices; the constants are now maxima of -phi and the weighted matrix
-# comes from one builder shared with the interpolation Gram matrix.
+# The earlier bodies of kernel_constant_on_support, kernel_constant_grid,
+# embedding_norm_sq, the potential field and the uchiyama pass, which
+# built their own Poisson and weighted kernel matrices; the constants are
+# now maxima of -phi, every potential comes from the Poisson row blocks
+# of measure._poisson_blocks, and the weighted matrix comes from one
+# builder shared with the interpolation Gram matrix.
+
+
+def _potential_field_oracle(mu, zs):
+    return -(_poisson_matrix(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
+
+
+def _uchiyama_oracle(mu, f, q):
+    """uchiyama_checks with phi at the atoms from the full matrix and each node block afresh."""
+    n = mu.space.dim
+    points, weights = ball_rule(q, n)
+    lams, wts, mass = mu.points_array(), mu.weights_array(), calculus._atom_mass(mu)
+    contraction = corollary = 0.0
+    phi_atoms = _potential_field_oracle(mu, lams)
+    phi_sup = float(np.max(-phi_atoms))
+    key = np.zeros(len(mu))
+    for rows in _row_blocks(len(points), len(mu)):
+        zs = points[rows]
+        nrm = _norm_sq_rows(zs)
+        w_f = weights[rows] * np.abs(f.eval_array(zs)) ** 2
+        d_sq = _denominator_sq_matrix(zs, lams)
+        phi = -(_poisson(d_sq, nrm[:, None], n) @ wts)
+        w_f_e = w_f * np.exp(phi)
+        a = calculus._atom_matrix(d_sq, n)
+        density = calculus._density_field(n, nrm, a @ mass)
+        contraction += float(np.sum(w_f_e * density))
+        corollary += float(np.sum(w_f * density))
+        phi_sup = max(phi_sup, float(np.max(-phi)))
+        key += (w_f_e * (1.0 - nrm) ** n) @ a
+    norm_sq = hardy_norm_sq(f, mu.space)
+    lhs = math.factorial(n) / math.pi ** n * (1.0 - _norm_sq_rows(lams)) * key
+    rhs = beta_constant(n) * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
+    keys = list(zip(lhs.tolist(), rhs.tolist()))
+    return (contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq), keys
 
 
 def _support_constant_oracle(mu):
@@ -195,14 +234,55 @@ def _embedding_norm_sq_oracle(mu):
 
 @pytest.mark.parametrize("corpus", [disc_measure_corpus, ball_measure_corpus])
 def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
-    # small row blocks, so the grid scan runs over several of them
-    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 512)
+    rng = rng_stream(616, 1)
+    q = QuadratureSpec(radial_order=4, angular_order=8, sphere_nodes=4)
     for mu in corpus(20, 12, 0.95, 616, 0):
-        assert len(_row_blocks(len(_grid_points(mu.space, 32)), len(mu))) >= 3
+        # Blocks of 4 rows, so every field below runs over many of them.
+        # OpenBLAS's gemv sums rows in groups of 4, 2 and 1 in different
+        # orders, and numpy takes a one-row product through a dot, so a
+        # row matches the full matrix bit for bit only where the blocks
+        # hold a multiple of 4 rows: the grid (a multiple of 64 rows)
+        # does, the grid with one atom appended does not.
+        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 4 * len(mu))
+        grid = _grid_points(mu.space, 32)
+        assert len(_row_blocks(len(grid), len(mu))) >= 3
+        assert np.array_equal(_potential_field(mu, grid), _potential_field_oracle(mu, grid))
         assert kernel_constant_on_support(mu) == _support_constant_oracle(mu)
         assert kernel_constant_grid(mu, 32) == _grid_constant_oracle(mu, 32)
+        f = random_poly(rng, mu.space.dim, 3)
+        assert uchiyama_checks(mu, f, q) == _uchiyama_oracle(mu, f, q)
         want = _embedding_norm_sq_oracle(mu)
         assert embedding_norm_sq(mu) == pytest.approx(want, rel=1e-13)
+
+
+def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
+    # An unblocked potential at MAX_ATOMS atoms forms a 2000 x 2000 Poisson
+    # matrix and two complex temporaries of that shape, about 125 MB.
+    rng = rng_stream(1616, 0)
+    atoms = [(random_point(rng, 1, 0.9), 1.0) for _ in range(measure.MAX_ATOMS)]
+    mu = DiscreteMeasure(Space.disc(), atoms)
+    sizes = []
+
+    def spy(owner, name, size):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            sizes.append(size(out))
+            return out
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(measure, "_poisson_scratch", lambda scratch: scratch[1].size)
+    for owner in (geometry, measure, calculus):
+        spy(owner, "_denominator_sq_matrix", lambda d_sq: d_sq.size)
+    # the eigensolve forms no Poisson block and would add 2 s
+    monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
+    f = MultiPoly(1, {(1,): 1.0})
+    for run in (kernel_constant_on_support, analyze, lambda mu: uchiyama_checks(mu, f)):
+        sizes.clear()
+        run(mu)
+        assert sizes and max(sizes) <= measure._BLOCK_ENTRIES
 
 
 # The blocked scans before they wrote every block into scratch allocated
