@@ -30,8 +30,10 @@ from .geometry import (
     BALL, DISC, Space, SpacePoint, _denominator, _denominator_sq_matrix, _ipow, _norm_sq_rows,
     inner, poisson_kernel,
 )
-from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field, _row_blocks
-from .numerics import QuadratureSpec, ball_rule, boundary_quadrature, default_quadrature
+from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
+from .numerics import (
+    QuadratureSpec, _row_blocks, ball_rule, boundary_quadrature, default_quadrature,
+)
 
 __all__ = [
     "MultiPoly",

@@ -28,10 +28,10 @@ import numpy as np
 from .errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from .geometry import CONDITIONING_MARGIN, _norm_sq_rows, _poisson_matrix
 from .measure import (
-    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _row_blocks,
-    _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
+    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _weighted_gram,
+    embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
-from .numerics import _top_eigs, rng_stream
+from .numerics import _row_blocks, _top_eigs, rng_stream
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20

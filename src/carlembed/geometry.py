@@ -128,9 +128,14 @@ def _ipow(base, n, out=None):
 # Each kernel formula below is written once in terms of d = 1 - <z, w>
 # (the Poisson-Szego kernel in terms of |d|^2): a Python complex or float
 # for the scalar functions, an array for the matrices.
-def _szego(d, n):
-    """K(z, w) = 1 / d^n with d = 1 - <z, w>."""
-    return 1.0 / _ipow(d, n)
+def _szego(d, n, out=None):
+    """K(z, w) = 1 / d^n with d = 1 - <z, w>.
+
+    out, an array other than d, receives the values when it is given.
+    """
+    if out is None:
+        return 1.0 / _ipow(d, n)
+    return np.divide(1.0, _ipow(d, n, out), out=out)
 
 
 def _poisson(d_sq, z_norm_sq, n, out=None):
@@ -245,6 +250,13 @@ def _poisson_matrix(zs, lams, n):
     return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[..., None], n)
 
 
-def _szego_matrix(zs, ws, n):
-    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N)."""
-    return _szego(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
+def _szego_matrix(zs, ws, n, out=None, d=None):
+    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N).
+
+    Given out and d, two distinct arrays of that shape, d receives
+    1 - <z, w> and out the kernel, which is returned.
+    """
+    if out is None:
+        return _szego(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
+    np.matmul(zs, ws.conj().swapaxes(-1, -2), out=d)
+    return _szego(np.subtract(1.0, d, out=d), n, out)

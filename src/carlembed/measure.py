@@ -20,7 +20,7 @@ from .geometry import (
     DISC, SpacePoint, _denominator_sq_matrix, _norm_sq_rows, _poisson, _poisson_scratch,
     _szego_matrix,
 )
-from .numerics import HermitianMatrix, _certified_top_eig, extreme_eigs, rng_stream
+from .numerics import HermitianMatrix, _certified_top_eig, _row_blocks, extreme_eigs, rng_stream
 
 MAX_ATOMS = 2000
 # The grid holds about 2.7 * resolution^2 disc points (2.8 M at 1024),
@@ -43,16 +43,6 @@ _GRID_DIRECTION_SEED = 20231115
 # (top pair too close for the step cap), which costs a second matrix
 # build on top of eigvalsh, so smaller measures stay on the dense path.
 _CERTIFIED_MIN_ORDER = 256
-
-# Every blocked pass works on row blocks of about this many entries, so
-# no full (rows x columns) matrix is held: the Poisson blocks behind
-# every potential field (c_supp, the grid scan, uchiyama's atoms and
-# nodes), the box scan, the Gram weighting, the search's Gram stacks and
-# the Green's-formula stencil.  A complex block is 1 MiB; of 2^14-2^20,
-# 2^15-2^16 ran the ball(2) green-check and uchiyama passes fastest
-# (fresh processes, 2 vCPUs).
-_BLOCK_ENTRIES = 1 << 16
-
 
 class DiscreteMeasure:
     """Finite list of (point, positive weight) atoms on a space.
@@ -206,12 +196,6 @@ def _grid_points(space, resolution):
     return np.concatenate(blocks, axis=0)
 
 
-def _row_blocks(rows, cols):
-    """Slices covering range(rows), each at most _BLOCK_ENTRIES // cols rows."""
-    step = max(1, _BLOCK_ENTRIES // cols)
-    return [slice(start, start + step) for start in range(0, rows, step)]
-
-
 def _support_and_grid_constants(mu, resolution):
     """(c_supp, c_grid): maxima of -phi over the atoms and over the grid union the atoms.
 
@@ -283,14 +267,23 @@ def _weighted_gram(points, root_w):
     """M[..., j, k] = r_j r_k K(lam_j, lam_k) for atoms lam_j (rows of points), r = root_w.
 
     points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
+    M is the only array of its size: each row block of the kernel is
+    written into it through scratch d = 1 - <lam_j, lam_k> of one block,
+    then weighted in place.  The last block ends at the last row and is
+    as long as the others, overlapping the one before: numpy takes a
+    one-row product through gemv, which rounds otherwise than the gemm
+    of the whole matrix.
     """
-    m = _szego_matrix(points, points, points.shape[-1])
-    # In place, (r_j r_k) K_jk over blocks of _BLOCK_ENTRIES / 8 weights
-    # per matrix: a square weight array beside m would raise the peak
-    # resident memory by half of m.
-    order = m.shape[-1]
-    for rows in _row_blocks(order, 8 * order):
-        m[..., rows, :] *= root_w[..., rows, None] * root_w[..., None, :]
+    order, n = points.shape[-2:]
+    m = np.empty(points.shape[:-1] + (order,), dtype=complex)
+    blocks = _row_blocks(order, points.size // n)
+    size = min(blocks[0].stop, order)
+    blocks[-1] = slice(order - size, order)
+    d = np.empty(points.shape[:-2] + (size, order), dtype=complex)
+    for rows in blocks:
+        block = m[..., rows, :]
+        _szego_matrix(points[..., rows, :], points, n, block, d)
+        block *= root_w[..., rows, None] * root_w[..., None, :]
     return m
 
 

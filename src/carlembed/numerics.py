@@ -72,18 +72,62 @@ def default_quadrature(space):
     return QuadratureSpec(radial_order=48, angular_order=32, sphere_nodes=24, tol=1e-3)
 
 
+# Every blocked pass works on row blocks of about this many entries, so
+# no full (rows x columns) matrix is held: the Poisson blocks behind
+# every potential field (c_supp, the grid scan, uchiyama's atoms and
+# nodes), the box scan, the Gram build and its Hermitian check, the
+# search's Gram stacks and the Green's-formula stencil.  A complex block
+# is 1 MiB; of 2^14-2^20, 2^15-2^16 ran the ball(2) green-check and
+# uchiyama passes fastest (fresh processes, 2 vCPUs).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows, cols):
+    """Slices covering range(rows), each at most _BLOCK_ENTRIES // cols rows."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _hermitian_deviation(a):
     """The deviation test over the last two axes of a: (deviation, scale, fails).
 
     deviation is max |a - a^H| and scale max |a| per matrix; a matrix
-    fails when its deviation exceeds 1e-12 * scale.
+    fails when its deviation exceeds 1e-12 * scale, or when scale is NaN
+    or inf: an entry is non-finite, or its modulus overflows.  |a - a^H| is the same
+    on both sides of the diagonal, so row block [r0, r1) compares only
+    a[r0:r1, r0:] with a[r0:, r0:r1]^H, in scratch of one block; a stack
+    or a matrix of one block takes one pass.  The block maxima combine
+    by np.maximum, which keeps a NaN (Python's max drops it).
     """
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    deviation = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    return deviation, scale, deviation > 1e-12 * np.maximum(scale, 1e-300)
+    k = a.shape[-1]
+    blocks = _row_blocks(k, a.size // k)
+    shape = a.shape[:-2] + (min(blocks[0].stop, k), k)
+    diff, mag = np.empty(shape, dtype=complex), np.empty(shape)
+    deviations, scales = [], []
+    for rows in blocks:
+        r0 = rows.start
+        h = min(rows.stop, k) - r0
+        d = np.conjugate(a[..., r0:, rows].swapaxes(-1, -2), out=diff[..., :h, r0:])
+        dev = np.abs(np.subtract(a[..., rows, r0:], d, out=d), out=mag[..., :h, r0:])
+        deviations.append(np.maximum.reduce(dev, axis=(-2, -1)))
+        size = np.abs(a[..., rows, :], out=mag[..., :h, :])
+        scales.append(np.maximum.reduce(size, axis=(-2, -1)))
+    deviation = functools.reduce(np.maximum, deviations)
+    scale = functools.reduce(np.maximum, scales)
+    fails = ~np.isfinite(scale) | (deviation > 1e-12 * np.maximum(scale, 1e-300))
+    return deviation, scale, fails
 
 
-def _not_hermitian(deviation, scale):
+def _not_hermitian(a, deviation, scale):
+    """The InputError of a matrix that fails the deviation test."""
+    if not math.isfinite(scale):
+        bad = np.argwhere(~np.isfinite(a))
+        listed = "".join(f", a[{j}, {k}] = {a[j, k]}" for j, k in bad[:4])
+        more = ", ..." if len(bad) > 4 else ""
+        return InputError(
+            f"matrix is not Hermitian: max |a| is {scale}, "
+            f"{len(bad)} non-finite entries{listed}{more}"
+        )
     return InputError(
         f"matrix is not Hermitian: deviation {deviation:.3e} exceeds 1e-12 * {scale:.3e}"
     )
@@ -103,7 +147,7 @@ class HermitianMatrix:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         deviation, scale, fails = _hermitian_deviation(a)
         if fails:
-            raise _not_hermitian(deviation, scale)
+            raise _not_hermitian(a, deviation, scale)
         self.entries = a
 
     @property
@@ -140,7 +184,8 @@ def _top_eigs(a):
     time, so a NumericError belongs only to the matrix that raised it.
     """
     deviation, scale, fails = _hermitian_deviation(a)
-    out = [_not_hermitian(deviation[i], scale[i]) if fails[i] else None for i in range(len(a))]
+    out = [_not_hermitian(a[i], deviation[i], scale[i]) if fails[i] else None
+           for i in range(len(a))]
     good = np.flatnonzero(~fails)
     try:
         tops = _eigvalsh(a[good])[:, -1]

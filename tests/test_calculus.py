@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from carlembed import calculus, cli, measure
+from carlembed import calculus, cli, measure, numerics
 from carlembed.calculus import (
     MultiPoly,
     beta_constant,
@@ -288,11 +288,11 @@ def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
     ]
     for space, u, q in cases:
         nodes = len(ball_rule(q, space.dim)[1])
-        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
-        assert len(measure._row_blocks(nodes, 4 * space.dim)) == 1
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 20)
+        assert len(numerics._row_blocks(nodes, 4 * space.dim)) == 1
         whole = greens_formula_check(u, space, q)
-        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
-        assert len(measure._row_blocks(nodes, 4 * space.dim)) >= 8
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1000)
+        assert len(numerics._row_blocks(nodes, 4 * space.dim)) >= 8
         assert greens_formula_check(u, space, q) == whole
         monkeypatch.undo()
 
@@ -304,7 +304,7 @@ def test_greens_formula_default_ball_rule_equals_old_block_size(fn, monkeypatch)
     # the block size, down to the last bit.
     u, lap = cli._green_case(BALL2, fn)
     got = greens_formula_check(u, BALL2, laplacian=lap)
-    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 20)
     assert greens_formula_check(u, BALL2, laplacian=lap) == got
 
 
@@ -687,8 +687,8 @@ def test_uchiyama_checks_blocked_equals_one_block(monkeypatch):
     q = default_quadrature(DISC)
     for mu, f in measure_poly_corpus(5, DISC, 5, 0.8, 5, _ORACLE_SEED, 10):
         whole = _flat(uchiyama_checks(mu, f, q))
-        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1000)
-        assert len(measure._row_blocks(8192, len(mu))) >= 8
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1000)
+        assert len(numerics._row_blocks(8192, len(mu))) >= 8
         _assert_close(_flat(uchiyama_checks(mu, f, q)), whole, 1e-13)
         monkeypatch.undo()
 
@@ -705,7 +705,7 @@ def test_uchiyama_checks_ball_match_old_block_size(monkeypatch):
         )
         f = random_poly(rng, 2, 5)
         got = _flat(uchiyama_checks(mu, f, q))
-        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 20)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 20)
         _assert_close(got, _flat(uchiyama_checks(mu, f, q)), 1e-13)
         monkeypatch.undo()
 
@@ -736,7 +736,7 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
         return poisson(d_sq, z_norm_sq, n, out)
 
     monkeypatch.setattr(measure, "_poisson", counted)
-    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 1 << 16)
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
     q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24, tol=1e-3)
@@ -745,4 +745,4 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     # then each node block once
     atom_rows, node_rows = rows[0], rows[1:]
     assert atom_rows == 3
-    assert sum(node_rows) == nodes and len(node_rows) == len(measure._row_blocks(nodes, 3)) > 1
+    assert sum(node_rows) == nodes and len(node_rows) == len(numerics._row_blocks(nodes, 3)) > 1

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from carlembed import calculus, geometry, measure
+from carlembed import calculus, geometry, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
@@ -17,8 +18,8 @@ from carlembed.measure import (
     DiscreteMeasure,
     _grid_points,
     _potential_field,
-    _row_blocks,
     _support_and_grid_constants,
+    _weighted_gram,
     _weighted_kernel_matrix,
     analyze,
     box_constant,
@@ -29,7 +30,7 @@ from carlembed.measure import (
     theorem_bound_constant,
 )
 from carlembed.numerics import (
-    HermitianMatrix, QuadratureSpec, ball_rule, extreme_eigs, rng_stream,
+    HermitianMatrix, QuadratureSpec, _row_blocks, ball_rule, extreme_eigs, rng_stream,
 )
 
 from conftest import ball_measure_corpus, disc_measure_corpus, hermitian_with_spectrum
@@ -243,7 +244,7 @@ def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
         # row matches the full matrix bit for bit only where the blocks
         # hold a multiple of 4 rows: the grid (a multiple of 64 rows)
         # does, the grid with one atom appended does not.
-        monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 4 * len(mu))
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 4 * len(mu))
         grid = _grid_points(mu.space, 32)
         assert len(_row_blocks(len(grid), len(mu))) >= 3
         assert np.array_equal(_potential_field(mu, grid), _potential_field_oracle(mu, grid))
@@ -282,7 +283,7 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
     for run in (kernel_constant_on_support, analyze, lambda mu: uchiyama_checks(mu, f)):
         sizes.clear()
         run(mu)
-        assert sizes and max(sizes) <= measure._BLOCK_ENTRIES
+        assert sizes and max(sizes) <= numerics._BLOCK_ENTRIES
 
 
 # The blocked scans before they wrote every block into scratch allocated
@@ -361,6 +362,58 @@ def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
     assert kernel_constant_grid(mu, resolution) == c_grid
     if space.dim == 1:
         assert box_constant(mu) == _fresh_block_box_oracle(mu)
+
+
+# _weighted_gram before it wrote each row block of the kernel into one
+# preallocated matrix: the whole Szego matrix, then the weights r_j r_k
+# as one product per entry (r_j K r_k, in either order, rounds
+# differently).  The blocked build must equal it bit for bit.
+
+
+def _dense_gram_oracle(points, root_w):
+    kernel = _szego_matrix(points, points, points.shape[-1])
+    return kernel * (root_w[..., :, None] * root_w[..., None, :])
+
+
+def _random_points(rng, shape, dim):
+    rows = [random_point(rng, dim, 0.95).coords for _ in range(math.prod(shape))]
+    return np.array(rows, dtype=complex).reshape(shape + (dim,))
+
+
+@pytest.mark.parametrize("shape, dim, block_entries", [
+    ((99,), 2, 7 * 99),         # 15 blocks, the last of 1 row
+    ((100,), 1, 7 * 100),       # 15 blocks, the last of 2 rows
+    ((1000,), 2, None),         # 16 blocks of the default size, the last of 25 rows
+    ((60,), 3, 8 * 60),         # _ipow's loop; 8 blocks, the last of 4 rows
+    ((5, 9), 2, 2 * 5 * 9),     # a search stack in blocks of 2 rows, the last of 1
+    ((5, 9), 3, 2 * 5 * 9),
+    ((40, 8), 1, None),         # a search stack of one block
+])
+def test_blocked_gram_equals_dense_gram(shape, dim, block_entries, monkeypatch):
+    rng = rng_stream(1717, len(shape) * 10 + dim)
+    points = _random_points(rng, shape, dim)
+    root_w = np.sqrt(0.1 + rng.random(shape))
+    if block_entries is not None:
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
+    order = shape[-1]
+    blocks = _row_blocks(order, math.prod(shape))
+    assert (len(blocks) >= 3 and blocks[-1].stop > order) or len(shape) == 2
+    assert np.array_equal(_weighted_gram(points, root_w), _dense_gram_oracle(points, root_w))
+
+
+def test_weighted_kernel_matrix_allocates_one_square_array():
+    # The dense build held the kernel, d = 1 - <lam_j, lam_k> and the
+    # weighting product beside M, and the Hermitian check a - a^H and two
+    # magnitude arrays: 45.9 MiB at this size.  tracemalloc sees numpy data.
+    mu = _random_measure(Space.ball(2), 1000, 0.95, 1717)
+    points, root_w = mu.points_array(), np.sqrt(mu.weights_array())
+    tracemalloc.start()
+    try:
+        m = _weighted_kernel_matrix(points, root_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.entries.nbytes + 4 * 2 ** 20
 
 
 def test_box_constant_matches_loop_oracle():

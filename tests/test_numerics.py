@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlembed import numerics
 from carlembed.errors import InputError, NumericError, UnsupportedError
 from carlembed.geometry import Space
 from carlembed.numerics import (
@@ -11,6 +12,9 @@ from carlembed.numerics import (
     HermitianMatrix,
     QuadratureSpec,
     _certified_top_eig,
+    _hermitian_deviation,
+    _row_blocks,
+    _top_eigs,
     ball_quadrature,
     ball_rule,
     boundary_rule,
@@ -237,6 +241,82 @@ def test_hermitian_matrix_validation():
     skew = np.array([[1.0, 2.0], [2.0 + 1e-6j, 1.0]])
     with pytest.raises(InputError):
         HermitianMatrix(skew)
+
+
+# The deviation test before it ran over row blocks of one triangle: the
+# whole |a - a^H| and |a| at once.  The blocked test must return its
+# values on every finite input.
+
+
+def _dense_hermitian_deviation(a):
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    deviation = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return deviation, scale, deviation > 1e-12 * np.maximum(scale, 1e-300)
+
+
+def _skewed(a, where, skew):
+    a = a.copy()
+    a[where] += skew
+    return a
+
+
+@pytest.mark.parametrize("block_entries", [7 * 30, None], ids=["5 blocks", "one block"])
+def test_blocked_hermitian_deviation_equals_dense(block_entries, monkeypatch):
+    if block_entries is not None:
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
+        blocks = _row_blocks(30, 30)
+        assert len(blocks) == 5 and blocks[-1].stop > 30
+    rng = rng_stream(1717, 3)
+    a = hermitian_with_spectrum(np.linspace(2.0, 0.1, 30), 17)
+    matrices = [a]
+    for skew in (1e-14, 1e-9):  # below and above the 1e-12 relative tolerance
+        matrices += [
+            _skewed(a, (11, 11), 1j * skew),   # a diagonal imaginary part
+            _skewed(a, (0, 29), skew),         # an upper entry of the first block
+            _skewed(a, (29, 3), -skew * 1j),   # a lower entry of the last block
+        ]
+    matrices.append(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+    fails = []
+    for m in matrices:
+        got = _hermitian_deviation(m)
+        assert all(np.array_equal(x, y) for x, y in zip(got, _dense_hermitian_deviation(m)))
+        fails.append(bool(got[2]))
+    assert fails == [False] * 4 + [True] * 4
+    # a stack takes one pass, or blocks of whole rows of every matrix
+    stack = np.stack(matrices)
+    got = _hermitian_deviation(stack)
+    assert all(np.array_equal(x, y) for x, y in zip(got, _dense_hermitian_deviation(stack)))
+
+
+# inf - inf in a - a^H is numpy's "invalid value" warning, before the InputError
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_check_refuses_non_finite_entries(bad):
+    # nan > tol is False and |inf - inf| is nan, so the tolerance alone lets these pass
+    a = np.array([[1.0, bad], [np.conj(bad), 1.0]], dtype=complex)
+    with pytest.raises(InputError, match=r" 2 non-finite entries, a\[0, 1\] = .*, a\[1, 0\] ="):
+        HermitianMatrix(a)
+    with pytest.raises(InputError, match="non-finite"):
+        extreme_eigs(a)
+    b = np.eye(3, dtype=complex)
+    b[2, 2] = bad
+    with pytest.raises(InputError, match=r" 1 non-finite entries, a\[2, 2\] = "):
+        HermitianMatrix(b)
+    # in a stack only the matrix that holds it fails
+    stack = np.stack([np.eye(2), a, 2.0 * np.eye(2)]).astype(complex)
+    deviation, scale, fails = _hermitian_deviation(stack)
+    assert fails.tolist() == [False, True, False]
+    tops = _top_eigs(stack)
+    assert tops[0] == 1.0 and tops[2] == 2.0
+    assert isinstance(tops[1], InputError) and "a[0, 1] = " in str(tops[1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_hermitian_check_refuses_an_overflowing_modulus():
+    # finite parts, but |a_00| = 2.1e308 is inf, so the relative test has no scale
+    a = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match=r"max \|a\| is inf, 0 non-finite entries$"):
+        HermitianMatrix(a)
 
 
 def test_extreme_eigs_diagonal():
