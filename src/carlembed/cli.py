@@ -99,13 +99,18 @@ def space_to_dict(space):
     return {"kind": "ball", "dim": space.dim}
 
 
+def _is_number(v):
+    """A JSON number: an int or a float, and not a bool (bool is an int subclass)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _point_from_list(raw, dim, where):
     if not isinstance(raw, list) or len(raw) != 2 * dim:
         raise InputError(f"{where}: point must be a list of {2 * dim} reals")
+    if not all(map(_is_number, raw)):
+        raise InputError(f"{where}: point entries must be numbers")
     try:
         values = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: point entries must be numbers") from exc
     except OverflowError as exc:
         raise InputError(f"{where}: point entry out of floating-point range") from exc
     coords = [complex(values[2 * i], values[2 * i + 1]) for i in range(dim)]
@@ -135,11 +140,7 @@ def measure_from_dict(data):
             raise InputError(f"atoms[{i}] must be an object")
         point = _point_from_list(entry.get("point"), space.dim, f"atoms[{i}]")
         weight = entry.get("weight")
-        if (
-            isinstance(weight, bool)
-            or not isinstance(weight, (int, float))
-            or not 0 < weight <= sys.float_info.max
-        ):
+        if not (_is_number(weight) and 0 < weight <= sys.float_info.max):
             raise InputError(f"atoms[{i}]: weight must be a positive finite number")
         atoms.append((point, float(weight)))
     return measure.DiscreteMeasure(space, atoms)
@@ -194,9 +195,12 @@ def poly_from_dict(data):
             or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha)
         ):
             raise InputError(f"terms[{i}]: alpha must be a list of {dim} non-negative integers")
+        parts = entry.get("re", 0.0), entry.get("im", 0.0)
+        if not all(map(_is_number, parts)):
+            raise InputError(f"terms[{i}]: re and im must be numbers")
         try:
-            coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        except (TypeError, ValueError, OverflowError) as exc:
+            coeff = complex(*map(float, parts))
+        except OverflowError as exc:
             raise InputError(f"terms[{i}]: re and im must be numbers") from exc
         if not cmath.isfinite(coeff):
             raise InputError(f"terms[{i}]: re and im must be finite")

@@ -35,13 +35,15 @@ _GRID_RADIUS_CAP = 1.0 - 1e-4
 _GRID_DIRECTION_SEED = 20231115
 
 # From this order on embedding_norm_sq tries the certified power
-# iteration first.  Best of several runs on random disc and ball(2)
-# measures (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31), eigvalsh against the
-# certificate: order 100, 0.7 ms against 0.5-0.7 ms, a tie; order 256,
-# 6.5-6.7 ms against 2.2-2.8 ms; order 2000, 1.76-1.80 s against
-# 0.25-0.27 s.  At orders 150 and 200 the ball(2) certificate declined
-# (top pair too close for the step cap), which costs a second matrix
-# build on top of eigvalsh, so smaller measures stay on the dense path.
+# iteration first.  Best of 15 runs (3 at order 2000) on three random
+# disc and ball(2) measures each, two sessions (2 vCPUs, numpy 2.4.6,
+# OpenBLAS 0.3.31), eigvalsh against the certificate: order 100,
+# 0.6-1.1 ms against 0.9-1.7 ms, and two of the three ball(2)
+# certificates declined (top pair too close for the step cap); order
+# 256, 6.3-11 ms against 1.1-4.0 ms; order 2000, 1.2-2.0 s against
+# 0.021-0.027 s.  Orders 150 and 200 would gain too, but below this
+# order a_sq is eigvalsh's value, and the certificate's rho differs from
+# it in the last digits, so moving the threshold changes printed output.
 _CERTIFIED_MIN_ORDER = 256
 
 class DiscreteMeasure:
@@ -303,7 +305,7 @@ def embedding_norm_sq(mu):
     _check_atom_count(len(mu), "measure has {} atoms")
     m = _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array()))
     if m.order >= _CERTIFIED_MIN_ORDER:
-        bracket = _certified_top_eig(m.entries)
+        bracket = _certified_top_eig(m)
         if bracket is not None:
             return bracket[0]
     return extreme_eigs(m)[1]

@@ -13,6 +13,7 @@ vectorized callables mapping an (m, n) complex array of points to an
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -137,9 +138,10 @@ class HermitianMatrix:
     """Dense Hermitian matrix with the deviation check done at construction.
 
     The upper triangle is authoritative: the eigensolver reads UPLO='U'.
+    deviation is the test's max |a - a^H|, kept for _certified_top_eig.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "deviation")
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=complex)
@@ -149,6 +151,7 @@ class HermitianMatrix:
         if fails:
             raise _not_hermitian(a, deviation, scale)
         self.entries = a
+        self.deviation = float(deviation)
 
     @property
     def order(self):
@@ -232,27 +235,123 @@ def _cholesky_error_factor(n):
     return gamma / (1.0 - gamma)
 
 
-def _certified_top_eig(a):
+def _sqrt_out(q, up):
+    """A float s, as a Fraction, with s^2 >= q if up, else s^2 <= q; q >= 0 a Fraction."""
+    s = math.sqrt(float(q))
+    while Fraction(s) ** 2 < q if up else Fraction(s) ** 2 > q:
+        s = math.nextafter(s, math.inf if up else 0.0)
+    return Fraction(s)
+
+
+def _kato_temple_upper_end(a, v, w, rho, res, deviation):
+    """A float t >= lambda_max(H) from a power iterate v, or None when the gap bound fails.
+
+    H is the Hermitian matrix of a's upper triangle, the one eigvalsh
+    reads; deviation is max |a - a^H| as _hermitian_deviation computes
+    it.  w = a @ v, rho = np.vdot(v, w).real and res =
+    np.linalg.norm(w - rho * v) as the power loop computes them, with
+    0.5 <= ||v||^2 <= 2.  O(n^2) work: one np.vdot over a, which is only
+    read.  With x = v / ||v||, rho_x = x^H H x, eps = ||H x - rho_x x||
+    and P = I - x x^H:
+
+    - Gap.  alpha^2 = ||P H P||_F^2 = ||H||_F^2 - 2 ||H x||^2 + rho_x^2.
+      The compression of H to x^perp has top eigenvalue at least
+      lambda_2 (Cauchy interlacing), so lambda_2 <= alpha.
+    - Upper end (Kato-Temple).  When alpha < rho_x <= lambda_1, lambda_1
+      is the only eigenvalue above alpha, so with c_i the components of
+      x on the eigenvectors, 0 <= sum (lambda_i - lambda_1)(lambda_i -
+      alpha) |c_i|^2 = eps^2 - (lambda_1 - rho_x)(rho_x - alpha), and
+      lambda_1 <= rho_x + eps^2 / (rho_x - alpha).  An iterate near a
+      lower eigenvector leaves the top one in P H P, so alpha >=
+      lambda_1 > rho_x and this returns None.
+
+    Rounding: u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k u), and
+    2 n^2 u < 1 for any array that fits in memory.  A real sum of k
+    products in any order, with or without fused multiply-adds, is off
+    by at most gamma_k times the sum of the products' moduli, plus k eta
+    for underflow (a product loses at most eta / 2 to it, a subnormal
+    sum is exact).  Every reduction below is such a sum with k <= 2 n^2,
+    and tiny = 3 n^2 eta covers each underflow term.  With N = ||v||^2
+    and F_a = ||a||_F:
+
+    - ||a||_F^2 is a sum of 2 n^2 squares, so F_a^2 <= (fl + tiny) /
+      (1 - gamma_{2n^2}); ||v||^2 and ||w||^2, of 2n squares, are
+      bracketed likewise with gamma_2n.
+    - a = H + E with E zero above the diagonal and each |E_jk| at most
+      the exact deviation, which is below twice the computed one (a
+      subtraction and a modulus, each within two ulps): ||E||_2 and
+      ||E||_F are at most e = 2 n deviation, and ||H||_F <= F_a + e.
+    - Re and Im of (a v)_j are sums of 2n products whose moduli sum to
+      at most (|a| |v|)_j, and || |a| ||_2 <= F_a, so ||w - H v|| <= dw
+      = (3/2 gamma_2n F_a + e) sqrt N + tiny, as 3/2 >= sqrt 2.  Hence
+      ||H v|| >= ||w|| - dw, and |rho - v^H H v| <= gamma_2n sqrt N ||w||
+      + tiny + sqrt N dw brackets rho_x = v^H H v / N.
+    - Each part of fl(w - rho v) is off by at most gamma_2 (|w_j| +
+      |rho v_j|) + eta, gamma_2 <= gamma_2n, and res is the rounded
+      square root of a sum of 2n squares, so ||H v - rho v|| <=
+      sqrt(((res / (1 - u))^2 + tiny) / (1 - gamma_2n)) + gamma_2n
+      (||w|| + rho sqrt N) + tiny + dw; divided by sqrt N it bounds eps,
+      since rho_x minimizes ||H x - sigma x|| over sigma.
+
+    The bounds, alpha^2 and t are combined in exact rational arithmetic;
+    each square root is stepped outward to a float whose square lies on
+    the safe side (_sqrt_out), and t is returned as the float above it.
+    ||a||_F^2 < 2^900 keeps every bound a finite float.
+    """
+    n = len(a)
+    f2, nv, ww = (float(np.vdot(x, x).real) for x in (a, v, w))
+    if not (rho > 0.0 and f2 < 2.0 ** 900 and 0.5 <= nv <= 2.0):
+        return None
+    u, tiny = Fraction(_UNIT_ROUNDOFF), 3 * n * n * Fraction(_SMALLEST_SUBNORMAL)
+    g = 2 * n * u / (1 - 2 * n * u)
+    g_frob = 2 * n * n * u / (1 - 2 * n * n * u)
+    e = 2 * n * Fraction(deviation)
+    fa = _sqrt_out((Fraction(f2) + tiny) / (1 - g_frob), True)
+    n_lo, n_hi = (Fraction(nv) - tiny) / (1 + g), (Fraction(nv) + tiny) / (1 - g)
+    root_n = _sqrt_out(n_hi, True)
+    w_hi = _sqrt_out((Fraction(ww) + tiny) / (1 - g), True)
+    w_lo = _sqrt_out(max((Fraction(ww) - tiny) / (1 + g), 0), False)
+    dw = (Fraction(3, 2) * g * fa + e) * root_n + tiny
+    hv_lo = max(w_lo - dw, 0)
+    drq = g * root_n * w_hi + tiny + root_n * dw
+    rho_lo, rho_hi = (Fraction(rho) - drq) / n_hi, (Fraction(rho) + drq) / n_lo
+    alpha = _sqrt_out((fa + e) ** 2 - 2 * hv_lo ** 2 / n_hi + rho_hi ** 2, True)
+    if not alpha < rho_lo:
+        return None
+    r = _sqrt_out(((Fraction(res) / (1 - u)) ** 2 + tiny) / (1 - g), True)
+    resid = r + g * (w_hi + Fraction(rho) * root_n) + tiny + dw
+    return math.nextafter(float(rho_hi + resid ** 2 / n_lo / (rho_lo - alpha)), math.inf)
+
+
+def _certified_top_eig(m):
     """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
 
-    a is an (n, n) complex Hermitian array with a positive diagonal; it is
-    overwritten when a bracket is returned, and the factor reads its
-    upper triangle, as extreme_eigs does.  rho is the Rayleigh quotient
+    m is a HermitianMatrix, or an (n, n) complex Hermitian array whose
+    deviation max |a - a^H| is then computed here; a, its entries, has a
+    positive diagonal.  Both tiers prove t for the matrix of a's upper
+    triangle, the one extreme_eigs reads.  rho is the Rayleigh quotient
     of a power iterate from the all-ones vector, a lower bound up to its
-    own rounding.  t is proven by Rump's verified positive-definiteness
-    test (S. M. Rump, BIT 46 (2006) 433-452): the floating-point Cholesky
-    factor of s I - a completes.  The iteration stops on the residual
-    r = a v - rho v, once ||r|| plus the bracket's rounding allowance is
-    within 1e-8 rho; it never stops on successive rho, which can keep
-    flipping by an ulp after it has settled.
+    own rounding.  The iteration stops on the residual r = a v - rho v,
+    once ||r|| plus the Cholesky tier's rounding allowance is within
+    1e-8 rho; it never stops on successive rho, which can keep flipping
+    by an ulp after it has settled.  Then t comes from the first tier
+    that proves it:
+
+    - the gap tier (_kato_temple_upper_end), O(n^2) work that only reads
+      a, when the Frobenius gap bound alpha >= lambda_2 lies below rho
+      and the Kato-Temple end is within 1e-8 rho;
+    - else Rump's verified positive-definiteness test (S. M. Rump, BIT
+      46 (2006) 433-452): the floating-point Cholesky factor of s I - a
+      completes.  This tier overwrites a when it returns a bracket.
 
     Returns None, and leaves a as it was bit for bit, when the diagonal
     lies outside _DIAGONAL_RANGE, when the residual misses the stopping
     rule within _POWER_STEPS products (a near-degenerate top pair, or a
-    start vector without a top component), or when the factor fails (the
+    start vector without a top component), or when both tiers fail (the
     iterate found a lower eigenvalue).  The allowance grows like n^2, so
     from about n = 2800 on the rule is never met.
     """
+    a, deviation = (m.entries, m.deviation) if isinstance(m, HermitianMatrix) else (m, None)
     n = len(a)
     diag = a.diagonal().real
     if not (diag.min() > 0.0 and _DIAGONAL_RANGE[0] <= diag.max() <= _DIAGONAL_RANGE[1]):
@@ -275,6 +374,11 @@ def _certified_top_eig(a):
         v = w / np.linalg.norm(w)
     else:
         return None
+    if deviation is None:
+        deviation = float(_hermitian_deviation(a)[0])
+    t = _kato_temple_upper_end(a, v, w, rho, res, deviation)
+    if t is not None and t - rho <= _BRACKET_TOL * rho:
+        return float(rho), t
     s = rho + res + shift
     saved = a.diagonal().copy()
     # B = s I - a in place: -a_jk is exact, only b_jj = fl(s - a_jj) rounds.

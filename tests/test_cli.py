@@ -136,6 +136,28 @@ def test_malformed_polynomial_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", [["0.5", False], ["0.5", 0.0], [0.5, True], [0.5, None]])
+def test_point_entries_must_be_json_numbers(point, tmp_path, capsys):
+    # float() would take "0.5" and False; JSON strings and booleans are not reals
+    mu = {"space": {"kind": "disc"}, "atoms": [{"point": point, "weight": 1.0}]}
+    assert cli.main(["analyze", write(tmp_path, "mu.json", mu)]) == 2
+    assert capsys.readouterr().err == "input error: atoms[0]: point entries must be numbers\n"
+    seq = {"space": {"kind": "disc"}, "points": [[0.5, 0.0], point]}
+    assert cli.main(["interpolate", write(tmp_path, "seq.json", seq)]) == 2
+    assert capsys.readouterr().err == "input error: points[1]: point entries must be numbers\n"
+
+
+@pytest.mark.parametrize("coeff", [{"re": "2", "im": True}, {"re": "2"}, {"im": False},
+                                   {"re": 1.0, "im": None}])
+def test_polynomial_coefficients_must_be_json_numbers(coeff, tmp_path, capsys):
+    poly = {"dim": 1, "terms": [{"alpha": [1], "re": 1.0}, {"alpha": [0], **coeff}]}
+    with pytest.raises(InputError, match=r"^terms\[1\]: re and im must be numbers$"):
+        cli.poly_from_dict(poly)
+    mu_path, poly_path = write(tmp_path, "pair.json", PAIR), write(tmp_path, "f.json", poly)
+    assert cli.main(["uchiyama", mu_path, "--poly", poly_path]) == 2
+    assert capsys.readouterr().err == "input error: terms[1]: re and im must be numbers\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     rc = cli.main(["frobnicate"])
     assert rc == 1

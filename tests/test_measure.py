@@ -571,6 +571,41 @@ def test_embedding_norm_sq_falls_back_when_top_vector_is_orthogonal_to_start(mon
     assert builds == [1]
 
 
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
+def test_embedding_norm_sq_certifies_2000_atoms_without_a_factor(space, monkeypatch):
+    # The gap tier proves the upper end and only reads the Gram matrix.
+    mu = sized_measure(space, 2000, 704)
+    factors = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *a, **k: factors.append(1))
+    built = []
+
+    def build(points, root_w):
+        m = _weighted_kernel_matrix(points, root_w)
+        built.append((m, m.entries.copy()))
+        return m
+
+    monkeypatch.setattr(measure, "_weighted_kernel_matrix", build)
+    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    got = embedding_norm_sq(mu)
+    (m, entries), = built
+    (rho, t), = brackets
+    assert factors == [] and got == rho <= t
+    assert m.entries.tobytes() == entries.tobytes()
+
+
+def test_embedding_norm_sq_peak_memory_is_about_the_gram_matrix():
+    # numpy's Cholesky held a copy of s I - M and the factor beside M.
+    mu = sized_measure(Space.ball(2), 1000, 705)
+    mu.points_array(), mu.weights_array()  # cached on the measure, so built untraced
+    tracemalloc.start()
+    try:
+        embedding_norm_sq(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1000 ** 2 * np.dtype(complex).itemsize
+
+
 @pytest.mark.parametrize("weight", [1e-300, 1e300])
 def test_analyze_extreme_weights_take_the_eigensolve(weight):
     # Outside the certificate's diagonal range embedding_norm_sq falls

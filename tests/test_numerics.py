@@ -423,6 +423,68 @@ def test_certified_top_eig_leaves_a_declined_matrix_unchanged(monkeypatch):
     assert factors == [(300, 300)]  # only the last reached the factor
 
 
+# Light-tailed spectrum: ||P a P||_F of the top eigenvector is about 0.55.
+LIGHT_TAIL = np.concatenate([[1.0, 0.5], 0.1 * 0.9 ** np.arange(98)])
+
+
+def recorded(monkeypatch, module, name):
+    """Record the result of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_certified_gap_tier_upper_end_holds_for_poor_iterates(seed):
+    # Unit vectors tilted off the top eigenvector, mostly toward the
+    # second, where the Kato-Temple end is nearly tight: a gap bound
+    # below lambda_2 (rho_x^2 dropped) shows as t < lambda_max, one
+    # above rho (the 2 on ||a x||^2 dropped) as no bound at all.
+    a = hermitian_with_spectrum(LIGHT_TAIL, seed)
+    top = np.linalg.eigvalsh(a, UPLO="U")[-1]
+    vecs = np.linalg.eigh(a)[1]
+    rng = rng_stream(seed, 1)
+    tail = vecs[:, :-2] @ (rng.normal(size=98) + 1j * rng.normal(size=98))
+    for tilt in np.geomspace(2e-3, 0.17, 7):
+        v = vecs[:, -1] + tilt * (vecs[:, -2] + 0.3 * tail / np.linalg.norm(tail))
+        v /= np.linalg.norm(v)
+        w = a @ v
+        rho = np.vdot(v, w).real
+        res = float(np.linalg.norm(w - rho * v))
+        assert 1e-3 <= res / rho <= 1e-1
+        t = numerics._kato_temple_upper_end(a, v, w, rho, res, 0.0)
+        assert t is not None and t >= top
+
+
+def test_certified_top_eig_gap_tier_never_certifies_a_lower_eigenvector(monkeypatch):
+    # The iterate settles on the eigenvalue 1; the top vector, orthogonal
+    # to the start, stays in P a P, so the gap bound is at least 1.2.
+    eigs = np.concatenate([[1.2], LIGHT_TAIL])
+    a = hermitian_with_spectrum(eigs, 15, top_orthogonal_to_ones=True)
+    ends = recorded(monkeypatch, numerics, "_kato_temple_upper_end")
+    b = a.copy()
+    assert _certified_top_eig(b) is None
+    assert ends == [None]
+    assert b.tobytes() == a.tobytes()
+
+
+def test_certified_top_eig_heavy_tail_reaches_the_factor(monkeypatch):
+    # ||P a P||_F is about 9.6 here, above rho = 3: only the factor proves t.
+    eigs = np.concatenate([[3.0, 1.0], np.linspace(0.9, 0.1, 298)])
+    a = hermitian_with_spectrum(eigs, 11)
+    ends = recorded(monkeypatch, numerics, "_kato_temple_upper_end")
+    factors = recorded(monkeypatch, np.linalg, "cholesky")
+    rho, t = _certified_top_eig(a.copy())
+    assert ends == [None] and len(factors) == 1
+    assert rho <= 3.0 * (1 + 1e-13) and 3.0 <= t <= rho * (1 + 1e-8)
+
+
 def test_rng_stream_determinism_and_independence():
     a = rng_stream(42, 0).normal(size=8)
     b = rng_stream(42, 0).normal(size=8)
