@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .geometry import (
-    BALL, DISC, Space, SpacePoint, _denominator, _denominator_sq_matrix, _ipow, _norm_sq_rows,
-    inner, poisson_kernel,
+    BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, inner, poisson_kernel,
 )
 from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
 from .numerics import (
@@ -310,15 +309,10 @@ def _atom_mass(mu):
     return mu.weights_array() * (1.0 - _norm_sq_rows(mu.points_array()))
 
 
-def _atom_sum(mu, zs):
-    """sum_j w_j (1 - |lam_j|^2) / |1 - <z, lam_j>|^(2n+2) at every row z of zs."""
-    d_sq = _denominator_sq_matrix(zs, mu.points_array())
-    return _atom_matrix(d_sq, mu.space.dim) @ _atom_mass(mu)
-
-
-def _potential_laplacian_field(space, zs, core):
-    """Lap(phi) at the rows of zs, given core = _atom_sum(mu, zs)."""
-    return _laplacian_factor(space, _norm_sq_rows(zs)) * core
+def _point_terms(mu, z):
+    """(|z|^2, phi(z), _atom_matrix @ _atom_mass) at z as (1,) arrays, from one Poisson block."""
+    (_, nrm, d_sq, p), = _poisson_blocks(_point_row(mu, z), mu.points_array())
+    return nrm, -(p @ mu.weights_array()), _atom_matrix(d_sq, mu.space.dim) @ _atom_mass(mu)
 
 
 def potential_laplacian_closed(mu, z):
@@ -328,8 +322,8 @@ def potential_laplacian_closed(mu, z):
     Ball: Lap~ phi(z) = (4 n^2/(n+1)) (1-|z|^2) sum_j w_j P_z(lam_j) P_{lam_j}(z)^(1/n).
     Both are nonnegative: the potential is (invariant) subharmonic.
     """
-    zs = _point_row(mu, z)
-    return float(_potential_laplacian_field(mu.space, zs, _atom_sum(mu, zs))[0])
+    nrm, _, core = _point_terms(mu, z)
+    return float((_laplacian_factor(mu.space, nrm) * core)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def greens_formula_check(u, space, q=None, laplacian=None):
 
 
 def _density_field(n, nrm, core):
-    """Lap(phi) * Green weight against dV where |z|^2 = nrm; core = _atom_sum(mu, zs).
+    """Lap(phi) * Green weight against dV where |z|^2 = nrm; core = _atom_matrix @ _atom_mass.
 
     The corollary integrates against this density, the Uchiyama measure
     against e^phi times it.  The (1 - |z|^2)^(n+1) cancellation between
@@ -453,11 +447,11 @@ def uchiyama_density(mu, z):
     Disc: (1/2pi) e^phi Delta(phi) log(1/|z|); ball: (n!/pi^n) e^phi
     Lap~(phi) G / (1 - |z|^2)^(n+1).  Nonnegative; +inf sentinel at 0.
     """
-    zs = _point_row(mu, z)
+    nrm, phi, core = _point_terms(mu, z)
     if z.norm_sq == 0.0:
         return math.inf
-    density = _density_field(mu.space.dim, _norm_sq_rows(zs), _atom_sum(mu, zs))
-    return float(np.exp(_potential_field(mu, zs))[0] * density[0])
+    density = _density_field(mu.space.dim, nrm, core)
+    return float(np.exp(phi)[0] * density[0])
 
 
 def _uchiyama_values(mu, f, q):
@@ -479,7 +473,7 @@ def _uchiyama_values(mu, f, q):
     phi_sup = float(np.max(-phi_atoms))
     key = np.zeros(len(mu))
     # phi (as measure._potential_field) and the atom matrix share d_sq.
-    for rows, nrm, d_sq, p in _poisson_blocks(points, lams, n):
+    for rows, nrm, d_sq, p in _poisson_blocks(points, lams):
         w_f = weights[rows] * np.abs(f.eval_array(points[rows])) ** 2
         phi = -(p @ wts)
         w_f_e = w_f * np.exp(phi)

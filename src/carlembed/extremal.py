@@ -36,6 +36,11 @@ from .numerics import _row_blocks, _top_eigs, rng_stream
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
 
+# Largest restarts x atom_count, refused before the per-restart generators and
+# state are built: a one-iteration search of one disc atom per restart peaks
+# at 68 MB (tracemalloc) at the cap.
+MAX_SEARCH_ATOMS = 1 << 16
+
 # A proposal with a row whose vectorized |z|^2 reaches this is built as a
 # measure, so that SpacePoint's exact fsum decides the boundary error and
 # the conditioning warning.  The vectorized sum of 2n squares is off by
@@ -54,11 +59,14 @@ class SearchConfig:
     step_decay: float = 0.9
 
     def __post_init__(self):
-        if not isinstance(self.atom_count, int) or self.atom_count < 1:
-            raise InputError(f"atom_count must be a positive integer, got {self.atom_count!r}")
+        for name in ("atom_count", "iterations", "restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise InputError(f"{name} must be a positive integer, got {value!r}")
         _check_atom_count(self.atom_count, "search measures have {} atoms")
-        if self.iterations < 1 or self.restarts < 1:
-            raise InputError("iterations and restarts must be >= 1")
+        if self.restarts * self.atom_count > MAX_SEARCH_ATOMS:
+            raise InputError(f"restarts x atoms is {self.restarts} x {self.atom_count}, "
+                             f"practical guard is {MAX_SEARCH_ATOMS}")
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         if not self.step_init > 0:

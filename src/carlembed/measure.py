@@ -120,7 +120,7 @@ def _point_row(mu, z):
     return z.as_array().reshape(1, -1)
 
 
-def _poisson_blocks(zs, lams, n):
+def _poisson_blocks(zs, lams):
     """(rows, |z|^2, D, P) for each row block of zs against the atoms lams.
 
     D[i, j] = |1 - <z_i, lam_j>|^2 and P[i, j] = P_{z_i}(lam_j) over the
@@ -134,14 +134,14 @@ def _poisson_blocks(zs, lams, n):
         block = zs[rows]
         nrm = _norm_sq_rows(block)
         d_sq = _denominator_sq_matrix(block, lams, d_scratch)
-        yield rows, nrm, d_sq, _poisson(d_sq, nrm[:, None], n, p_scratch[:len(block)])
+        yield rows, nrm, d_sq, _poisson(d_sq, nrm[:, None], lams.shape[1], p_scratch[:len(block)])
 
 
 def _potential_field(mu, zs):
     """phi at every row z of zs, one Poisson row block at a time."""
     w = mu.weights_array()
     phi = np.empty(len(zs))
-    for rows, _, _, p in _poisson_blocks(zs, mu.points_array(), mu.space.dim):
+    for rows, _, _, p in _poisson_blocks(zs, mu.points_array()):
         phi[rows] = -(p @ w)
     return phi
 
@@ -199,13 +199,10 @@ def _grid_points(space, resolution):
 
 
 def _support_and_grid_constants(mu, resolution):
-    """(c_supp, c_grid): maxima of -phi over the atoms and over the grid union the atoms.
-
-    The atoms are the last rows of one potential field over both.
-    """
-    grid = np.concatenate([_grid_points(mu.space, resolution), mu.points_array()], axis=0)
-    phi = _potential_field(mu, grid)
-    return -float(np.min(phi[-len(mu):])), -float(np.min(phi))
+    """(c_supp, c_grid): kernel_constant_on_support(mu), and the max of it and -phi on the grid."""
+    phi = _potential_field(mu, _grid_points(mu.space, resolution))
+    c_supp = kernel_constant_on_support(mu)
+    return c_supp, max(c_supp, -float(np.min(phi)))
 
 
 def kernel_constant_grid(mu, resolution):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from carlembed import calculus, cli, interpolation, measure
+from carlembed import calculus, cli, extremal, interpolation, measure
 from carlembed.errors import InputError
 
 PAIR = {
@@ -335,13 +335,13 @@ def test_interpolate_checks_grid_before_eigensolves(tmp_path, capsys):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("an atoms x atoms array was built before the size guard")
+    raise AssertionError("work the size guard refuses was started before it")
 
 
 def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkeypatch):
     for owner, name in [
         (interpolation, "carleson_delta"), (measure, "_szego_matrix"),
-        (measure, "_poisson_blocks"),
+        (measure, "_poisson_blocks"), (extremal, "rng_stream"),
     ]:
         monkeypatch.setattr(owner, name, _refuse)
     count = measure.MAX_ATOMS + 1
@@ -365,6 +365,65 @@ def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkey
     argv = ["search", "--atoms", str(count), "--iters", "1", "--restarts", "2"]
     assert cli.main(argv) == 2
     assert "search measures have 2001 atoms, practical guard is 2000" in capsys.readouterr().err
+    # one generator per restart and the stacked raw vectors come before
+    # any evaluation: 10^8 restarts would ask for about 65 GB
+    assert cli.main(["search", "--atoms", "2", "--iters", "1", "--restarts", "100000000"]) == 2
+    assert capsys.readouterr() == ("", "input error: restarts x atoms is 100000000 x 2, "
+                                       "practical guard is 65536\n")
+
+
+_DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
+
+
+@pytest.mark.parametrize("command, data, rc, message", [
+    pytest.param("analyze", [], 2, "input error: measure file must contain a JSON object",
+                 id="measure-not-object"),
+    pytest.param("analyze", {"space": "disc", "atoms": _DISC_ATOMS}, 2,
+                 "input error: space must be an object with a 'kind' field", id="space-not-object"),
+    pytest.param("analyze", {"space": {"kind": "ball", "dim": 2.0}, "atoms": _DISC_ATOMS}, 2,
+                 "input error: ball space needs a positive integer 'dim'", id="ball-dim-not-int"),
+    pytest.param("analyze", {"space": {"kind": "disc"}}, 2,
+                 "input error: measure file needs a nonempty 'atoms' list", id="atoms-missing"),
+    pytest.param("analyze", {"space": {"kind": "disc"}, "atoms": []}, 2,
+                 "input error: measure file needs a nonempty 'atoms' list", id="atoms-empty"),
+    pytest.param("analyze", {"space": {"kind": "disc"}, "atoms": [[0.5, 0.0]]}, 2,
+                 "input error: atoms[0] must be an object", id="atom-not-object"),
+    pytest.param("analyze", {"space": {"kind": "disc"}, "atoms": [{"point": [0.5], "weight": 1.0}]},
+                 2, "input error: atoms[0]: point must be a list of 2 reals", id="point-length"),
+    pytest.param("interpolate", [], 2, "input error: sequence file must contain a JSON object",
+                 id="sequence-not-object"),
+    pytest.param("interpolate", {"space": {"kind": "disc"}}, 2,
+                 "input error: sequence file needs a nonempty 'points' list", id="points-missing"),
+    pytest.param("interpolate", {"space": {"kind": "disc"}, "points": []}, 2,
+                 "input error: sequence file needs a nonempty 'points' list", id="points-empty"),
+    pytest.param("uchiyama", [], 2, "input error: polynomial file must contain a JSON object",
+                 id="poly-not-object"),
+    pytest.param("uchiyama", {"terms": []}, 2,
+                 "input error: polynomial file needs a positive integer 'dim'", id="poly-no-dim"),
+    pytest.param("uchiyama", {"dim": 1, "terms": {}}, 2,
+                 "input error: polynomial file needs a 'terms' list", id="terms-not-list"),
+    pytest.param("uchiyama", {"dim": 1, "terms": [[0]]}, 2,
+                 "input error: terms[0] must be an object", id="term-not-object"),
+    pytest.param("uchiyama", {"dim": 1, "terms": [{"alpha": [0], "re": 10 ** 399}]}, 2,
+                 "input error: terms[0]: re and im must be numbers", id="coeff-overflow"),
+    pytest.param("uchiyama", {"dim": 1, "terms": [{"alpha": [0], "re": math.inf}]}, 2,
+                 "input error: terms[0]: re and im must be finite", id="coeff-infinite"),
+    pytest.param("verify-identities --fd-step 0", None, 1,
+                 "usage error: --fd-step must be positive", id="fd-step-zero"),
+    pytest.param("verify-identities --tol 0", None, 1, "usage error: --tol must be positive",
+                 id="tol-zero"),
+])
+def test_malformed_input_exits_with_one_line_message(command, data, rc, message, tmp_path,
+                                                     capsys):
+    # the JSON module writes 10 ** 399 as 400 digits and math.inf as
+    # Infinity, which json.load reads back
+    argv = command.split()
+    if data is not None:
+        path = write(tmp_path, "data.json", data)
+        argv = (["uchiyama", write(tmp_path, "pair.json", PAIR), "--poly", path]
+                if command == "uchiyama" else [command, path])
+    assert cli.main(argv) == rc
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "interpolate", "uchiyama"])

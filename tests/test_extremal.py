@@ -123,6 +123,13 @@ def test_config_validation():
         SearchConfig(space=DISC, step_init=-0.1)
     with pytest.raises(InputError):
         SearchConfig(space=DISC, seed=-1)
+    for name, value in [("iterations", 2.0), ("restarts", 2.5), ("restarts", "3")]:
+        with pytest.raises(InputError, match=f"^{name} must be a positive integer, got {value!r}$"):
+            SearchConfig(space=DISC, **{name: value})
+    cap = extremal.MAX_SEARCH_ATOMS
+    assert SearchConfig(space=DISC, atom_count=2, restarts=cap // 2).restarts == cap // 2
+    with pytest.raises(InputError, match=f"^restarts x atoms is {cap // 2 + 1} x 2, practical"):
+        SearchConfig(space=DISC, atom_count=2, restarts=cap // 2 + 1)
 
 
 def test_search_single_atom_fixed_point():

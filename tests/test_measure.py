@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carlembed import calculus, geometry, measure, numerics
+from carlembed import calculus, extremal, geometry, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
@@ -275,7 +275,7 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
 
     spy(measure, "_poisson_scratch", lambda scratch: scratch[1].size)
-    for owner in (geometry, measure, calculus):
+    for owner in (geometry, measure):
         spy(owner, "_denominator_sq_matrix", lambda d_sq: d_sq.size)
     # the eigensolve forms no Poisson block and would add 2 s
     monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
@@ -297,17 +297,20 @@ def _fresh_block_poisson_matrix(zs, lams, n):
 
 
 def _fresh_block_scan_oracle(mu, resolution):
-    """(c_supp, c_grid) from the per-block scan of -phi = P @ w with fresh temporaries."""
+    """(c_supp, c_grid) from per-block scans of -phi = P @ w with fresh temporaries.
+
+    c_supp scans the atoms alone, c_grid the grid and then c_supp.
+    """
     pts, w = mu.points_array(), mu.weights_array()
-    grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
-    first_atom = len(grid) - len(mu)
-    c_supp = c_grid = -math.inf
-    for rows in _row_blocks(len(grid), len(mu)):
-        values = _fresh_block_poisson_matrix(grid[rows], pts, mu.space.dim) @ w
-        c_grid = max(c_grid, float(np.max(values)))
-        if rows.stop > first_atom:
-            c_supp = max(c_supp, float(np.max(values[max(first_atom - rows.start, 0):])))
-    return c_supp, c_grid
+
+    def scan(zs):
+        return max(
+            float(np.max(_fresh_block_poisson_matrix(zs[rows], pts, mu.space.dim) @ w))
+            for rows in _row_blocks(len(zs), len(mu))
+        )
+
+    c_supp = scan(pts)
+    return c_supp, max(c_supp, scan(_grid_points(mu.space, resolution)))
 
 
 def _fresh_block_box_oracle(mu, directions=64):
@@ -348,14 +351,17 @@ def _random_measure(space, count, rmax, seed):
 ])
 def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
     mu = _random_measure(space, count, 0.95, 1500 + count)
-    rows = len(_grid_points(space, resolution)) + count
+    rows = len(_grid_points(space, resolution))
     blocks = _row_blocks(rows, count)
+    # the blocks of the grid scan; the last case is a measure whose atoms,
+    # appended to the grid as analyze once scanned them, straddled two
+    appended = _row_blocks(rows + count, count)
     assert {
         "short last block": len(blocks) > 1 and blocks[-1].stop > rows,
         "MAX_ATOMS": count == measure.MAX_ATOMS and len(blocks) > 1,
         "ball(3)": space.dim == 3 and len(blocks) > 1,
         "one block": len(blocks) == 1,
-        "atoms straddle two blocks": sum(b.stop > rows - count for b in blocks) == 2,
+        "atoms straddle two blocks": sum(b.stop > rows for b in appended) == 2,
     }[shape]
     c_supp, c_grid = _support_and_grid_constants(mu, resolution)
     assert (c_supp, c_grid) == _fresh_block_scan_oracle(mu, resolution)
@@ -624,14 +630,23 @@ def test_analyze_extreme_weights_take_the_eigensolve(weight):
 @pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
 @pytest.mark.parametrize("resolution", [8, 64, 256])
 def test_analyze_constants_from_one_scan_equal_separate_scans(space, resolution, monkeypatch):
-    # No eigensolve or box scan: only the two kernel constants are compared,
-    # c_supp with kernel_constant_on_support, which keeps its own scan.
-    monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
+    # No eigensolve or box scan: only the kernel constants are compared,
+    # c_supp with kernel_constant_on_support and the ratio with
+    # extremal.ratio under the same stand-in for A(mu)^2.
+    for owner in (measure, extremal):
+        monkeypatch.setattr(owner, "embedding_norm_sq", lambda mu: 1.0)
     monkeypatch.setattr(measure, "box_constant", lambda mu: 1.0)
     counts = (1, 2, 37, 300) + ((2000,) if resolution == 64 else ())
-    for count in counts:
-        mu = sized_measure(space, count, 703)
-        rep = analyze(mu, resolution)
+    cases = [(sized_measure(space, count, 703), resolution) for count in counts]
+    if space.dim == 1:
+        # When analyze read c_supp off the atoms appended as the last rows
+        # of its grid scan, these atoms straddled two row blocks there, and
+        # c_supp came out as 41.42438723406051 against the 41.424387234060504
+        # of kernel_constant_on_support.
+        cases.append((_random_measure(space, 72, 0.95, 1572), 32))
+    for mu, res in cases:
+        rep = analyze(mu, res)
         assert rep.c_supp == kernel_constant_on_support(mu)
-        assert rep.c_grid == _grid_constant_oracle(mu, resolution)
-        assert rep.c_grid == kernel_constant_grid(mu, resolution)
+        assert rep.ratio == extremal.ratio(mu)
+        assert rep.c_grid == _grid_constant_oracle(mu, res)
+        assert rep.c_grid == kernel_constant_grid(mu, res)
