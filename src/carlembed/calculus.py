@@ -469,7 +469,7 @@ def _uchiyama_values(mu, f, q):
     points, weights = ball_rule(q, mu.space.dim)
     lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)
     contraction = corollary = 0.0
-    phi_atoms = _potential_field(mu, lams)
+    phi_atoms = _potential_field(lams, wts, lams)
     phi_sup = float(np.max(-phi_atoms))
     key = np.zeros(len(mu))
     # phi (as measure._potential_field) and the atom matrix share d_sq.

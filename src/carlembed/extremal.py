@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
-from .geometry import CONDITIONING_MARGIN, _norm_sq_rows, _poisson_matrix
+from .geometry import CONDITIONING_MARGIN, _norm_sq_rows
 from .measure import (
-    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _weighted_gram,
-    embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
+    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
+    _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
 from .numerics import _row_blocks, _top_eigs, rng_stream
 
@@ -69,8 +69,8 @@ class SearchConfig:
                              f"practical guard is {MAX_SEARCH_ATOMS}")
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
-        if not self.step_init > 0:
-            raise InputError("step_init must be positive")
+        if not 0.0 < self.step_init < np.inf:
+            raise InputError(f"step_init must be positive and finite, got {self.step_init!r}")
         if not 0.0 < self.step_decay < 1.0:
             raise InputError("step_decay must lie in (0, 1)")
 
@@ -141,7 +141,7 @@ def _ratios(space, y, v):
         idx = ready[rows]
         pts, w = points[idx], weights[idx]
         tops = _top_eigs(_weighted_gram(pts, np.sqrt(w)))
-        c_supp = np.max((_poisson_matrix(pts, pts, pts.shape[-1]) @ w[..., None])[..., 0], axis=-1)
+        c_supp = np.max(-_potential_field(pts, w, pts), axis=-1)
         for i, top, c in zip(idx, tops, c_supp):
             if isinstance(top, CarlembedError):
                 errors[i] = top

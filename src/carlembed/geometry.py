@@ -221,42 +221,24 @@ def _norm_sq_rows(zs):
     return out
 
 
-def _poisson_scratch(rows, cols):
-    """Scratch for _denominator_sq_matrix and _poisson on blocks of up to rows x cols entries.
-
-    A complex pair for d and its conjugate, and a C-contiguous float
-    block for P: a matvec over a strided P (the real part of a complex
-    block) sums in another order and moves the last bit.
-    """
-    return np.empty((2, rows, cols), dtype=complex), np.empty((rows, cols))
-
-
-def _denominator_sq_matrix(zs, lams, out=None):
+def _denominator_sq_matrix(zs, lams, out):
     """Matrix D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2 of shape (..., m, N).
 
     D is the real part of the complex product d * conj(d), as in the
     scalar kernels: |d|^2 summed from the parts rounds differently where
-    numpy fuses that product.  out, for 2-D zs, is complex scratch of
-    shape (2, k, N) with k >= m; D is then a view into it.
+    numpy fuses that product.  out is complex scratch of shape
+    (2, ..., k, N) with k >= m; D is a view into it.
     """
-    d, d_conj = (None, None) if out is None else out[:, :len(zs)]
-    d = np.subtract(1.0, np.matmul(zs, lams.conj().swapaxes(-1, -2), out=d), out=d)
-    d_conj = np.conjugate(d, out=d_conj)
+    d, d_conj = out[..., :zs.shape[-2], :]
+    np.subtract(1.0, np.matmul(zs, lams.conj().swapaxes(-1, -2), out=d), out=d)
+    np.conjugate(d, out=d_conj)
     return np.multiply(d, d_conj, out=d_conj).real
 
 
-def _poisson_matrix(zs, lams, n):
-    """Matrix P[..., i, j] = P_{zs[..., i]}(lams[..., j]) of shape (..., m, N)."""
-    return _poisson(_denominator_sq_matrix(zs, lams), _norm_sq_rows(zs)[..., None], n)
+def _szego_matrix(zs, ws, n, out, d):
+    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N), written into out.
 
-
-def _szego_matrix(zs, ws, n, out=None, d=None):
-    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N).
-
-    Given out and d, two distinct arrays of that shape, d receives
-    1 - <z, w> and out the kernel, which is returned.
+    d, an array of that shape other than out, receives 1 - <z, w>.
     """
-    if out is None:
-        return _szego(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
     np.matmul(zs, ws.conj().swapaxes(-1, -2), out=d)
     return _szego(np.subtract(1.0, d, out=d), n, out)

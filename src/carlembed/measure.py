@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
 from .geometry import (
-    DISC, SpacePoint, _denominator_sq_matrix, _norm_sq_rows, _poisson, _poisson_scratch,
-    _szego_matrix,
+    DISC, SpacePoint, _denominator_sq_matrix, _norm_sq_rows, _poisson, _szego_matrix,
 )
 from .numerics import HermitianMatrix, _certified_top_eig, _row_blocks, extreme_eigs, rng_stream
 
@@ -123,37 +122,47 @@ def _point_row(mu, z):
 def _poisson_blocks(zs, lams):
     """(rows, |z|^2, D, P) for each row block of zs against the atoms lams.
 
-    D[i, j] = |1 - <z_i, lam_j>|^2 and P[i, j] = P_{z_i}(lam_j) over the
-    rows z_i of zs[rows].  Every block is written into one
-    _poisson_scratch sized for the largest, so D and P hold only until
-    the next block is drawn.
+    zs (..., k, n) and lams (..., m, n) are one point set and its atoms,
+    or stacks of them with the same leading axes.  D[..., i, j] =
+    |1 - <z_i, lam_j>|^2 and P[..., i, j] = P_{z_i}(lam_j) over the rows
+    z_i of zs[..., rows, :].  Every block is written into one scratch
+    sized for the largest, so D and P hold only until the next block is
+    drawn: a complex pair for d and its conjugate, and a C-contiguous
+    float block for P, since a matvec over a strided P (the real part of
+    a complex block) sums in another order and moves the last bit.
     """
-    blocks = _row_blocks(len(zs), len(lams))
-    d_scratch, p_scratch = _poisson_scratch(min(blocks[0].stop, len(zs)), len(lams))
+    k, n = zs.shape[-2:]
+    blocks = _row_blocks(k, lams.size // n)
+    shape = zs.shape[:-2] + (min(blocks[0].stop, k), lams.shape[-2])
+    d_scratch, p_scratch = np.empty((2,) + shape, dtype=complex), np.empty(shape)
     for rows in blocks:
-        block = zs[rows]
+        block = zs[..., rows, :]
         nrm = _norm_sq_rows(block)
         d_sq = _denominator_sq_matrix(block, lams, d_scratch)
-        yield rows, nrm, d_sq, _poisson(d_sq, nrm[:, None], lams.shape[1], p_scratch[:len(block)])
+        p = _poisson(d_sq, nrm[..., None], n, p_scratch[..., :block.shape[-2], :])
+        yield rows, nrm, d_sq, p
 
 
-def _potential_field(mu, zs):
-    """phi at every row z of zs, one Poisson row block at a time."""
-    w = mu.weights_array()
-    phi = np.empty(len(zs))
-    for rows, _, _, p in _poisson_blocks(zs, mu.points_array()):
-        phi[rows] = -(p @ w)
+def _potential_field(lams, w, zs):
+    """phi at every row z of zs for the atoms lams with weights w, one Poisson row block at a time.
+
+    Stacks (..., m, n), (..., m) and (..., k, n) give phi of shape (..., k).
+    """
+    phi = np.empty(zs.shape[:-1])
+    for rows, _, _, p in _poisson_blocks(zs, lams):
+        phi[..., rows] = -(p @ w[..., None])[..., 0]
     return phi
 
 
 def carleson_potential(mu, z):
     """phi(z) = -sum_j w_j P_z(lam_j), a bounded negative subharmonic function."""
-    return float(_potential_field(mu, _point_row(mu, z))[0])
+    return float(_potential_field(mu.points_array(), mu.weights_array(), _point_row(mu, z))[0])
 
 
 def kernel_constant_on_support(mu):
     """c_supp = max over atoms lam_k of sum_j w_j P_{lam_k}(lam_j) = max of -phi there."""
-    return float(np.max(-_potential_field(mu, mu.points_array())))
+    pts = mu.points_array()
+    return float(np.max(-_potential_field(pts, mu.weights_array(), pts)))
 
 
 def _check_atom_count(count, what):
@@ -200,7 +209,8 @@ def _grid_points(space, resolution):
 
 def _support_and_grid_constants(mu, resolution):
     """(c_supp, c_grid): kernel_constant_on_support(mu), and the max of it and -phi on the grid."""
-    phi = _potential_field(mu, _grid_points(mu.space, resolution))
+    grid = _grid_points(mu.space, resolution)
+    phi = _potential_field(mu.points_array(), mu.weights_array(), grid)
     c_supp = kernel_constant_on_support(mu)
     return c_supp, max(c_supp, -float(np.min(phi)))
 

@@ -326,15 +326,14 @@ def _kato_temple_upper_end(a, v, w, rho, res, deviation):
 def _certified_top_eig(m):
     """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
 
-    m is a HermitianMatrix, or an (n, n) complex Hermitian array whose
-    deviation max |a - a^H| is then computed here; a, its entries, has a
-    positive diagonal.  Both tiers prove t for the matrix of a's upper
-    triangle, the one extreme_eigs reads.  rho is the Rayleigh quotient
-    of a power iterate from the all-ones vector, a lower bound up to its
-    own rounding.  The iteration stops on the residual r = a v - rho v,
-    once ||r|| plus the Cholesky tier's rounding allowance is within
-    1e-8 rho; it never stops on successive rho, which can keep flipping
-    by an ulp after it has settled.  Then t comes from the first tier
+    m is a HermitianMatrix whose entries a have a positive diagonal; its
+    deviation max |a - a^H| enters the gap tier.  Both tiers prove t for
+    the matrix of a's upper triangle, the one extreme_eigs reads.  rho
+    is the Rayleigh quotient of a power iterate from the all-ones
+    vector, a lower bound up to its own rounding.  The iteration stops
+    on the residual r = a v - rho v, once ||r|| plus the Cholesky tier's
+    rounding allowance is within 1e-8 rho; it never stops on successive
+    rho, which can keep flipping by an ulp after it has settled.  Then t comes from the first tier
     that proves it:
 
     - the gap tier (_kato_temple_upper_end), O(n^2) work that only reads
@@ -351,7 +350,7 @@ def _certified_top_eig(m):
     iterate found a lower eigenvalue).  The allowance grows like n^2, so
     from about n = 2800 on the rule is never met.
     """
-    a, deviation = (m.entries, m.deviation) if isinstance(m, HermitianMatrix) else (m, None)
+    a = m.entries
     n = len(a)
     diag = a.diagonal().real
     if not (diag.min() > 0.0 and _DIAGONAL_RANGE[0] <= diag.max() <= _DIAGONAL_RANGE[1]):
@@ -374,9 +373,7 @@ def _certified_top_eig(m):
         v = w / np.linalg.norm(w)
     else:
         return None
-    if deviation is None:
-        deviation = float(_hermitian_deviation(a)[0])
-    t = _kato_temple_upper_end(a, v, w, rho, res, deviation)
+    t = _kato_temple_upper_end(a, v, w, rho, res, m.deviation)
     if t is not None and t - rho <= _BRACKET_TOL * rho:
         return float(rho), t
     s = rho + res + shift

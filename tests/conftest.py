@@ -9,8 +9,29 @@ tests that consume the corpus.
 import numpy as np
 
 from carlembed.corpus import random_measure, random_point, random_poly
-from carlembed.geometry import Space
+from carlembed.geometry import Space, _ipow, _norm_sq_rows
 from carlembed.numerics import rng_stream
+
+
+# Dense kernel matrices, each formed in one piece with fresh temporaries:
+# the oracles of the blocked scans and of the Gram matrix builder, which
+# write every block into scratch.
+
+
+def dense_denominator_sq(zs, lams):
+    """D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2, the real part of d * conj(d)."""
+    d = 1.0 - zs @ lams.conj().swapaxes(-1, -2)
+    return (d * d.conj()).real
+
+
+def dense_poisson(zs, lams, n):
+    """P[..., i, j] = P_{zs[..., i]}(lams[..., j]) = (1 - |z_i|^2)^n / D[..., i, j]^n."""
+    return (1.0 - _norm_sq_rows(zs)[..., None]) ** n / _ipow(dense_denominator_sq(zs, lams), n)
+
+
+def dense_szego(zs, ws, n):
+    """K[..., i, j] = K(zs[..., i], ws[..., j]) = 1 / (1 - <z_i, w_j>)^n."""
+    return 1.0 / _ipow(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
 
 
 def disc_measure_corpus(count, max_atoms, rmax, seed, stream):

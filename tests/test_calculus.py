@@ -596,7 +596,7 @@ def _oracle_fields(mu, f, q):
     """(points, weights, |f|^2, phi, density) on the rule of q."""
     points, weights = ball_rule(q, mu.space.dim)
     f_sq = np.abs(_eval_powers(f, points)) ** 2
-    phi = measure._potential_field(mu, points)
+    phi = measure._potential_field(mu.points_array(), mu.weights_array(), points)
     return points, weights, f_sq, phi, _density_oracle(mu, points)
 
 

@@ -233,6 +233,16 @@ def test_green_check_ball_mixed(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("space", ["disc", "ball2"])
+@pytest.mark.parametrize("fn", ["one", "re1"])
+def test_green_check_harmonic_functions(space, fn, capsys):
+    rc = cli.main(["green-check", "--space", space, "--fn", fn])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith(f"fn: {fn} (")
+    assert out.splitlines()[-1].endswith("PASS")
+
+
 def test_uchiyama_command(tmp_path, capsys):
     mu_path = write(tmp_path, "pair.json", PAIR)
     poly_path = write(tmp_path, "poly.json", POLY)
@@ -412,6 +422,9 @@ _DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
                  "usage error: --fd-step must be positive", id="fd-step-zero"),
     pytest.param("verify-identities --tol 0", None, 1, "usage error: --tol must be positive",
                  id="tol-zero"),
+    pytest.param("search --atoms 2 --iters 5 --restarts 1 --step-init inf", None, 2,
+                 "input error: step_init must be positive and finite, got inf",
+                 id="step-init-infinite"),
 ])
 def test_malformed_input_exits_with_one_line_message(command, data, rc, message, tmp_path,
                                                      capsys):
@@ -450,6 +463,14 @@ def test_seed_must_fit_in_64_bits(argv, capsys):
     assert cli.main(argv + ["--seed", str(2 ** 64)]) == 2
     assert capsys.readouterr().err == "input error: seed and stream must be integers in [0, 2**64)\n"
     assert cli.main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
+
+
+def test_search_ratio_above_the_bound_exits_3(capsys, monkeypatch):
+    # every ratio is at least 1, the single-atom value
+    monkeypatch.setattr(cli.measure, "theorem_bound_constant", lambda space: 0.5)
+    assert cli.main(["search", "--atoms", "2", "--iters", "5", "--restarts", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("best_ratio = ") and "(bound 0.5)" in err
 
 
 def test_search_command_trace(tmp_path, capsys):

@@ -119,8 +119,9 @@ def test_config_validation():
         SearchConfig(space=DISC, iterations=0)
     with pytest.raises(InputError):
         SearchConfig(space=DISC, step_decay=1.0)
-    with pytest.raises(InputError):
-        SearchConfig(space=DISC, step_init=-0.1)
+    for step in (-0.1, math.inf, math.nan):
+        with pytest.raises(InputError, match="^step_init must be positive and finite"):
+            SearchConfig(space=DISC, step_init=step)
     with pytest.raises(InputError):
         SearchConfig(space=DISC, seed=-1)
     for name, value in [("iterations", 2.0), ("restarts", 2.5), ("restarts", "3")]:

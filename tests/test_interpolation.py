@@ -5,7 +5,7 @@ import pytest
 
 from carlembed import interpolation, measure
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint, _szego_matrix
+from carlembed.geometry import Space, SpacePoint
 from carlembed.interpolation import (
     PointSequence,
     carleson_delta,
@@ -16,7 +16,7 @@ from carlembed.interpolation import (
 )
 from carlembed.measure import embedding_norm_sq
 from carlembed.numerics import extreme_eigs
-from conftest import sequence_corpus
+from conftest import dense_szego, sequence_corpus
 
 DISC = Space.disc()
 
@@ -66,7 +66,7 @@ def _gram_oracle(seq):
     lam = seq.values()
     a = np.sqrt(1.0 - (lam * lam.conj()).real)
     pts = lam[:, None]
-    return a[:, None] * a[None, :] * _szego_matrix(pts, pts, 1)
+    return a[:, None] * a[None, :] * dense_szego(pts, pts, 1)
 
 
 def test_gram_matrix_equals_earlier_body():

@@ -8,10 +8,7 @@ from carlembed import calculus, extremal, geometry, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import (
-    Space, SpacePoint, _denominator_sq_matrix, _ipow, _norm_sq_rows, _poisson, _poisson_matrix,
-    _szego_matrix,
-)
+from carlembed.geometry import Space, SpacePoint, _norm_sq_rows, _poisson
 from carlembed.measure import (
     _CERTIFIED_MIN_ORDER,
     MAX_GRID_RESOLUTION,
@@ -33,7 +30,10 @@ from carlembed.numerics import (
     HermitianMatrix, QuadratureSpec, _row_blocks, ball_rule, extreme_eigs, rng_stream,
 )
 
-from conftest import ball_measure_corpus, disc_measure_corpus, hermitian_with_spectrum
+from conftest import (
+    ball_measure_corpus, dense_denominator_sq, dense_poisson, dense_szego, disc_measure_corpus,
+    hermitian_with_spectrum,
+)
 
 
 def pair_measure():
@@ -94,7 +94,8 @@ def test_carleson_potential_is_the_field_at_one_point(corpus):
     rng = rng_stream(515, 1)
     for mu in corpus(10, 12, 0.95, 515, 0):
         z = random_point(rng, mu.space.dim, 0.95)
-        assert carleson_potential(mu, z) == _potential_field(mu, z.as_array()[None])[0]
+        phi = _potential_field(mu.points_array(), mu.weights_array(), z.as_array()[None])
+        assert carleson_potential(mu, z) == phi[0]
 
 
 def test_kernel_constant_on_support_pair_oracle():
@@ -142,7 +143,7 @@ def test_kernel_constant_grid_matches_unblocked_scan():
         pts = mu.points_array()
         grid = np.concatenate([_grid_points(mu.space, 64), pts], axis=0)
         assert len(_row_blocks(len(grid), len(pts))) >= 3
-        want = float(np.max(_poisson_matrix(grid, pts, mu.space.dim) @ mu.weights_array()))
+        want = float(np.max(dense_poisson(grid, pts, mu.space.dim) @ mu.weights_array()))
         assert kernel_constant_grid(mu, 64) == pytest.approx(want, rel=1e-14)
 
 
@@ -178,7 +179,7 @@ def _box_constant_loop(mu, directions=64):
 
 
 def _potential_field_oracle(mu, zs):
-    return -(_poisson_matrix(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
+    return -(dense_poisson(zs, mu.points_array(), mu.space.dim) @ mu.weights_array())
 
 
 def _uchiyama_oracle(mu, f, q):
@@ -194,7 +195,7 @@ def _uchiyama_oracle(mu, f, q):
         zs = points[rows]
         nrm = _norm_sq_rows(zs)
         w_f = weights[rows] * np.abs(f.eval_array(zs)) ** 2
-        d_sq = _denominator_sq_matrix(zs, lams)
+        d_sq = dense_denominator_sq(zs, lams)
         phi = -(_poisson(d_sq, nrm[:, None], n) @ wts)
         w_f_e = w_f * np.exp(phi)
         a = calculus._atom_matrix(d_sq, n)
@@ -212,7 +213,7 @@ def _uchiyama_oracle(mu, f, q):
 
 def _support_constant_oracle(mu):
     pts = mu.points_array()
-    p = _poisson_matrix(pts, pts, mu.space.dim)
+    p = dense_poisson(pts, pts, mu.space.dim)
     return float(np.max(p @ mu.weights_array()))
 
 
@@ -221,7 +222,7 @@ def _grid_constant_oracle(mu, resolution):
     w = mu.weights_array()
     grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
     return float(np.max([
-        np.max(_poisson_matrix(grid[rows], pts, mu.space.dim) @ w)
+        np.max(dense_poisson(grid[rows], pts, mu.space.dim) @ w)
         for rows in _row_blocks(len(grid), len(pts))
     ]))
 
@@ -229,7 +230,7 @@ def _grid_constant_oracle(mu, resolution):
 def _embedding_norm_sq_oracle(mu):
     pts = mu.points_array()
     root_w = np.sqrt(mu.weights_array())
-    m = root_w[:, None] * _szego_matrix(pts, pts, mu.space.dim) * root_w[None, :]
+    m = root_w[:, None] * dense_szego(pts, pts, mu.space.dim) * root_w[None, :]
     return float(np.linalg.eigvalsh(m)[-1])
 
 
@@ -247,13 +248,40 @@ def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 4 * len(mu))
         grid = _grid_points(mu.space, 32)
         assert len(_row_blocks(len(grid), len(mu))) >= 3
-        assert np.array_equal(_potential_field(mu, grid), _potential_field_oracle(mu, grid))
+        phi = _potential_field(mu.points_array(), mu.weights_array(), grid)
+        assert np.array_equal(phi, _potential_field_oracle(mu, grid))
         assert kernel_constant_on_support(mu) == _support_constant_oracle(mu)
         assert kernel_constant_grid(mu, 32) == _grid_constant_oracle(mu, 32)
         f = random_poly(rng, mu.space.dim, 3)
         assert uchiyama_checks(mu, f, q) == _uchiyama_oracle(mu, f, q)
         want = _embedding_norm_sq_oracle(mu)
         assert embedding_norm_sq(mu) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("atoms, points, block_rows", [
+    (1, 1, None),
+    (8, 8, None),       # a search stack: each measure's potential at its atoms
+    (8, 30, 4),         # blocks of 4 rows, the last of 2
+    (3, 7, 1),          # blocks of one row
+])
+def test_potential_field_of_a_stack_matches_each_measure(dim, atoms, points, block_rows,
+                                                         monkeypatch):
+    # The lockstep search takes c_supp of a stack of measures from one
+    # call; each measure's phi must be bit-identical to its 2-D call in
+    # the same row blocks (gemv rounds by the rows of a block).
+    rng = rng_stream(911, 100 * dim + atoms + points)
+    lams = _random_points(rng, (5, atoms), dim)
+    zs = lams if points == atoms else _random_points(rng, (5, points), dim)
+    w = 0.5 + rng.random((5, atoms))
+    if block_rows is not None:
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_rows * 5 * atoms)
+    phi = _potential_field(lams, w, zs)
+    assert phi.shape == (5, points)
+    if block_rows is not None:
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_rows * atoms)
+    for i in range(5):
+        assert np.array_equal(phi[i], _potential_field(lams[i], w[i], zs[i]))
 
 
 def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
@@ -274,7 +302,7 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
 
         monkeypatch.setattr(owner, name, recorded)
 
-    spy(measure, "_poisson_scratch", lambda scratch: scratch[1].size)
+    spy(measure, "_poisson", lambda p: p.size)
     for owner in (geometry, measure):
         spy(owner, "_denominator_sq_matrix", lambda d_sq: d_sq.size)
     # the eigensolve forms no Poisson block and would add 2 s
@@ -291,11 +319,6 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
 # afresh.  The scratch path must equal them bit for bit.
 
 
-def _fresh_block_poisson_matrix(zs, lams, n):
-    d = 1.0 - zs @ lams.conj().T
-    return (1.0 - _norm_sq_rows(zs)[:, None]) ** n / _ipow((d * d.conj()).real, n)
-
-
 def _fresh_block_scan_oracle(mu, resolution):
     """(c_supp, c_grid) from per-block scans of -phi = P @ w with fresh temporaries.
 
@@ -305,7 +328,7 @@ def _fresh_block_scan_oracle(mu, resolution):
 
     def scan(zs):
         return max(
-            float(np.max(_fresh_block_poisson_matrix(zs[rows], pts, mu.space.dim) @ w))
+            float(np.max(dense_poisson(zs[rows], pts, mu.space.dim) @ w))
             for rows in _row_blocks(len(zs), len(mu))
         )
 
@@ -377,7 +400,7 @@ def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
 
 
 def _dense_gram_oracle(points, root_w):
-    kernel = _szego_matrix(points, points, points.shape[-1])
+    kernel = dense_szego(points, points, points.shape[-1])
     return kernel * (root_w[..., :, None] * root_w[..., None, :])
 
 

@@ -334,10 +334,17 @@ def test_extreme_eigs_two_by_two_oracle():
     assert hi == pytest.approx(3.0, abs=1e-14)
 
 
+def _certified(a):
+    """_certified_top_eig on a HermitianMatrix that shares a's buffer."""
+    m = HermitianMatrix(a)
+    assert m.entries is a
+    return _certified_top_eig(m)
+
+
 def test_certified_top_eig_brackets_a_known_spectrum():
     eigs = np.concatenate([[3.0, 1.0], np.linspace(0.9, 0.1, 298)])
     a = hermitian_with_spectrum(eigs, 11)
-    rho, t = _certified_top_eig(a.copy())
+    rho, t = _certified(a.copy())
     assert rho == pytest.approx(3.0, rel=1e-13)
     assert 3.0 <= t <= rho * (1 + 1e-8)
 
@@ -348,7 +355,7 @@ def test_certified_top_eig_declines_near_degenerate_top_pair(monkeypatch):
     eigs = np.concatenate([[1.0, 0.995], np.linspace(0.5, 0.1, 298)])
     a = hermitian_with_spectrum(eigs, 12)
     b = a.copy()
-    assert _certified_top_eig(b) is None
+    assert _certified(b) is None
     # the residual never met the rule, so no factor was tried and b is intact
     assert factors == []
     assert np.array_equal(a, b)
@@ -369,7 +376,7 @@ def test_certified_top_eig_declines_top_vector_orthogonal_to_start(monkeypatch):
         return cholesky(b, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    assert _certified_top_eig(a.copy()) is None
+    assert _certified(a.copy()) is None
     assert factors == [a.shape]
 
 
@@ -379,7 +386,7 @@ def test_certified_top_eig_factors_with_the_numpy_1_signature(monkeypatch):
     # upper triangle of s I - a.
     eigs = np.concatenate([[3.0, 1.0], np.linspace(0.9, 0.1, 298)])
     a = hermitian_with_spectrum(eigs, 11)
-    want = _certified_top_eig(a.copy())
+    want = _certified(a.copy())
     cholesky = np.linalg.cholesky
     factored = []
 
@@ -389,14 +396,17 @@ def test_certified_top_eig_factors_with_the_numpy_1_signature(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", numpy_1_cholesky)
     a_work = a.copy()
-    assert _certified_top_eig(a_work) == want
+    assert _certified(a_work) == want
     assert factored == [True]
 
 
 def test_certified_top_eig_declines_diagonal_out_of_range():
     a = hermitian_with_spectrum(np.linspace(2.0, 1.0, 20), 14)
     for scale in (2.0 ** 300, 2.0 ** -300, -1.0, np.nan):
-        assert _certified_top_eig(a * scale) is None
+        # scaled after the Hermitian check, which refuses a NaN matrix
+        m = HermitianMatrix(a.copy())
+        m.entries *= scale
+        assert _certified_top_eig(m) is None
 
 
 def test_certified_top_eig_leaves_a_declined_matrix_unchanged(monkeypatch):
@@ -418,7 +428,7 @@ def test_certified_top_eig_leaves_a_declined_matrix_unchanged(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     for a in declined:
         b = a.copy()
-        assert _certified_top_eig(b) is None
+        assert _certified(b) is None
         assert b.tobytes() == a.tobytes()
     assert factors == [(300, 300)]  # only the last reached the factor
 
@@ -469,7 +479,7 @@ def test_certified_top_eig_gap_tier_never_certifies_a_lower_eigenvector(monkeypa
     a = hermitian_with_spectrum(eigs, 15, top_orthogonal_to_ones=True)
     ends = recorded(monkeypatch, numerics, "_kato_temple_upper_end")
     b = a.copy()
-    assert _certified_top_eig(b) is None
+    assert _certified(b) is None
     assert ends == [None]
     assert b.tobytes() == a.tobytes()
 
@@ -480,7 +490,7 @@ def test_certified_top_eig_heavy_tail_reaches_the_factor(monkeypatch):
     a = hermitian_with_spectrum(eigs, 11)
     ends = recorded(monkeypatch, numerics, "_kato_temple_upper_end")
     factors = recorded(monkeypatch, np.linalg, "cholesky")
-    rho, t = _certified_top_eig(a.copy())
+    rho, t = _certified(a.copy())
     assert ends == [None] and len(factors) == 1
     assert rho <= 3.0 * (1 + 1e-13) and 3.0 <= t <= rho * (1 + 1e-8)
 
