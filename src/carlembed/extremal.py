@@ -10,14 +10,13 @@ the merge picks the best ratio, ties broken by the lower restart index.
 
 The restarts climb in lockstep, and every evaluation, of the starts and
 of each iteration's proposals, is one _ratios call on their stack: the
-atom points and weights as arrays, one batched Gram eigensolve and one
+atom points and weights as arrays, the top eigenvalues of the Gram
+stack from numerics._top_eigs (the route of embedding_norm_sq) and one
 Poisson stack.  Every restart draws the same numbers in the same order
 as a climb run on its own, and its trace and best ratio are
 bit-identical to one.  A DiscreteMeasure is built only for the winner
 and for a proposal that the arrays cannot stand for: an atom at or near
-the boundary, a bad weight, two rows of equal norm, or 256 atoms and
-more, where embedding_norm_sq certifies its eigenvalue one matrix at a
-time.
+the boundary, a bad weight, or two rows of equal norm.
 """
 
 import warnings
@@ -28,10 +27,10 @@ import numpy as np
 from .errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from .geometry import CONDITIONING_MARGIN, _norm_sq_rows
 from .measure import (
-    _CERTIFIED_MIN_ORDER, BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
+    BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
     _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
-from .numerics import _row_blocks, _top_eigs, rng_stream
+from .numerics import _as_integer, _row_blocks, _top_eigs, rng_stream
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
@@ -61,14 +60,14 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("atom_count", "iterations", "restarts"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if _as_integer(value) is None or value < 1:
                 raise InputError(f"{name} must be a positive integer, got {value!r}")
         _check_atom_count(self.atom_count, "search measures have {} atoms")
         if self.restarts * self.atom_count > MAX_SEARCH_ATOMS:
             raise InputError(f"restarts x atoms is {self.restarts} x {self.atom_count}, "
                              f"practical guard is {MAX_SEARCH_ATOMS}")
-        if self.seed < 0:
-            raise InputError("seed must be a non-negative integer")
+        if _as_integer(self.seed) is None or self.seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.step_init < np.inf:
             raise InputError(f"step_init must be positive and finite, got {self.step_init!r}")
         if not 0.0 < self.step_decay < 1.0:
@@ -113,10 +112,10 @@ def _ratios(space, y, v):
 
     A proposal is evaluated on the stack when its arrays are the atoms
     of its measure as they stand: every row inside _EDGE_SCREEN, every
-    weight positive and finite, no two rows of equal |z|^2 (so none
-    equal, and DiscreteMeasure merges nothing), and fewer atoms than
-    embedding_norm_sq's certified path takes.  Any other is evaluated as
-    ratio(_build_measure(...)), with every check and warning of that path.
+    weight positive and finite, and no two rows of equal |z|^2 (so none
+    equal, and DiscreteMeasure merges nothing).  Any other is evaluated
+    as ratio(_build_measure(...)), with every check and warning of that
+    path.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
@@ -125,7 +124,6 @@ def _ratios(space, y, v):
         (nsq[:, -1] < _EDGE_SCREEN)
         & ~np.any(nsq[:, 1:] == nsq[:, :-1], axis=-1)
         & np.all((weights > 0.0) & (weights < np.inf), axis=-1)
-        & (order < _CERTIFIED_MIN_ORDER)
     )
     values = np.full(len(y), np.nan)
     errors = {}

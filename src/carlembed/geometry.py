@@ -219,26 +219,3 @@ def _norm_sq_rows(zs):
     for k in range(1, zs.shape[-1]):
         out += zs[..., k].real ** 2 + zs[..., k].imag ** 2
     return out
-
-
-def _denominator_sq_matrix(zs, lams, out):
-    """Matrix D[..., i, j] = |1 - <zs[..., i], lams[..., j]>|^2 of shape (..., m, N).
-
-    D is the real part of the complex product d * conj(d), as in the
-    scalar kernels: |d|^2 summed from the parts rounds differently where
-    numpy fuses that product.  out is complex scratch of shape
-    (2, ..., k, N) with k >= m; D is a view into it.
-    """
-    d, d_conj = out[..., :zs.shape[-2], :]
-    np.subtract(1.0, np.matmul(zs, lams.conj().swapaxes(-1, -2), out=d), out=d)
-    np.conjugate(d, out=d_conj)
-    return np.multiply(d, d_conj, out=d_conj).real
-
-
-def _szego_matrix(zs, ws, n, out, d):
-    """Matrix K[..., i, j] = K(zs[..., i], ws[..., j]) of shape (..., m, N), written into out.
-
-    d, an array of that shape other than out, receives 1 - <z, w>.
-    """
-    np.matmul(zs, ws.conj().swapaxes(-1, -2), out=d)
-    return _szego(np.subtract(1.0, d, out=d), n, out)

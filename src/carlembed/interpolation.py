@@ -19,10 +19,10 @@ import numpy as np
 from .errors import InputError, NumericError, UnsupportedError
 from .geometry import DISC, SpacePoint
 from .measure import (
-    BOUND_SLACK, DiscreteMeasure, _check_atom_count, _check_resolution, _weighted_kernel_matrix,
+    BOUND_SLACK, DiscreteMeasure, _check_atom_count, _check_resolution, _weighted_gram,
     kernel_constant_grid,
 )
-from .numerics import extreme_eigs
+from .numerics import HermitianMatrix, extreme_eigs
 
 
 class PointSequence:
@@ -109,7 +109,7 @@ def gram_matrix(seq):
     unit diagonal, Hermitian, positive definite for separated sequences.
     """
     lam = seq.values()
-    return _weighted_kernel_matrix(lam[:, None], np.sqrt(1.0 - (lam * lam.conj()).real))
+    return HermitianMatrix(_weighted_gram(lam[:, None], np.sqrt(1.0 - (lam * lam.conj()).real)))
 
 
 def _gram_extremes(seq):

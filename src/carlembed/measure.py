@@ -16,10 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError, UnsupportedError
-from .geometry import (
-    DISC, SpacePoint, _denominator_sq_matrix, _norm_sq_rows, _poisson, _szego_matrix,
-)
-from .numerics import HermitianMatrix, _certified_top_eig, _row_blocks, extreme_eigs, rng_stream
+from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson, _szego
+from .numerics import _row_blocks, _top_eigs, rng_stream
 
 MAX_ATOMS = 2000
 # The grid holds about 2.7 * resolution^2 disc points (2.8 M at 1024),
@@ -32,18 +30,6 @@ BOUND_SLACK = 1e-9
 # Grid radii stop a hair inside the ball so kernel values stay finite.
 _GRID_RADIUS_CAP = 1.0 - 1e-4
 _GRID_DIRECTION_SEED = 20231115
-
-# From this order on embedding_norm_sq tries the certified power
-# iteration first.  Best of 15 runs (3 at order 2000) on three random
-# disc and ball(2) measures each, two sessions (2 vCPUs, numpy 2.4.6,
-# OpenBLAS 0.3.31), eigvalsh against the certificate: order 100,
-# 0.6-1.1 ms against 0.9-1.7 ms, and two of the three ball(2)
-# certificates declined (top pair too close for the step cap); order
-# 256, 6.3-11 ms against 1.1-4.0 ms; order 2000, 1.2-2.0 s against
-# 0.021-0.027 s.  Orders 150 and 200 would gain too, but below this
-# order a_sq is eigvalsh's value, and the certificate's rho differs from
-# it in the last digits, so moving the threshold changes printed output.
-_CERTIFIED_MIN_ORDER = 256
 
 class DiscreteMeasure:
     """Finite list of (point, positive weight) atoms on a space.
@@ -119,27 +105,42 @@ def _point_row(mu, z):
     return z.as_array().reshape(1, -1)
 
 
-def _poisson_blocks(zs, lams):
-    """(rows, |z|^2, D, P) for each row block of zs against the atoms lams.
+def _kernel_blocks(zs, lams):
+    """(rows, d, spare) per row block: d[..., i, j] = 1 - <z_i, lam_j> for z_i in zs[..., rows, :].
 
     zs (..., k, n) and lams (..., m, n) are one point set and its atoms,
-    or stacks of them with the same leading axes.  D[..., i, j] =
-    |1 - <z_i, lam_j>|^2 and P[..., i, j] = P_{z_i}(lam_j) over the rows
-    z_i of zs[..., rows, :].  Every block is written into one scratch
-    sized for the largest, so D and P hold only until the next block is
-    drawn: a complex pair for d and its conjugate, and a C-contiguous
-    float block for P, since a matvec over a strided P (the real part of
-    a complex block) sums in another order and moves the last bit.
+    or stacks of them with the same leading axes.  d and spare, scratch
+    of d's shape, are one complex pair held until the next block.  Every
+    block is as long as the first: the last ends at row k, overlapping
+    the one before, and yields only its new rows, since numpy takes a
+    one-row product through gemv, which rounds otherwise than gemm.
     """
     k, n = zs.shape[-2:]
     blocks = _row_blocks(k, lams.size // n)
-    shape = zs.shape[:-2] + (min(blocks[0].stop, k), lams.shape[-2])
-    d_scratch, p_scratch = np.empty((2,) + shape, dtype=complex), np.empty(shape)
+    size = min(blocks[0].stop, k)
+    scratch = np.empty((2,) + zs.shape[:-2] + (size, lams.shape[-2]), dtype=complex)
+    lams_h = lams.conj().swapaxes(-1, -2)
     for rows in blocks:
-        block = zs[..., rows, :]
-        nrm = _norm_sq_rows(block)
-        d_sq = _denominator_sq_matrix(block, lams, d_scratch)
-        p = _poisson(d_sq, nrm[..., None], n, p_scratch[..., :block.shape[-2], :])
+        start = min(rows.start, k - size)
+        d = np.matmul(zs[..., start:start + size, :], lams_h, out=scratch[0])
+        new = slice(rows.start - start, None)
+        yield rows, np.subtract(1.0, d, out=d)[..., new, :], scratch[1][..., new, :]
+
+
+def _poisson_blocks(zs, lams):
+    """(rows, |z|^2, D, P) for each block of _kernel_blocks(zs, lams), held until the next.
+
+    D = |d|^2 is the real part of d * conj(d), as in the scalar kernels.
+    P[..., i, j] = P_{z_i}(lam_j) goes to a C-contiguous float block: a
+    matvec over a strided P sums in another order and moves the last bit.
+    """
+    p_scratch = None
+    for rows, d, spare in _kernel_blocks(zs, lams):
+        if p_scratch is None:
+            p_scratch = np.empty(spare.shape)
+        nrm = _norm_sq_rows(zs[..., rows, :])
+        d_sq = np.multiply(d, np.conjugate(d, out=spare), out=spare).real
+        p = _poisson(d_sq, nrm[..., None], zs.shape[-1], p_scratch[..., :d.shape[-2], :])
         yield rows, nrm, d_sq, p
 
 
@@ -277,45 +278,27 @@ def _weighted_gram(points, root_w):
 
     points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
     M is the only array of its size: each row block of the kernel is
-    written into it through scratch d = 1 - <lam_j, lam_k> of one block,
-    then weighted in place.  The last block ends at the last row and is
-    as long as the others, overlapping the one before: numpy takes a
-    one-row product through gemv, which rounds otherwise than the gemm
-    of the whole matrix.
+    written into it from the d = 1 - <lam_j, lam_k> of _kernel_blocks,
+    then weighted in place.
     """
-    order, n = points.shape[-2:]
-    m = np.empty(points.shape[:-1] + (order,), dtype=complex)
-    blocks = _row_blocks(order, points.size // n)
-    size = min(blocks[0].stop, order)
-    blocks[-1] = slice(order - size, order)
-    d = np.empty(points.shape[:-2] + (size, order), dtype=complex)
-    for rows in blocks:
-        block = m[..., rows, :]
-        _szego_matrix(points[..., rows, :], points, n, block, d)
+    m = np.empty(points.shape[:-1] + points.shape[-2:-1], dtype=complex)
+    for rows, d, _ in _kernel_blocks(points, points):
+        block = _szego(d, points.shape[-1], m[..., rows, :])
         block *= root_w[..., rows, None] * root_w[..., None, :]
     return m
-
-
-def _weighted_kernel_matrix(points, root_w):
-    """The weighted Gram matrix of one measure as a checked HermitianMatrix."""
-    return HermitianMatrix(_weighted_gram(points, root_w))
 
 
 def embedding_norm_sq(mu):
     """Exact best constant A(mu)^2: top eigenvalue of the weighted Gram matrix.
 
-    From order _CERTIFIED_MIN_ORDER on it is the lower end rho of the
-    certified bracket of numerics._certified_top_eig, within 1e-8 rho of
-    the proven upper end; when the certificate declines, and below that
-    order, it comes from the dense eigensolve.
+    It comes from numerics._top_eigs: at large orders the lower end of a
+    certified bracket of width 1e-8 relative, else the dense eigensolve.
     """
     _check_atom_count(len(mu), "measure has {} atoms")
-    m = _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array()))
-    if m.order >= _CERTIFIED_MIN_ORDER:
-        bracket = _certified_top_eig(m)
-        if bracket is not None:
-            return bracket[0]
-    return extreme_eigs(m)[1]
+    top, = _top_eigs(_weighted_gram(mu.points_array(), np.sqrt(mu.weights_array()))[None])
+    if isinstance(top, Exception):
+        raise top
+    return top
 
 
 def theorem_bound_constant(space):

@@ -12,6 +12,7 @@ vectorized callables mapping an (m, n) complex array of points to an
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +26,6 @@ MAX_GAUSS_ORDER = 512
 # 336 MB.  The default rules stay far below (1.18 M nodes for uchiyama
 # on ball(2), 1.57 M for green-check --space ball2).
 MAX_QUAD_NODES = 1 << 23
-
-# Fixed Philox key component so that distinct consumers of rng_stream
-# can never collide with user-facing seeds by accident.
-_PHILOX_WORDS = 2
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,13 @@ def default_quadrature(space):
 
 
 # Every blocked pass works on row blocks of about this many entries, so
-# no full (rows x columns) matrix is held: the Poisson blocks behind
-# every potential field (c_supp, the grid scan, uchiyama's atoms and
-# nodes), the box scan, the Gram build and its Hermitian check, the
-# search's Gram stacks and the Green's-formula stencil.  A complex block
-# is 1 MiB; of 2^14-2^20, 2^15-2^16 ran the ball(2) green-check and
-# uchiyama passes fastest (fresh processes, 2 vCPUs).
+# no full (rows x columns) matrix is held: the 1 - <z, lam> blocks of
+# measure._kernel_blocks behind every Poisson block (c_supp, the grid
+# scan, uchiyama's atoms and nodes) and every Gram build (the search's
+# stacks included), the box scan, the Hermitian check and the
+# Green's-formula stencil.  A complex block is 1 MiB; of 2^14-2^20,
+# 2^15-2^16 ran the ball(2) green-check and uchiyama passes fastest
+# (fresh processes, 2 vCPUs).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -138,10 +136,9 @@ class HermitianMatrix:
     """Dense Hermitian matrix with the deviation check done at construction.
 
     The upper triangle is authoritative: the eigensolver reads UPLO='U'.
-    deviation is the test's max |a - a^H|, kept for _certified_top_eig.
     """
 
-    __slots__ = ("entries", "deviation")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=complex)
@@ -151,11 +148,6 @@ class HermitianMatrix:
         if fails:
             raise _not_hermitian(a, deviation, scale)
         self.entries = a
-        self.deviation = float(deviation)
-
-    @property
-    def order(self):
-        return self.entries.shape[0]
 
 
 def _eigvalsh(a):
@@ -178,28 +170,50 @@ def extreme_eigs(m):
     return float(eigs[0]), float(eigs[-1])
 
 
+# From this order on _top_eigs tries the certified power iteration
+# first.  Best of 15 runs (3 at order 2000) on three random disc and
+# ball(2) measures each, two sessions (2 vCPUs, numpy 2.4.6, OpenBLAS
+# 0.3.31), eigvalsh against the certificate: order 100, 0.6-1.1 ms
+# against 0.9-1.7 ms, and two of the three ball(2) certificates declined
+# (top pair too close for the step cap); order 256, 6.3-11 ms against
+# 1.1-4.0 ms; order 2000, 1.2-2.0 s against 0.021-0.027 s.  Orders 150
+# and 200 would gain too, but below this order a_sq is eigvalsh's value,
+# and the certificate's rho differs from it in the last digits, so
+# moving the threshold changes printed output.
+_CERTIFIED_MIN_ORDER = 256
+
+
 def _top_eigs(a):
     """Largest eigenvalue of each matrix of a (r, k, k) complex stack.
 
-    Each matrix that fails HermitianMatrix's deviation test gets its
-    InputError in place of a value; the others go to one batched
-    eigensolve.  When that fails to converge, they are solved one at a
+    A matrix that fails HermitianMatrix's deviation test gets its
+    InputError in place of a value.  From order _CERTIFIED_MIN_ORDER on
+    the others take rho of _certified_top_eig's bracket; the rest go to
+    one batched eigensolve, and when that fails to converge, one at a
     time, so a NumericError belongs only to the matrix that raised it.
     """
     deviation, scale, fails = _hermitian_deviation(a)
     out = [_not_hermitian(a[i], deviation[i], scale[i]) if fails[i] else None
            for i in range(len(a))]
-    good = np.flatnonzero(~fails)
+    if a.shape[-1] >= _CERTIFIED_MIN_ORDER:
+        for i in np.flatnonzero(~fails):
+            bracket = _certified_top_eig(a[i], float(deviation[i]))
+            if bracket is not None:
+                out[i] = bracket[0]
+    rest = [i for i, top in enumerate(out) if top is None]
+    if not rest:
+        return out
     try:
-        tops = _eigvalsh(a[good])[:, -1]
+        # a[rest] would copy the whole stack, a 2000-atom Gram matrix too
+        tops = _eigvalsh(a if len(rest) == len(a) else a[rest])[:, -1]
     except NumericError:
         tops = []
-        for i in good:
+        for i in rest:
             try:
                 tops.append(_eigvalsh(a[i])[-1])
             except NumericError as exc:
                 tops.append(exc)
-    for i, top in zip(good, tops):
+    for i, top in zip(rest, tops):
         out[i] = top if isinstance(top, NumericError) else float(top)
     return out
 
@@ -323,18 +337,18 @@ def _kato_temple_upper_end(a, v, w, rho, res, deviation):
     return math.nextafter(float(rho_hi + resid ** 2 / n_lo / (rho_lo - alpha)), math.inf)
 
 
-def _certified_top_eig(m):
+def _certified_top_eig(a, deviation):
     """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
 
-    m is a HermitianMatrix whose entries a have a positive diagonal; its
-    deviation max |a - a^H| enters the gap tier.  Both tiers prove t for
-    the matrix of a's upper triangle, the one extreme_eigs reads.  rho
-    is the Rayleigh quotient of a power iterate from the all-ones
-    vector, a lower bound up to its own rounding.  The iteration stops
-    on the residual r = a v - rho v, once ||r|| plus the Cholesky tier's
-    rounding allowance is within 1e-8 rho; it never stops on successive
-    rho, which can keep flipping by an ulp after it has settled.  Then t comes from the first tier
-    that proves it:
+    a passed _hermitian_deviation, whose max |a - a^H| is deviation, and
+    has a positive diagonal.  Both tiers prove t for the matrix of a's
+    upper triangle, the one eigvalsh reads.  rho is the Rayleigh
+    quotient of a power iterate from the all-ones vector, a lower bound
+    up to its own rounding.  The iteration stops on the residual
+    r = a v - rho v, once ||r|| plus the Cholesky tier's rounding
+    allowance is within 1e-8 rho; it never stops on successive rho,
+    which can keep flipping by an ulp after it has settled.  Then t
+    comes from the first tier that proves it:
 
     - the gap tier (_kato_temple_upper_end), O(n^2) work that only reads
       a, when the Frobenius gap bound alpha >= lambda_2 lies below rho
@@ -350,7 +364,6 @@ def _certified_top_eig(m):
     iterate found a lower eigenvalue).  The allowance grows like n^2, so
     from about n = 2800 on the rule is never met.
     """
-    a = m.entries
     n = len(a)
     diag = a.diagonal().real
     if not (diag.min() > 0.0 and _DIAGONAL_RANGE[0] <= diag.max() <= _DIAGONAL_RANGE[1]):
@@ -373,7 +386,7 @@ def _certified_top_eig(m):
         v = w / np.linalg.norm(w)
     else:
         return None
-    t = _kato_temple_upper_end(a, v, w, rho, res, m.deviation)
+    t = _kato_temple_upper_end(a, v, w, rho, res, deviation)
     if t is not None and t - rho <= _BRACKET_TOL * rho:
         return float(rho), t
     s = rho + res + shift
@@ -565,13 +578,22 @@ def boundary_quadrature(f, q, space):
     return _apply_rule(f, points, weights)
 
 
+def _as_integer(value):
+    """value as an int if it is an integer other than a bool (numpy integers too), else None."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def rng_stream(seed, stream):
     """Deterministic counter-based generator for the pair (seed, stream).
 
     Distinct streams are statistically independent; identical pairs
     reproduce identical draws on every platform.
     """
-    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+    seed, stream = _as_integer(seed), _as_integer(stream)
+    if seed is None or stream is None or not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
         raise InputError("seed and stream must be integers in [0, 2**64)")
     bit_gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     return np.random.Generator(bit_gen)

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from carlembed import cli, extremal, measure
+from carlembed import cli, extremal, measure, numerics
 from carlembed.errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
 from carlembed.measure import (
-    BOUND_SLACK, DiscreteMeasure, _weighted_kernel_matrix, theorem_bound_constant,
+    BOUND_SLACK, DiscreteMeasure, _weighted_gram, theorem_bound_constant,
 )
 from carlembed.numerics import rng_stream
 
@@ -122,9 +122,12 @@ def test_config_validation():
     for step in (-0.1, math.inf, math.nan):
         with pytest.raises(InputError, match="^step_init must be positive and finite"):
             SearchConfig(space=DISC, step_init=step)
-    with pytest.raises(InputError):
-        SearchConfig(space=DISC, seed=-1)
-    for name, value in [("iterations", 2.0), ("restarts", 2.5), ("restarts", "3")]:
+    for seed in (-1, 1.5, None, True, "1"):
+        with pytest.raises(InputError, match=f"^seed must be a non-negative integer, got {seed!r}"):
+            SearchConfig(space=DISC, seed=seed)
+    assert SearchConfig(space=DISC, seed=np.int64(3)).seed == 3
+    for name, value in [("iterations", 2.0), ("restarts", 2.5), ("restarts", "3"),
+                        ("restarts", True), ("atom_count", True)]:
         with pytest.raises(InputError, match=f"^{name} must be a positive integer, got {value!r}$"):
             SearchConfig(space=DISC, **{name: value})
     cap = extremal.MAX_SEARCH_ATOMS
@@ -217,7 +220,7 @@ def _abort_setup():
     v = rng.normal(0.0, 0.3, size=ABORT_CFG.atom_count)
 
     def gram(mu):
-        return _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array())).entries
+        return _weighted_gram(mu.points_array(), np.sqrt(mu.weights_array()))
 
     start = gram(_oracle_build_measure(DISC, y, v))
     # the best measure of that restart is a proposal accepted mid-climb
@@ -370,6 +373,28 @@ def test_stacked_proposal_near_the_boundary_warns_like_spacepoint(monkeypatch):
         assert _atoms(measures[0]) == _atoms(extremal._build_measure(DISC, y[1], v[1]))
         assert values[1] == ratio(extremal._build_measure(DISC, y[1], v[1]))
     assert values[0] == ratio(extremal._build_measure(DISC, y[0], v[0]))
+
+
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+def test_stacked_certified_orders_match_per_restart_oracle(space, monkeypatch):
+    # From 256 atoms on the Gram matrices of a stack take the certificate,
+    # as embedding_norm_sq does for each measure of the oracle.
+    rng = rng_stream(260, space.dim)
+    y = rng.normal(0.0, 0.7, size=(3, 260, 2 * space.dim))
+    v = rng.normal(0.0, 0.3, size=(3, 260))
+    measures = _measure_path(monkeypatch)
+    brackets = []
+    certified_top_eig = numerics._certified_top_eig
+
+    def counted(a, deviation):
+        brackets.append(certified_top_eig(a, deviation))
+        return brackets[-1]
+
+    monkeypatch.setattr(numerics, "_certified_top_eig", counted)
+    values, errors = extremal._ratios(space, y, v)
+    assert errors == {} and measures == [] and len(brackets) == 3
+    for i in range(3):
+        assert values[i] == ratio(extremal._build_measure(space, y[i], v[i]))
 
 
 def test_all_stacked_search_builds_only_the_winner(monkeypatch):

@@ -8,10 +8,7 @@ from carlembed.errors import InputError, KernelConditioningWarning
 from carlembed.geometry import (
     Space,
     SpacePoint,
-    _denominator_sq_matrix,
     _norm_sq_rows,
-    _poisson,
-    _szego_matrix,
     inner,
     mobius,
     normalized_kernel,
@@ -19,6 +16,7 @@ from carlembed.geometry import (
     pseudo_hyperbolic,
     szego_kernel,
 )
+from carlembed.measure import _poisson_blocks, _weighted_gram
 from carlembed.numerics import rng_stream
 
 
@@ -150,21 +148,15 @@ def test_pseudo_hyperbolic_mobius_invariance():
     assert d1 == pytest.approx(d0, rel=1e-13)
 
 
-def _szego_into_scratch(zs, ws, n):
-    shape = zs.shape[:-1] + ws.shape[-2:-1]
-    return _szego_matrix(zs, ws, n, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-
-
 @pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
 def test_scalar_kernels_match_matrix_entries(space):
-    # The scalar kernels and the matrix helpers share one formula each and
+    # The scalar kernels and the kernel blocks share one formula each and
     # differ only in how they form <z, w>, so they agree to rounding.
     rng = rng_stream(20260101, space.dim)
     pts = [random_point(rng, space.dim, 0.95) for _ in range(60)]
     zs = np.array([p.coords for p in pts], dtype=complex)
-    szego = _szego_into_scratch(zs, zs, space.dim)
-    d_sq = _denominator_sq_matrix(zs, zs, np.empty((2, len(zs), len(zs)), dtype=complex))
-    poisson = _poisson(d_sq, _norm_sq_rows(zs)[:, None], space.dim)
+    szego = _weighted_gram(zs, np.ones(len(zs)))  # unit weights leave the kernel exact
+    (_, _, _, poisson), = _poisson_blocks(zs, zs)
     worst = 0.0
     for i, z in enumerate(pts):
         for j, w in enumerate(pts):
@@ -197,7 +189,8 @@ def test_kernel_matrices_of_a_stack_match_each_matrix(dim, atoms):
     stack = rng.normal(size=(5, atoms, dim)) + 1j * rng.normal(size=(5, atoms, dim))
     stack /= 1.5 * np.sqrt(_norm_sq_rows(stack))[..., None]
     nsq = _norm_sq_rows(stack)
-    szego = _szego_into_scratch(stack, stack, dim)
+    ones = np.ones(stack.shape[:-1])
+    szego = _weighted_gram(stack, ones)
     for i, zs in enumerate(stack):
         assert np.array_equal(nsq[i], _norm_sq_rows(zs))
-        assert np.array_equal(szego[i], _szego_into_scratch(zs, zs, dim))
+        assert np.array_equal(szego[i], _weighted_gram(zs, ones[i]))

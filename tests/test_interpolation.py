@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carlembed import interpolation, measure
+from carlembed import numerics
 from carlembed.errors import InputError, UnsupportedError
 from carlembed.geometry import Space, SpacePoint
 from carlembed.interpolation import (
@@ -83,15 +83,15 @@ def test_orthogonalizer_cond_exact_pair():
 
 def test_report_equality_case(monkeypatch):
     calls = []
+    eigvalsh = numerics._eigvalsh
 
-    def counted(m):
-        calls.append(m.order)
-        return extreme_eigs(m)
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
 
-    monkeypatch.setattr(interpolation, "extreme_eigs", counted)
-    monkeypatch.setattr(measure, "extreme_eigs", counted)
+    monkeypatch.setattr(numerics, "_eigvalsh", counted)
     rep = interpolation_report(seq_pm_half(), resolution=32)
-    assert calls == [2]  # K^2 and cond(G) come from one eigensolve
+    assert calls == [(2, 2)]  # K^2 and cond(G) come from one eigensolve
     assert rep.delta == pytest.approx(0.8, abs=1e-12)
     assert rep.k_sq == pytest.approx(1.6, abs=1e-12)
     assert rep.gram_cond_root == pytest.approx(2.0, abs=1e-10)

@@ -4,20 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carlembed import calculus, extremal, geometry, measure, numerics
+from carlembed import calculus, extremal, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
 from carlembed.geometry import Space, SpacePoint, _norm_sq_rows, _poisson
 from carlembed.measure import (
-    _CERTIFIED_MIN_ORDER,
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
     _grid_points,
+    _poisson_blocks,
     _potential_field,
     _support_and_grid_constants,
     _weighted_gram,
-    _weighted_kernel_matrix,
     analyze,
     box_constant,
     carleson_potential,
@@ -27,7 +26,8 @@ from carlembed.measure import (
     theorem_bound_constant,
 )
 from carlembed.numerics import (
-    HermitianMatrix, QuadratureSpec, _row_blocks, ball_rule, extreme_eigs, rng_stream,
+    _CERTIFIED_MIN_ORDER, HermitianMatrix, QuadratureSpec, _row_blocks, ball_rule, extreme_eigs,
+    rng_stream,
 )
 
 from conftest import (
@@ -303,8 +303,14 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
 
     spy(measure, "_poisson", lambda p: p.size)
-    for owner in (geometry, measure):
-        spy(owner, "_denominator_sq_matrix", lambda d_sq: d_sq.size)
+    kernel_blocks = measure._kernel_blocks
+
+    def blocks(zs, lams):
+        for rows, d, spare in kernel_blocks(zs, lams):
+            sizes.append(d.size)
+            yield rows, d, spare
+
+    monkeypatch.setattr(measure, "_kernel_blocks", blocks)
     # the eigensolve forms no Poisson block and would add 2 s
     monkeypatch.setattr(measure, "embedding_norm_sq", lambda mu: 1.0)
     f = MultiPoly(1, {(1,): 1.0})
@@ -430,6 +436,26 @@ def test_blocked_gram_equals_dense_gram(shape, dim, block_entries, monkeypatch):
     assert np.array_equal(_weighted_gram(points, root_w), _dense_gram_oracle(points, root_w))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("atoms", [37, 300, 777, 1500])
+def test_kernel_blocks_one_row_tail_equals_dense_denominator(dim, atoms):
+    # k rows in blocks of 2^16 // atoms leave one row for the last block.
+    # Computed alone, numpy takes it through gemv, which rounds otherwise
+    # than the gemm of the other blocks; on ball(2) and ball(3) such a
+    # row differed from the dense matrix in its last bits.
+    rng = rng_stream(2121, 10000 * dim + atoms)
+    k = 2 * (2 ** 16 // atoms) + 1
+    pts = rng.normal(size=(k + atoms, dim)) + 1j * rng.normal(size=(k + atoms, dim))
+    pts /= 1.5 * np.sqrt(_norm_sq_rows(pts))[:, None]
+    zs, lams = pts[:k], pts[k:]
+    want = dense_denominator_sq(zs, lams)
+    seen = []
+    for rows, _, d_sq, _ in _poisson_blocks(zs, lams):
+        seen.append(rows)
+        assert np.array_equal(d_sq, want[rows])
+    assert [rows.start for rows in seen[-2:]] == [k - 1 - k // 2, k - 1]
+
+
 def test_weighted_kernel_matrix_allocates_one_square_array():
     # The dense build held the kernel, d = 1 - <lam_j, lam_k> and the
     # weighting product beside M, and the Hermitian check a - a^H and two
@@ -438,7 +464,7 @@ def test_weighted_kernel_matrix_allocates_one_square_array():
     points, root_w = mu.points_array(), np.sqrt(mu.weights_array())
     tracemalloc.start()
     try:
-        m = _weighted_kernel_matrix(points, root_w)
+        m = HermitianMatrix(_weighted_gram(points, root_w))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -526,8 +552,8 @@ def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(m):
-        result = original(m)
+    def counted(*args):
+        result = original(*args)
         calls.append(result)
         return result
 
@@ -536,7 +562,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def dense_top_eig(mu):
-    m = _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array()))
+    m = HermitianMatrix(_weighted_gram(mu.points_array(), np.sqrt(mu.weights_array())))
     return extreme_eigs(m)[1]
 
 
@@ -545,8 +571,8 @@ def dense_top_eig(mu):
 def test_embedding_norm_sq_certified_bracket_holds_the_eigensolve(space, count, monkeypatch):
     mu = sized_measure(space, count, 700)
     want = _embedding_norm_sq_oracle(mu)
-    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
-    dense = count_calls(monkeypatch, measure, "extreme_eigs")
+    brackets = count_calls(monkeypatch, numerics, "_certified_top_eig")
+    dense = count_calls(monkeypatch, numerics, "_eigvalsh")
     got = embedding_norm_sq(mu)
     assert dense == []  # a path that always fell back would call the eigensolve
     (rho, t), = brackets
@@ -560,8 +586,8 @@ def test_embedding_norm_sq_certified_bracket_holds_the_eigensolve(space, count, 
 
 def test_embedding_norm_sq_below_threshold_uses_the_eigensolve(monkeypatch):
     mu = sized_measure(Space.ball(2), _CERTIFIED_MIN_ORDER - 1, 701)
-    dense = count_calls(monkeypatch, measure, "extreme_eigs")
-    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    dense = count_calls(monkeypatch, numerics, "_eigvalsh")
+    brackets = count_calls(monkeypatch, numerics, "_certified_top_eig")
     assert embedding_norm_sq(mu) == pytest.approx(_embedding_norm_sq_oracle(mu), rel=1e-13)
     assert len(dense) == 1 and brackets == []
 
@@ -572,12 +598,12 @@ def test_embedding_norm_sq_falls_back_on_near_degenerate_top_pair(monkeypatch):
     z = 0.999 * np.exp(1j * 1e-3 * np.arange(150) / 150)
     mu = DiscreteMeasure(Space.disc(), [(SpacePoint(complex(p)), 1.0) for p in z]
                          + [(SpacePoint(complex(-p)), 1.001) for p in z])
-    eigs = np.linalg.eigvalsh(
-        _weighted_kernel_matrix(mu.points_array(), np.sqrt(mu.weights_array())).entries)
+    eigs = np.linalg.eigvalsh(_weighted_gram(mu.points_array(), np.sqrt(mu.weights_array())))
     assert eigs[-2] / eigs[-1] > 0.99
-    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
-    dense = count_calls(monkeypatch, measure, "extreme_eigs")
-    assert embedding_norm_sq(mu) == dense_top_eig(mu)
+    want = dense_top_eig(mu)
+    brackets = count_calls(monkeypatch, numerics, "_certified_top_eig")
+    dense = count_calls(monkeypatch, numerics, "_eigvalsh")
+    assert embedding_norm_sq(mu) == want
     assert brackets == [None] and len(dense) == 1
 
 
@@ -590,10 +616,10 @@ def test_embedding_norm_sq_falls_back_when_top_vector_is_orthogonal_to_start(mon
 
     def build(*args):
         builds.append(1)
-        return HermitianMatrix(a.copy())
+        return a.copy()
 
-    monkeypatch.setattr(measure, "_weighted_kernel_matrix", build)
-    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    monkeypatch.setattr(measure, "_weighted_gram", build)
+    brackets = count_calls(monkeypatch, numerics, "_certified_top_eig")
     mu = sized_measure(Space.disc(), 300, 702)
     assert embedding_norm_sq(mu) == extreme_eigs(a)[1]
     assert brackets == [None]
@@ -609,17 +635,17 @@ def test_embedding_norm_sq_certifies_2000_atoms_without_a_factor(space, monkeypa
     built = []
 
     def build(points, root_w):
-        m = _weighted_kernel_matrix(points, root_w)
-        built.append((m, m.entries.copy()))
+        m = _weighted_gram(points, root_w)
+        built.append((m, m.copy()))
         return m
 
-    monkeypatch.setattr(measure, "_weighted_kernel_matrix", build)
-    brackets = count_calls(monkeypatch, measure, "_certified_top_eig")
+    monkeypatch.setattr(measure, "_weighted_gram", build)
+    brackets = count_calls(monkeypatch, numerics, "_certified_top_eig")
     got = embedding_norm_sq(mu)
     (m, entries), = built
     (rho, t), = brackets
     assert factors == [] and got == rho <= t
-    assert m.entries.tobytes() == entries.tobytes()
+    assert m.tobytes() == entries.tobytes()
 
 
 def test_embedding_norm_sq_peak_memory_is_about_the_gram_matrix():

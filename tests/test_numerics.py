@@ -335,10 +335,10 @@ def test_extreme_eigs_two_by_two_oracle():
 
 
 def _certified(a):
-    """_certified_top_eig on a HermitianMatrix that shares a's buffer."""
-    m = HermitianMatrix(a)
-    assert m.entries is a
-    return _certified_top_eig(m)
+    """_certified_top_eig on a, after the Hermitian check that gives its deviation."""
+    deviation, _, fails = _hermitian_deviation(a)
+    assert not fails
+    return _certified_top_eig(a, float(deviation))
 
 
 def test_certified_top_eig_brackets_a_known_spectrum():
@@ -404,9 +404,8 @@ def test_certified_top_eig_declines_diagonal_out_of_range():
     a = hermitian_with_spectrum(np.linspace(2.0, 1.0, 20), 14)
     for scale in (2.0 ** 300, 2.0 ** -300, -1.0, np.nan):
         # scaled after the Hermitian check, which refuses a NaN matrix
-        m = HermitianMatrix(a.copy())
-        m.entries *= scale
-        assert _certified_top_eig(m) is None
+        deviation = float(_hermitian_deviation(a)[0])
+        assert _certified_top_eig(a * scale, deviation) is None
 
 
 def test_certified_top_eig_leaves_a_declined_matrix_unchanged(monkeypatch):
@@ -503,3 +502,8 @@ def test_rng_stream_determinism_and_independence():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    assert np.array_equal(rng_stream(np.int64(42), np.uint8(0)).normal(size=8), a)
+    # truncated, 1.9 and True would draw seed 1's stream
+    for seed, stream in [(1.9, 0), (True, 0), (0, np.True_), (None, 0), ("1", 0), (2 ** 64, 0)]:
+        with pytest.raises(InputError, match=r"^seed and stream must be integers in \[0, 2\*\*64"):
+            rng_stream(seed, stream)
