@@ -76,7 +76,7 @@ class MultiPoly:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim, terms):
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise InputError(f"dim must be a positive integer, got {dim!r}")
         items = terms.items() if hasattr(terms, "items") else terms
         cleaned = {}
@@ -454,8 +454,16 @@ def uchiyama_density(mu, z):
     return float(np.exp(phi)[0] * density[0])
 
 
-def _uchiyama_values(mu, f, q):
-    """uchiyama_checks without its finiteness checks."""
+def uchiyama_checks(mu, f, q=None):
+    """The contraction, the corollary and every key inequality in one pass.
+
+    Returns ((integral, ||f||^2), (integral, e ||phi||_inf ||f||^2),
+    [(lhs, rhs) per atom]), as uchiyama_embedding_check, corollary_check
+    and key_inequality_check return them.  One loop over row blocks of
+    the rule computes |f|^2, phi, e^phi, the density and the node-by-atom
+    kernel once per node and feeds all three checks.  Any non-finite
+    integral or lhs raises NumericError.
+    """
     _check_poly_dim(f, mu.space)
     _check_atom_count(len(mu), "measure has {} atoms")
     if q is None:
@@ -489,24 +497,11 @@ def _uchiyama_values(mu, f, q):
     lhs = prefactor * (1.0 - _norm_sq_rows(lams)) * key
     rhs = constant * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
     keys = list(zip(lhs.tolist(), rhs.tolist()))
+    _check_finite("Uchiyama integral", contraction)
+    _check_finite("corollary integral", corollary)
+    for value, _ in keys:
+        _check_finite("key inequality lhs", value)
     return (contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq), keys
-
-
-def uchiyama_checks(mu, f, q=None):
-    """The contraction, the corollary and every key inequality in one pass.
-
-    Returns ((integral, ||f||^2), (integral, e ||phi||_inf ||f||^2),
-    [(lhs, rhs) per atom]), as uchiyama_embedding_check, corollary_check
-    and key_inequality_check return them.  One loop over row blocks of
-    the rule computes |f|^2, phi, e^phi, the density and the node-by-atom
-    kernel once per node and feeds all three checks.
-    """
-    contraction, corollary, keys = _uchiyama_values(mu, f, q)
-    _check_finite("Uchiyama integral", contraction[0])
-    _check_finite("corollary integral", corollary[0])
-    for lhs, _ in keys:
-        _check_finite("key inequality lhs", lhs)
-    return contraction, corollary, keys
 
 
 def uchiyama_embedding_check(mu, f, q=None):
@@ -515,8 +510,7 @@ def uchiyama_embedding_check(mu, f, q=None):
     The lemma guarantees integral <= norm for every discrete measure;
     callers assert with their quadrature slack.
     """
-    integral, norm_sq = _uchiyama_values(mu, f, q)[0]
-    return _check_finite("Uchiyama integral", integral), norm_sq
+    return uchiyama_checks(mu, f, q)[0]
 
 
 def corollary_check(mu, f, q=None):
@@ -526,8 +520,7 @@ def corollary_check(mu, f, q=None):
     estimated as the max of -phi over the quadrature nodes and the atoms,
     a lower bound of the true supremum.
     """
-    integral, bound = _uchiyama_values(mu, f, q)[1]
-    return _check_finite("corollary integral", integral), bound
+    return uchiyama_checks(mu, f, q)[1]
 
 
 def key_inequality_check(mu, f, lambda_idx, q=None):
@@ -540,8 +533,7 @@ def key_inequality_check(mu, f, lambda_idx, q=None):
     _check_poly_dim(f, mu.space)
     if not 0 <= lambda_idx < len(mu):
         raise InputError(f"atom index {lambda_idx} out of range 0..{len(mu) - 1}")
-    lhs, rhs = _uchiyama_values(mu, f, q)[2][lambda_idx]
-    return _check_finite("key inequality lhs", lhs), rhs
+    return uchiyama_checks(mu, f, q)[2][lambda_idx]
 
 
 def beta_constant(n):

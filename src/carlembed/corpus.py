@@ -5,6 +5,7 @@ so one seed gives the same points everywhere.  ``rng`` is a
 numpy Generator, usually from numerics.rng_stream.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -33,13 +34,10 @@ def random_measure(rng, space, max_atoms, rmax):
 
 
 def random_poly(rng, dim, max_degree):
-    """Dense random polynomial of total degree <= max_degree (dim 1 or 2)."""
-    terms = {}
-    if dim == 1:
-        for k in range(max_degree + 1):
-            terms[(k,)] = complex(rng.normal(), rng.normal())
-    else:
-        for a in range(max_degree + 1):
-            for b in range(max_degree + 1 - a):
-                terms[(a, b)] = complex(rng.normal(), rng.normal())
+    """Dense random polynomial of total degree <= max_degree, terms drawn in lexicographic order."""
+    terms = {
+        alpha: complex(rng.normal(), rng.normal())
+        for alpha in itertools.product(range(max_degree + 1), repeat=dim)
+        if sum(alpha) <= max_degree
+    }
     return MultiPoly(dim, terms)

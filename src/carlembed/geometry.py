@@ -41,7 +41,7 @@ class Space:
     def __post_init__(self):
         if self.kind not in (DISC, BALL):
             raise InputError(f"kind must be {DISC!r} or {BALL!r}, got {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
         if self.kind == DISC and self.dim != 1:
             raise InputError("the disc has complex dimension 1")

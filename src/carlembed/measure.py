@@ -31,6 +31,9 @@ BOUND_SLACK = 1e-9
 _GRID_RADIUS_CAP = 1.0 - 1e-4
 _GRID_DIRECTION_SEED = 20231115
 
+# Uniform box centers on the circle, before the 13 refined toward each atom.
+_BOX_DIRECTIONS = 64
+
 class DiscreteMeasure:
     """Finite list of (point, positive weight) atoms on a space.
 
@@ -225,7 +228,7 @@ def kernel_constant_grid(mu, resolution):
     return _support_and_grid_constants(mu, resolution)[1]
 
 
-def box_constant(mu, directions=64):
+def box_constant(mu):
     """Lower-bound estimate of I(mu) = sup mu(D cap Q(xi, r)) / r, disc only.
 
     Q(xi, r) is the euclidean ball of radius r centered at xi on the unit
@@ -237,17 +240,15 @@ def box_constant(mu, directions=64):
     """
     if mu.space.kind != DISC:
         raise UnsupportedError("box geometry is defined only on the disc")
-    if not isinstance(directions, int) or directions < 16:
-        raise InputError(f"directions must be an integer >= 16, got {directions!r}")
     lam = mu.points_array()[:, 0]
     w = mu.weights_array()
 
-    base_step = 2.0 * np.pi / directions
+    base_step = 2.0 * np.pi / _BOX_DIRECTIONS
     halves = base_step * 2.0 ** -np.arange(1.0, 7.0)
     offsets = np.concatenate([[0.0], np.column_stack([halves, -halves]).ravel()])
     t = np.arctan2(lam.imag, lam.real)[lam != 0.0]
     angles = np.concatenate([
-        2.0 * np.pi * np.arange(directions) / directions,
+        2.0 * np.pi * np.arange(_BOX_DIRECTIONS) / _BOX_DIRECTIONS,
         (t[:, None] + offsets[None, :]).ravel(),
     ])
     centers = np.exp(1j * angles)
@@ -302,9 +303,12 @@ def embedding_norm_sq(mu):
 
 
 def theorem_bound_constant(space):
-    """e (2n)! / (n!)^2 on the ball of dimension n; 2e on the disc (n = 1)."""
+    """e (2n)! / (n!)^2 on the ball of dimension n, inf past the double range; 2e on the disc."""
     n = space.dim
-    return math.e * math.factorial(2 * n) / math.factorial(n) ** 2
+    try:
+        return math.e * math.comb(2 * n, n)
+    except OverflowError:  # from n = 515 the binomial itself has no float
+        return math.inf
 
 
 def analyze(mu, resolution=64):

@@ -5,9 +5,10 @@ unnormalized area/volume integrals dA on the disc and dV on the ball,
 plus the normalized boundary means dm on the circle and d(sigma) on the
 sphere.  Each rule is one product, radial (interior rules only) x moduli
 (|z_1|, ..., |z_n|) on the sphere x n uniform torus angles; the moduli
-rule, the only dimension-specific piece, covers n <= 2.  Integrands are
-vectorized callables mapping an (m, n) complex array of points to an
-(m,) real array.
+rule, the only dimension-specific piece, covers n <= 2 and alone refuses
+a larger n.  A QuadratureSpec holds only the orders of a rule; pass/fail
+tolerances belong to its callers.  Integrands are vectorized callables
+mapping an (m, n) complex array of points to an (m,) real array.
 """
 
 import functools
@@ -36,13 +37,11 @@ class QuadratureSpec:
     angular_order  nodes on each periodic angle (the circle for the disc,
                    each torus angle of the Hopf rule for the ball).
     sphere_nodes   Gauss-Legendre order of the polar Hopf angle on S^3.
-    tol            target accuracy used by callers as a pass/fail gate.
     """
 
     radial_order: int = 64
     angular_order: int = 128
     sphere_nodes: int = 24
-    tol: float = 1e-8
 
     def __post_init__(self):
         for name in ("radial_order", "angular_order", "sphere_nodes"):
@@ -53,8 +52,6 @@ class QuadratureSpec:
                 raise InputError(
                     f"{name} is a Gauss-Legendre order, at most {MAX_GAUSS_ORDER}, got {value}"
                 )
-        if not self.tol > 0:
-            raise InputError(f"tol must be positive, got {self.tol!r}")
 
 
 def default_quadrature(space):
@@ -63,11 +60,11 @@ def default_quadrature(space):
     The ball rule carries four coordinate factors, so it trades angular
     resolution for runtime; its integrands here have rapidly decaying
     angular Fourier content, which 32 nodes per torus angle resolve far
-    below the 1e-3 tolerances used for ball-side checks.
+    below the 1e-3 slack of the ball-side checks (cli.BALL_SLACK).
     """
     if space.dim == 1:
         return QuadratureSpec()
-    return QuadratureSpec(radial_order=48, angular_order=32, sphere_nodes=24, tol=1e-3)
+    return QuadratureSpec(radial_order=48, angular_order=32, sphere_nodes=24)
 
 
 # Every blocked pass works on row blocks of about this many entries, so
@@ -455,17 +452,19 @@ def _moduli_rule(dim, sphere_nodes):
 
     With z_j = |z_j| e^{i p_j}, the surface measure of the sphere is these
     weights times d(p_1) ... d(p_dim); this is the only piece of a rule
-    that depends on the dimension.
+    that depends on the dimension, and it is implemented for n <= 2.
     """
     if dim == 1:
         moduli, weights = np.ones((1, 1)), np.ones(1)
-    else:
+    elif dim == 2:
         # Hopf coordinates on S^3: (|z_1|, |z_2|) = (cos(eta), sin(eta)),
         # dS = cos(eta) sin(eta) d(eta) dp1 dp2.
         xe, we = _leggauss(sphere_nodes)
         eta = 0.25 * np.pi * (xe + 1.0)
         moduli = np.column_stack([np.cos(eta), np.sin(eta)])
         weights = 0.25 * np.pi * we * moduli[:, 0] * moduli[:, 1]
+    else:
+        raise UnsupportedError(f"quadrature is implemented for complex dimension <= 2, got {dim}")
     return moduli, weights
 
 
@@ -533,17 +532,11 @@ def ball_rule(q, dim=2):
     uniform angles.  Only the moduli depend on the dimension, and they
     are implemented for complex dimensions 1 and 2.
     """
-    if dim not in (1, 2):
-        raise UnsupportedError(f"quadrature is implemented for complex dimension <= 2, got {dim}")
     return _product_rule(dim, q.angular_order, q.sphere_nodes, q.radial_order)
 
 
 def boundary_rule(q, space):
     """Boundary nodes and weights for the normalized measure (total mass 1)."""
-    if space.dim not in (1, 2):
-        raise UnsupportedError(
-            f"boundary quadrature is implemented for complex dimension <= 2, got {space.dim}"
-        )
     return _product_rule(space.dim, q.angular_order, q.sphere_nodes)
 
 

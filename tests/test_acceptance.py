@@ -144,7 +144,7 @@ def test_criterion_05_greens_formula_disc(capsys):
     t0 = time.perf_counter()
     u = lambda zs: 1.0 - np.einsum("ij,ij->i", zs, zs.conj()).real
     lap = lambda zs: np.full(zs.shape[0], -4.0)
-    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24, tol=tol)
+    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24)
     lhs, rhs, gap = greens_formula_check(u, Space.disc(), q, laplacian=lap)
     elapsed = time.perf_counter() - t0
     ok = gap <= tol and abs(lhs + 1.0) <= tol and abs(rhs + 1.0) <= tol and elapsed < limit
@@ -338,7 +338,7 @@ def test_criterion_12_constants_table(capsys):
 def test_criterion_13_quadrature_anchors(capsys):
     limit = 5.0
     t0 = time.perf_counter()
-    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24)
     one = lambda zs: np.ones(zs.shape[0])
     area = disc_quadrature(one, q)
     log_moment = disc_quadrature(

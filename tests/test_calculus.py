@@ -59,6 +59,8 @@ def test_multipoly_eval():
     assert got[1] == pytest.approx(1.0 - 0.5, abs=1e-16)
     g = MultiPoly(2, {(1, 1): 1.0})
     assert g(SpacePoint([0.3, 0.5])) == pytest.approx(0.15, abs=1e-16)
+    with pytest.raises(InputError, match="dim must be a positive integer, got True"):
+        MultiPoly(True, {(0,): 1.0})
 
 
 def test_multipoly_refuses_degree_above_cap():
@@ -283,7 +285,7 @@ def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
         (
             BALL2,
             lambda zs: ((zs[:, 0] * zs[:, 0].conj()) * (zs[:, 1] * zs[:, 1].conj())).real,
-            QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8, tol=1e-3),
+            QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8),
         ),
     ]
     for space, u, q in cases:
@@ -543,6 +545,10 @@ def test_multipoly_eval_array_matches_scalar_call(dim):
             alpha = tuple(int(a) for a in rng.integers(0, 9, size=dim))
             terms[alpha] = complex(rng.normal(), rng.normal())
         polys.append(MultiPoly(dim, terms))
+    # the corpus draw: one term per multi-index of total degree <= 2
+    dense = random_poly(rng, dim, 2)
+    assert len(dense.terms) == math.comb(dim + 2, 2)
+    polys.append(dense)
     points = [random_point(rng, dim, 0.99) for _ in range(25)]
     zs = np.array([p.coords for p in points], dtype=complex)
     for f in polys:
@@ -657,7 +663,7 @@ def _check_against_oracle(mu, f, q):
 # here (the default rule is 16x larger) to keep the oracle's 1 + m passes
 # cheap, the bench-shaped inputs below run on the default rule.
 _ORACLE_SEED = 20260222
-_SMALL_BALL_RULE = QuadratureSpec(radial_order=24, angular_order=16, sphere_nodes=12, tol=1e-3)
+_SMALL_BALL_RULE = QuadratureSpec(radial_order=24, angular_order=16, sphere_nodes=12)
 
 
 def test_uchiyama_checks_match_oracle_disc_corpus():
@@ -739,7 +745,7 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
-    q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24, tol=1e-3)
+    q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24)
     nodes = len(ball_rule(q, 2)[1])
     # phi at the three atoms, once for ||phi||_inf and every key inequality,
     # then each node block once

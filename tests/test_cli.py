@@ -112,6 +112,17 @@ def test_analyze_overflow_is_numeric_error(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
+def test_analyze_bound_constant_of_high_dimensional_balls(tmp_path, capsys):
+    # (2n)! alone leaves double precision from n = 86; e (2n)!/(n!)^2
+    # itself does from n = 514
+    for dim, rc in ((86, 0), (600, 4)):
+        atoms = [{"point": [0.3, 0.1] + [0.0] * (2 * dim - 2), "weight": 1.0},
+                 {"point": [0.0] * (2 * dim - 2) + [-0.2, 0.4], "weight": 0.5}]
+        mu = {"space": {"kind": "ball", "dim": dim}, "atoms": atoms}
+        assert cli.main(["analyze", write(tmp_path, f"ball{dim}.json", mu), "--grid", "8"]) == rc
+    assert capsys.readouterr().err == "numeric error: bound not finite in double precision\n"
+
+
 def test_grid_above_cap_is_input_error(tmp_path, capsys):
     too_fine = str(measure.MAX_GRID_RESOLUTION + 1)
     rc = cli.main(["analyze", write(tmp_path, "pair.json", PAIR), "--grid", too_fine])
@@ -392,6 +403,8 @@ _DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
                  "input error: space must be an object with a 'kind' field", id="space-not-object"),
     pytest.param("analyze", {"space": {"kind": "ball", "dim": 2.0}, "atoms": _DISC_ATOMS}, 2,
                  "input error: ball space needs a positive integer 'dim'", id="ball-dim-not-int"),
+    pytest.param("analyze", {"space": {"kind": "ball", "dim": True}, "atoms": _DISC_ATOMS}, 2,
+                 "input error: ball space needs a positive integer 'dim'", id="ball-dim-bool"),
     pytest.param("analyze", {"space": {"kind": "disc"}}, 2,
                  "input error: measure file needs a nonempty 'atoms' list", id="atoms-missing"),
     pytest.param("analyze", {"space": {"kind": "disc"}, "atoms": []}, 2,
@@ -406,10 +419,16 @@ _DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
                  "input error: sequence file needs a nonempty 'points' list", id="points-missing"),
     pytest.param("interpolate", {"space": {"kind": "disc"}, "points": []}, 2,
                  "input error: sequence file needs a nonempty 'points' list", id="points-empty"),
+    pytest.param("interpolate", {"space": {"kind": "ball", "dim": True}, "points": [[0.5, 0.0]]},
+                 2, "input error: ball space needs a positive integer 'dim'",
+                 id="sequence-dim-bool"),
     pytest.param("uchiyama", [], 2, "input error: polynomial file must contain a JSON object",
                  id="poly-not-object"),
     pytest.param("uchiyama", {"terms": []}, 2,
                  "input error: polynomial file needs a positive integer 'dim'", id="poly-no-dim"),
+    pytest.param("uchiyama", {"dim": True, "terms": []}, 2,
+                 "input error: polynomial file needs a positive integer 'dim'",
+                 id="poly-dim-bool"),
     pytest.param("uchiyama", {"dim": 1, "terms": {}}, 2,
                  "input error: polynomial file needs a 'terms' list", id="terms-not-list"),
     pytest.param("uchiyama", {"dim": 1, "terms": [[0]]}, 2,

@@ -27,6 +27,8 @@ def test_space_constructors():
     assert b.kind == "ball" and b.dim == 3
     with pytest.raises(InputError):
         Space.ball(0)
+    with pytest.raises(InputError, match="dim must be a positive integer, got True"):
+        Space.ball(True)
 
 
 def test_space_point_scalar_and_vector():

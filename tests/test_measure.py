@@ -496,20 +496,22 @@ def test_box_constant_single_atom_oracle():
     assert val <= 2.0 + 1e-9
 
 
-def test_box_constant_rejects_ball_and_few_directions():
+def test_box_constant_rejects_ball():
     sp = Space.ball(2)
     mu = DiscreteMeasure(sp, [(SpacePoint([0.3, 0.0]), 1.0)])
     with pytest.raises(UnsupportedError):
         box_constant(mu)
-    with pytest.raises(InputError):
-        box_constant(pair_measure(), directions=8)
 
 
 def test_theorem_bound_constants():
     assert theorem_bound_constant(Space.disc()) == pytest.approx(2 * math.e, abs=1e-15)
     assert theorem_bound_constant(Space.ball(1)) == theorem_bound_constant(Space.disc())
     assert theorem_bound_constant(Space.ball(2)) == pytest.approx(6 * math.e, abs=1e-14)
-    assert theorem_bound_constant(Space.ball(3)) == pytest.approx(20 * math.e, abs=1e-13)
+    assert theorem_bound_constant(Space.ball(3)) == 20 * math.e
+    # finite while e (2n)!/(n!)^2 is, inf from there on
+    assert theorem_bound_constant(Space.ball(513)) == pytest.approx(4.8677760772365e307)
+    assert theorem_bound_constant(Space.ball(514)) == math.inf
+    assert theorem_bound_constant(Space.ball(600)) == math.inf
 
 
 def test_analyze_pair_report():

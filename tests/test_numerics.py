@@ -58,9 +58,7 @@ def test_gauss_legendre_rejects_bad_orders():
 
 def test_quadrature_spec_validation():
     with pytest.raises(InputError):
-        QuadratureSpec(radial_order=2, angular_order=16, sphere_nodes=8, tol=1e-8)
-    with pytest.raises(InputError):
-        QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8, tol=0.0)
+        QuadratureSpec(radial_order=2, angular_order=16, sphere_nodes=8)
     spec = default_quadrature(Space.disc())
     assert spec.radial_order == 64 and spec.angular_order == 128
     with pytest.raises(InputError, match="radial_order"):
@@ -91,33 +89,33 @@ def test_quadrature_rules_check_node_count_before_building():
 
 
 def test_disc_quadrature_area_anchor():
-    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24)
     mass = disc_quadrature(lambda zs: np.ones(zs.shape[0]), q)
     assert mass == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_disc_quadrature_log_anchor():
     # integrable log singularity at the origin: integral of log(1/|z|) is pi/2
-    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=24)
     val = disc_quadrature(lambda zs: -0.5 * np.log((zs[:, 0] * zs[:, 0].conj()).real), q)
     assert val == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
 def test_disc_quadrature_harmonic_moment():
     # integral of |z|^2 over the disc is pi/2
-    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=24)
     val = disc_quadrature(lambda zs: (zs[:, 0] * zs[:, 0].conj()).real, q)
     assert val == pytest.approx(math.pi / 2.0, abs=1e-13)
 
 
 def test_ball_quadrature_volume_anchor():
-    q = QuadratureSpec(radial_order=32, angular_order=24, sphere_nodes=16, tol=1e-8)
+    q = QuadratureSpec(radial_order=32, angular_order=24, sphere_nodes=16)
     vol = ball_quadrature(lambda zs: np.ones(zs.shape[0]), q)
     assert vol == pytest.approx(math.pi**2 / 2.0, abs=1e-10)
 
 
 def test_ball_quadrature_dim_one_matches_disc():
-    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=16, tol=1e-8)
+    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=16)
     for got, want in zip(ball_rule(q, 1), disc_rule(q)):
         assert np.array_equal(got, want)
     f = lambda zs: (zs[:, 0] * zs[:, 0].conj()).real
@@ -199,17 +197,17 @@ def test_product_rules_match_the_separate_builders_bit_for_bit(spec):
 
 def test_product_rules_are_cached_per_order_and_reject_dimension_three():
     q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
-    same_orders = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8, tol=1e-3)
+    same_orders = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
     assert ball_rule(q, 2)[0] is ball_rule(same_orders, 2)[0]
     assert disc_rule(q)[0] is ball_rule(q, 1)[0]
     with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
         ball_rule(q, 3)
-    with pytest.raises(UnsupportedError, match="boundary quadrature"):
+    with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
         boundary_rule(q, Space.ball(3))
 
 
 def test_boundary_quadrature_masses():
-    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=32, angular_order=64, sphere_nodes=24)
     one = lambda zs: np.ones(zs.shape[0])
     assert boundary_quadrature(one, q, Space.disc()) == pytest.approx(1.0, abs=1e-14)
     assert boundary_quadrature(one, q, Space.ball(2)) == pytest.approx(1.0, abs=1e-12)
@@ -217,20 +215,20 @@ def test_boundary_quadrature_masses():
 
 def test_boundary_quadrature_hardy_monomial():
     # on the 3-sphere with normalized measure, |z1 z2|^2 averages to 1/6
-    q = QuadratureSpec(radial_order=32, angular_order=32, sphere_nodes=24, tol=1e-8)
+    q = QuadratureSpec(radial_order=32, angular_order=32, sphere_nodes=24)
     f = lambda zs: ((zs[:, 0] * zs[:, 0].conj()) * (zs[:, 1] * zs[:, 1].conj())).real
     assert boundary_quadrature(f, q, Space.ball(2)) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_quadrature_rejects_bad_field_shape():
     # returning the wrong shape is a caller bug, not a numeric failure
-    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8, tol=1e-8)
+    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
     with pytest.raises(InputError):
         disc_quadrature(lambda zs: np.ones(3), q)
 
 
 def test_quadrature_reports_nonfinite_field():
-    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8, tol=1e-8)
+    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
     with pytest.raises(NumericError):
         disc_quadrature(lambda zs: np.full(zs.shape[0], np.nan), q)
 
