@@ -8,17 +8,24 @@ exp(v); the ratio is invariant under a common weight scale, so v is
 recentered every step.  Restarts draw from independent seeded streams;
 the merge picks the best ratio, ties broken by the lower restart index.
 
-The restarts climb in lockstep, and every evaluation, of the starts and
-of each iteration's proposals, is one _ratios call on their stack: the
-atom points and weights as arrays, the top eigenvalues of the Gram
-stack from numerics._top_eigs (the route of embedding_norm_sq) and one
-Poisson stack.  Every restart draws the same numbers in the same order
-as a climb run on its own, and its trace and best ratio are
-bit-identical to one.  A DiscreteMeasure is built only for the winner
-and for a proposal that the arrays cannot stand for: an atom at or near
-the boundary, a bad weight, or two rows of equal norm.
+The restarts climb in lookahead windows.  Each live restart proposes
+its next k steps as though all of them were rejected: it draws them
+from its own stream in the order of a climb run on its own, and the
+step decays as _STALL_WINDOW rejections would decay it.  The windows of
+all live restarts are one _ratios call on their stack: the atom points
+and weights as arrays, the top eigenvalues of the Gram stack from
+numerics._top_eigs (the route of embedding_norm_sq) and one Poisson
+stack.  Each restart then walks its window in iteration order, keeps it
+up to its first accepted or aborting step, drops the rest and opens its
+next window there with the draws it has not used, so its trace and
+best ratio are bit-identical to a climb run on its own.  A
+DiscreteMeasure is built only for the winner and for a proposal, once
+its restart's walk reaches it, that the arrays cannot stand for: an
+atom at or near the boundary, a bad weight, or two rows of equal norm.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,14 +37,20 @@ from .measure import (
     BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
     _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
-from .numerics import _as_integer, _row_blocks, _top_eigs, rng_stream
+from .numerics import _BLOCK_ENTRIES, _as_integer, _row_blocks, _top_eigs, rng_stream
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
 
+# Steps in a restart's window while the Gram stack of every live restart's
+# window fits one block of _BLOCK_ENTRIES entries, else 1: of 4-64, 16 ran
+# the 8-atom, 4-restart search fastest, and windows of 4, which just fit,
+# ran 120 disc atoms x 1 restart 4% slower than windows of 1 (2 vCPUs).
+_LOOKAHEAD = 16
+
 # Largest restarts x atom_count, refused before the per-restart generators and
 # state are built: a one-iteration search of one disc atom per restart peaks
-# at 68 MB (tracemalloc) at the cap.
+# at 73 MB (tracemalloc, numpy 2.4) at the cap.
 MAX_SEARCH_ATOMS = 1 << 16
 
 # A proposal with a row whose vectorized |z|^2 reaches this is built as a
@@ -45,6 +58,16 @@ MAX_SEARCH_ATOMS = 1 << 16
 # the conditioning warning.  The vectorized sum of 2n squares is off by
 # about 2n ulps, far inside the 1e-12 of room.
 _EDGE_SCREEN = 1.0 - CONDITIONING_MARGIN - 1e-12
+
+
+def _finite_real(value):
+    """A real number other than a bool that is finite as a double."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the double range
+        return False
 
 
 @dataclass(frozen=True)
@@ -68,9 +91,9 @@ class SearchConfig:
                              f"practical guard is {MAX_SEARCH_ATOMS}")
         if _as_integer(self.seed) is None or self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0.0 < self.step_init < np.inf:
+        if not (_finite_real(self.step_init) and self.step_init > 0.0):
             raise InputError(f"step_init must be positive and finite, got {self.step_init!r}")
-        if not 0.0 < self.step_decay < 1.0:
+        if not (_finite_real(self.step_decay) and 0.0 < self.step_decay < 1.0):
             raise InputError("step_decay must lie in (0, 1)")
 
 
@@ -102,7 +125,7 @@ def _build_measure(space, y, v):
     return DiscreteMeasure(space, [(p, float(w)) for p, w in zip(points, weights)])
 
 
-def _ratios(space, y, v):
+def _ratios(space, y, v, defer=False):
     """ratio of each proposal (y[i], v[i]) of a stack: (values, errors).
 
     A CarlembedError of proposal i goes to errors[i], and values[i] stays
@@ -115,7 +138,8 @@ def _ratios(space, y, v):
     weight positive and finite, and no two rows of equal |z|^2 (so none
     equal, and DiscreteMeasure merges nothing).  Any other is evaluated
     as ratio(_build_measure(...)), with every check and warning of that
-    path.
+    path; with defer it is left to the caller, marked by errors[i] = None,
+    so that the search builds only the proposals it reaches.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
@@ -126,12 +150,14 @@ def _ratios(space, y, v):
         & np.all((weights > 0.0) & (weights < np.inf), axis=-1)
     )
     values = np.full(len(y), np.nan)
-    errors = {}
-    for i in np.flatnonzero(~stacked):
-        try:
-            values[i] = ratio(_build_measure(space, y[i], v[i]))
-        except CarlembedError as exc:
-            errors[i] = exc
+    errors = dict.fromkeys(np.flatnonzero(~stacked).tolist())
+    if not defer:
+        for i in list(errors):
+            try:
+                values[i] = ratio(_build_measure(space, y[i], v[i]))
+                del errors[i]
+            except CarlembedError as exc:
+                errors[i] = exc
     ready = np.flatnonzero(stacked)
     # stacks of about _BLOCK_ENTRIES Gram entries, so memory stays that of
     # one matrix at large orders
@@ -140,7 +166,7 @@ def _ratios(space, y, v):
         pts, w = points[idx], weights[idx]
         tops = _top_eigs(_weighted_gram(pts, np.sqrt(w)))
         c_supp = np.max(-_potential_field(pts, w, pts), axis=-1)
-        for i, top, c in zip(idx, tops, c_supp):
+        for i, top, c in zip(idx.tolist(), tops, c_supp):
             if isinstance(top, CarlembedError):
                 errors[i] = top
             else:
@@ -148,25 +174,38 @@ def _ratios(space, y, v):
     return values, errors
 
 
+def _rejected(step, stall, decay):
+    """A restart's step and stall count after one more rejected proposal."""
+    stall += 1
+    return (step * decay, 0) if stall >= _STALL_WINDOW else (step, stall)
+
+
 def search(cfg):
     """Random-restart hill climbing; deterministic for a fixed config.
 
-    Every restart owns the generator stream (seed, restart index), and
-    the restarts advance one iteration at a time.  A restart whose start
-    raises, or whose step raises anything but an InputError (a rejected
-    step), is recorded as a failed entry and does not disturb the others.
-    The KernelConditioningWarnings of atoms near the sphere come out as
-    one warning that counts them.
+    Every restart owns the generator stream (seed, restart index).  The
+    restarts advance in lookahead windows (module docstring) of
+    _LOOKAHEAD proposals while the Gram stack of every live restart's
+    window is one block of _BLOCK_ENTRIES entries, else of one, and
+    never past the last iteration.  A restart whose start raises, or
+    whose step raises anything but an InputError (a rejected step), is
+    recorded as a failed entry and does not disturb the others.  The
+    KernelConditioningWarnings of atoms near the sphere come out as one
+    warning that counts them; the warnings of ratios above the theorem
+    bound come at the end, in (iteration, restart) order.
     """
-    bound = theorem_bound_constant(cfg.space)
-    shape = (cfg.atom_count, 2 * cfg.space.dim)
+    space, count, decay = cfg.space, cfg.atom_count, cfg.step_decay
+    bound = theorem_bound_constant(space)
+    limit = bound * (1.0 + BOUND_SLACK)
+    shape = (count, 2 * space.dim)
+    split = count * 2 * space.dim  # a step draws dy (count, 2n), then dv (count,)
     rngs = [rng_stream(cfg.seed, r) for r in range(cfg.restarts)]
     y = np.empty((cfg.restarts,) + shape)
-    v = np.empty((cfg.restarts, cfg.atom_count))
+    v = np.empty((cfg.restarts, count))
     for r, rng in enumerate(rngs):
         y[r] = rng.normal(0.0, 0.7, size=shape)
-        v[r] = rng.normal(0.0, 0.3, size=cfg.atom_count)
-    edge = []
+        v[r] = rng.normal(0.0, 0.3, size=count)
+    edge, high = [], []
     with warnings.catch_warnings():
         # count every KernelConditioningWarning; show any other as it comes
         warnings.simplefilter("always", KernelConditioningWarning)
@@ -174,58 +213,81 @@ def search(cfg):
         warnings.showwarning = lambda message, category, *rest: (
             edge.append(message) if issubclass(category, KernelConditioningWarning)
             else show(message, category, *rest))
-        best, errors = _ratios(cfg.space, y, v)
-        notes = {int(r): f"restart {r} aborted: {exc}" for r, exc in errors.items()}
-        traces = {r: [(0, float(best[r]))] for r in range(cfg.restarts) if r not in notes}
-        live = np.array(sorted(traces), dtype=int)
-        step = np.full(cfg.restarts, cfg.step_init, dtype=float)
-        stall = np.zeros(cfg.restarts, dtype=int)
-        dy, dv = np.empty_like(y), np.empty_like(v)
-        for it in range(1, cfg.iterations + 1):
-            if not len(live):
-                break
-            for j, r in enumerate(live):
-                dy[j] = rngs[r].normal(0.0, 1.0, size=shape)
-                dv[j] = rngs[r].normal(0.0, 1.0, size=cfg.atom_count)
-            cand_y = y[live] + step[live, None, None] * dy[:len(live)]
-            cand_v = v[live] + (0.5 * step[live])[:, None] * dv[:len(live)]
-            values, errors = _ratios(cfg.space, cand_y, cand_v)
-            for i in np.flatnonzero(values > bound * (1.0 + BOUND_SLACK)):
-                warnings.warn(
-                    f"search found ratio {float(values[i])!r} above the theorem bound {bound!r}; "
-                    "this falsifies the implementation or the theorem",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            ok = np.ones(len(live), dtype=bool)
-            for i, exc in errors.items():
-                if not isinstance(exc, InputError):
-                    notes[int(live[i])] = f"restart {live[i]} aborted: {exc}"
-                    ok[i] = False
-            accept = values > best[live]
-            for i in np.flatnonzero(accept):
-                traces[live[i]].append((it, float(values[i])))
-            took = live[accept]
-            y[took], v[took], best[took] = cand_y[accept], cand_v[accept], values[accept]
-            stall[took] = 0
-            held = live[ok & ~accept]
-            stall[held] += 1
-            decay = held[stall[held] >= _STALL_WINDOW]
-            step[decay] *= cfg.step_decay
-            stall[decay] = 0
-            live = live[ok]
+        best, errors = _ratios(space, y, v)
+        best = best.tolist()
+        notes = {r: f"restart {r} aborted: {exc}" for r, exc in errors.items()}
+        traces = {r: [(0, best[r])] for r in range(cfg.restarts) if r not in notes}
+        live = sorted(traces)
+        step, stall = [float(cfg.step_init)] * cfg.restarts, [0] * cfg.restarts
+        done = [0] * cfg.restarts  # iterations taken
+        unused = {}  # restart: the rows it drew for its last window and did not take
+        while live:
+            k = _LOOKAHEAD if len(live) * _LOOKAHEAD * count * count <= _BLOCK_ENTRIES else 1
+            sizes = [min(k, cfg.iterations - done[r]) for r in live]
+            steps = []
+            draws = np.empty((sum(sizes), split + count))
+            first = 0
+            for r, size in zip(live, sizes):
+                taken = 0
+                if r in unused:
+                    rows = unused.pop(r)[:size]
+                    taken = len(rows)
+                    draws[first:first + taken] = rows
+                if taken < size:
+                    draws[first + taken:first + size] = rngs[r].normal(
+                        0.0, 1.0, size=(size - taken, split + count))
+                first += size
+                s, t = step[r], stall[r]
+                steps.append(s)
+                for _ in range(size - 1):
+                    s, t = _rejected(s, t, decay)
+                    steps.append(s)
+            owner, steps = np.repeat(live, sizes), np.array(steps)
+            cand_y = y[owner] + steps[:, None, None] * draws[:, :split].reshape((-1,) + shape)
+            cand_v = v[owner] + (0.5 * steps)[:, None] * draws[:, split:]
+            values, errors = _ratios(space, cand_y, cand_v, defer=True)
+            values = values.tolist()
+            first = 0
+            for r, size in zip(live, sizes):
+                for i in range(first, first + size):
+                    done[r] += 1
+                    if i in errors:
+                        if errors[i] is None:  # the measure path, evaluated once reached
+                            one, error = _ratios(space, cand_y[i:i + 1], cand_v[i:i + 1])
+                            values[i], errors[i] = one.item(), error.get(0)
+                        if errors[i] is not None and not isinstance(errors[i], InputError):
+                            notes[r] = f"restart {r} aborted: {errors[i]}"
+                            break
+                    if values[i] > limit:
+                        high.append((done[r], r, values[i]))
+                    if values[i] > best[r]:
+                        traces[r].append((done[r], values[i]))
+                        y[r], v[r], best[r], stall[r] = cand_y[i], cand_v[i], values[i], 0
+                        break
+                    step[r], stall[r] = _rejected(step[r], stall[r], decay)
+                if i + 1 < first + size:
+                    unused[r] = draws[i + 1:first + size]
+                first += size
+            live = [r for r in live if r not in notes and done[r] < cfg.iterations]
+        for _, _, value in sorted(high):
+            warnings.warn(
+                f"search found ratio {value!r} above the theorem bound {bound!r}; "
+                "this falsifies the implementation or the theorem",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         survivors = [r for r in range(cfg.restarts) if r not in notes]
         notes = tuple(notes[r] for r in sorted(notes))
         if not survivors:
             raise NumericError("all restarts failed: " + "; ".join(notes))
         winner = max(survivors, key=lambda r: best[r])  # the first of equal ratios
-        best_measure = _build_measure(cfg.space, y[winner], v[winner])
+        best_measure = _build_measure(space, y[winner], v[winner])
     if edge:
         warnings.warn(f"search built {len(edge)} proposal atoms with 1 - |z|^2 below "
                       f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned",
                       KernelConditioningWarning, stacklevel=2)
     return SearchResult(
-        best_ratio=float(best[winner]),
+        best_ratio=best[winner],
         best_measure=best_measure,
         trace=tuple(traces[winner]),
         seed=cfg.seed,

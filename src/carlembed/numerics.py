@@ -454,6 +454,8 @@ def _moduli_rule(dim, sphere_nodes):
     weights times d(p_1) ... d(p_dim); this is the only piece of a rule
     that depends on the dimension, and it is implemented for n <= 2.
     """
+    if _as_integer(dim) is None or dim < 1:
+        raise InputError(f"complex dimension must be a positive integer, got {dim!r}")
     if dim == 1:
         moduli, weights = np.ones((1, 1)), np.ones(1)
     elif dim == 2:
@@ -495,7 +497,8 @@ def _check_node_count(count):
         raise InputError(f"quadrature rule has {count} nodes, limit is {MAX_QUAD_NODES}")
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that True and 2.0 do not find the rules of 1 and 2
+@functools.lru_cache(maxsize=None, typed=True)
 def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
     """Interior rule carrying dV, or without radial_order the normalized boundary rule.
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,14 @@ def test_config_validation():
     for step in (-0.1, math.inf, math.nan):
         with pytest.raises(InputError, match="^step_init must be positive and finite"):
             SearchConfig(space=DISC, step_init=step)
+    for step in (True, np.bool_(True), "0.5", None, 10 ** 400):
+        with pytest.raises(InputError, match=f"^step_init must be positive and finite, got "
+                                             f"{re.escape(repr(step))}$"):
+            SearchConfig(space=DISC, step_init=step)
+        with pytest.raises(InputError, match=r"^step_decay must lie in \(0, 1\)$"):
+            SearchConfig(space=DISC, step_decay=step)
+    cfg = SearchConfig(space=DISC, step_init=np.int64(2), step_decay=np.float32(0.5))
+    assert cfg.step_init == 2 and cfg.step_decay == 0.5
     for seed in (-1, 1.5, None, True, "1"):
         with pytest.raises(InputError, match=f"^seed must be a non-negative integer, got {seed!r}"):
             SearchConfig(space=DISC, seed=seed)
@@ -191,13 +200,21 @@ ORACLE_CONFIGS = [
     SearchConfig(space=BALL2, atom_count=8, iterations=100, restarts=4, seed=6),
     SearchConfig(space=DISC, atom_count=2, iterations=100, restarts=2, seed=1, step_init=20.0),
     SearchConfig(space=DISC, atom_count=2, iterations=2500, restarts=4, seed=42),
+    # the winner accepts proposals from the measure path, atoms near the sphere
+    SearchConfig(space=BALL2, atom_count=1, iterations=100, restarts=2, seed=5, step_init=5.0),
 ]
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: (
     f"{c.space.kind}{c.space.dim}-m{c.atom_count}-it{c.iterations}-step{c.step_init:g}"))
 def test_search_matches_per_restart_oracle(cfg):
-    with warnings.catch_warnings():
+    _match_oracle(cfg)
+
+
+def _match_oracle(cfg):
+    """search(cfg) against the oracle, bit for bit; the oracle outcomes and winner."""
+    # atoms within rounding of the sphere divide by zero on the measure path
+    with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", KernelConditioningWarning)
         outcomes = _oracle_outcomes(cfg)
         res = search(cfg)
@@ -206,6 +223,151 @@ def test_search_matches_per_restart_oracle(cfg):
     assert res.trace == winner[2]
     assert _atoms(res.best_measure) == _atoms(winner[1])
     assert res.notes == tuple(o for o in outcomes if isinstance(o, str))
+    assert type(res.best_ratio) is float and all(type(x) is float for _, x in res.trace)
+    return outcomes, winner
+
+
+def _oracle_proposals(cfg, restart, trace):
+    """(iteration, y, v) of every proposal of the oracle climb of restart, replayed from its trace."""
+    rng = rng_stream(cfg.seed, restart)
+    shape = (cfg.atom_count, 2 * cfg.space.dim)
+    y = rng.normal(0.0, 0.7, size=shape)
+    v = rng.normal(0.0, 0.3, size=cfg.atom_count)
+    accepted = {it for it, _ in trace}
+    step, stall = cfg.step_init, 0
+    for it in range(1, cfg.iterations + 1):
+        cand_y = y + step * rng.normal(0.0, 1.0, size=shape)
+        cand_v = v + 0.5 * step * rng.normal(0.0, 1.0, size=cfg.atom_count)
+        yield it, cand_y, cand_v
+        if it in accepted:
+            y, v, stall = cand_y, cand_v, 0
+        else:
+            stall += 1
+            if stall >= _STALL_WINDOW:
+                step, stall = step * cfg.step_decay, 0
+
+
+# The lookahead windows: 3 restarts of 4 disc atoms take windows of 16.
+WINDOW_CFG = SearchConfig(space=DISC, atom_count=4, iterations=120, restarts=3, seed=2)
+
+
+def test_window_acceptance_mid_window_matches_per_restart_oracle():
+    cfg = WINDOW_CFG
+    assert cfg.restarts * extremal._LOOKAHEAD * cfg.atom_count ** 2 <= numerics._BLOCK_ENTRIES
+    _, winner = _match_oracle(cfg)
+    # windows open after each acceptance a, at a + 1, a + 17, ...; an
+    # acceptance b inside one drops the window's later proposals, and their
+    # draws open the next window
+    its = [it for it, _ in winner[2]]
+    assert any(0 < (b - a - 1) % extremal._LOOKAHEAD < extremal._LOOKAHEAD - 1
+               for a, b in zip(its, its[1:]))
+
+
+def test_window_step_decay_matches_per_restart_oracle():
+    _, winner = _match_oracle(WINDOW_CFG)
+    # the step decays after the rejection at a + 20, inside the window
+    # a + 17 to a + 32, and an acceptance b > a + 20 took the decayed step
+    its = [it for it, _ in winner[2]]
+    assert any(b - a > _STALL_WINDOW for a, b in zip(its, its[1:]))
+
+
+def test_window_abort_mid_window_matches_per_restart_oracle(monkeypatch):
+    cfg = WINDOW_CFG
+    outcomes = _oracle_outcomes(cfg)
+    best = max(range(cfg.restarts), key=lambda r: (outcomes[r][0], -r))
+    (first, _), (second, _) = outcomes[best][2][1:3]
+    # the second proposal of the window that opens after the first acceptance
+    assert second > first + 2
+    _, y, v = next(p for p in _oracle_proposals(cfg, best, outcomes[best][2]) if p[0] == first + 2)
+    mu = _oracle_build_measure(DISC, y, v)
+    target = _weighted_gram(mu.points_array(), np.sqrt(mu.weights_array()))
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_target(a, UPLO="L"):
+        if _holds(a, target):
+            raise np.linalg.LinAlgError("eigensolve failed")
+        return eigvalsh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_target)
+    aborted, _ = _match_oracle(cfg)
+    assert aborted[best] == (
+        f"restart {best} aborted: eigensolver failed to converge: eigensolve failed")
+    assert [o[2] for r, o in enumerate(aborted) if r != best] == [
+        o[2] for r, o in enumerate(outcomes) if r != best]
+
+
+def test_window_measure_path_after_acceptance_matches_per_restart_oracle(monkeypatch):
+    # steps this large send proposals to the measure path, atoms near the boundary
+    cfg = SearchConfig(space=DISC, atom_count=3, iterations=100, restarts=2, seed=3, step_init=5.0)
+    outcomes, _ = _match_oracle(cfg)
+    assert not any(isinstance(o, str) for o in outcomes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        reached = sum(extremal._ratios(DISC, y[None], v[None], defer=True)[1] == {0: None}
+                      for r in range(cfg.restarts)
+                      for _, y, v in _oracle_proposals(cfg, r, outcomes[r][2]))
+    builds, deferred = [], []
+    build_measure, ratios = extremal._build_measure, extremal._ratios
+
+    def counted_build(space, y, v):
+        builds.append(1)
+        return build_measure(space, y, v)
+
+    def counted_ratios(space, y, v, defer=False):
+        values, errors = ratios(space, y, v, defer)
+        deferred.extend(i for i, exc in errors.items() if exc is None)
+        return values, errors
+
+    monkeypatch.setattr(extremal, "_build_measure", counted_build)
+    monkeypatch.setattr(extremal, "_ratios", counted_ratios)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelConditioningWarning)
+        search(cfg)
+    # each proposal that the oracle evaluates on the measure path, and the
+    # winner; the deferred proposals dropped after an acceptance are not built
+    assert reached > 0 and len(builds) == reached + 1
+    assert len(deferred) > reached
+
+
+def test_window_above_bound_warnings_per_restart_oracle_order(monkeypatch):
+    cfg = SearchConfig(space=DISC, atom_count=2, iterations=40, restarts=3, seed=7)
+    low = 1.1
+    outcomes = _oracle_outcomes(cfg)
+    expected = []
+    for r in range(cfg.restarts):
+        for it, y, v in _oracle_proposals(cfg, r, outcomes[r][2]):
+            value = ratio(_oracle_build_measure(DISC, y, v))
+            if value > low * (1.0 + BOUND_SLACK):
+                expected.append((it, r, value))
+    restarts = [r for _, r, _ in sorted(expected)]
+    assert restarts != sorted(restarts)  # the restarts interleave
+    monkeypatch.setattr(extremal, "theorem_bound_constant", lambda space: low)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = search(cfg)
+    assert [str(w.message) for w in caught] == [
+        f"search found ratio {value!r} above the theorem bound {low!r}; "
+        "this falsifies the implementation or the theorem" for _, _, value in sorted(expected)]
+    assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
+    assert res.trace == _winner(outcomes)[2]
+
+
+def test_search_windows_make_few_stacked_calls(monkeypatch):
+    calls = []
+    ratios = extremal._ratios
+
+    def counted(space, y, v, defer=False):
+        calls.append(len(y))
+        return ratios(space, y, v, defer)
+
+    monkeypatch.setattr(extremal, "_ratios", counted)
+    # the benchmark's search: 501 calls with one proposal per restart
+    search(SearchConfig(space=DISC, atom_count=8, iterations=500, restarts=4, seed=0))
+    assert len(calls) <= 60
+    # windows of 16 would not fit one block: one proposal per restart
+    calls.clear()
+    search(SearchConfig(space=DISC, atom_count=100, iterations=3, restarts=4, seed=0))
+    assert calls == [4] * 4
 
 
 ABORT_CFG = SearchConfig(space=DISC, atom_count=2, iterations=150, restarts=3, seed=9)

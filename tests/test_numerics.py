@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ def test_product_rules_are_cached_per_order_and_reject_dimension_three():
         ball_rule(q, 3)
     with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
         boundary_rule(q, Space.ball(3))
+
+
+def test_ball_rule_refuses_a_dimension_that_is_no_positive_integer():
+    q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
+    ball_rule(q, 1), ball_rule(q, 2)  # cached: True and 2.0 must not find these
+    for dim in (True, 2.0, "2", 0, -1, None, np.bool_(True)):
+        with pytest.raises(InputError, match=f"^complex dimension must be a positive integer, "
+                                             f"got {re.escape(repr(dim))}$"):
+            ball_rule(q, dim)
+    assert np.array_equal(ball_rule(q, np.int64(2))[0], ball_rule(q, 2)[0])
 
 
 def test_boundary_quadrature_masses():
