@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _as_integer, _check_dim, _check_integer, _finite_real
 from .geometry import (
-    BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, inner, poisson_kernel,
+    BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, poisson_kernel,
 )
 from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
 from .numerics import (
@@ -76,17 +76,16 @@ class MultiPoly:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim, terms):
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise InputError(f"dim must be a positive integer, got {dim!r}")
+        dim = _check_integer("dim", dim, 1)
         items = terms.items() if hasattr(terms, "items") else terms
         cleaned = {}
         for alpha, coeff in items:
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != dim or any(a < 0 for a in alpha):
+            index = tuple(map(_as_integer, alpha))
+            if len(index) != dim or any(a is None or a < 0 for a in index):
                 raise InputError(f"multi-index {alpha!r} invalid for dimension {dim}")
             coeff = complex(coeff)
             if coeff != 0:
-                cleaned[alpha] = cleaned.get(alpha, 0.0) + coeff
+                cleaned[index] = cleaned.get(index, 0.0) + coeff
         terms = {a: c for a, c in cleaned.items() if c != 0}
         degree = max(map(sum, terms), default=0)
         if degree > MAX_POLY_DEGREE:
@@ -95,8 +94,7 @@ class MultiPoly:
         self.terms = terms
 
     def __call__(self, z):
-        if z.dim != self.dim:
-            raise InputError(f"point has dimension {z.dim}, polynomial has {self.dim}")
+        _check_dim("point", z.dim, "polynomial", self.dim)
         return _horner(self.terms, z.coords) if self.terms else 0j
 
     def eval_array(self, zs):
@@ -127,11 +125,6 @@ def _horner(terms, cols):
     return out
 
 
-def _check_poly_dim(f, space):
-    if f.dim != space.dim:
-        raise InputError(f"polynomial has dimension {f.dim}, space has {space.dim}")
-
-
 def hardy_norm_sq(f, space):
     """Squared Hardy norm of an analytic polynomial.
 
@@ -139,7 +132,7 @@ def hardy_norm_sq(f, space):
     standard monomial orthogonality on the sphere; on the disc (n = 1)
     every monomial has norm 1.
     """
-    _check_poly_dim(f, space)
+    _check_dim("polynomial", f.dim, "space", space.dim)
     n = space.dim
     total = 0.0
     for alpha, coeff in f.terms.items():
@@ -216,8 +209,8 @@ def _as_field(u):
 
 
 def _stencil_margin(z, h):
-    if not h > 0:
-        raise InputError(f"step h must be positive, got {h!r}")
+    if not (_finite_real(h) and h > 0):
+        raise InputError(f"step h must be positive and finite, got {h!r}")
     if 1.0 - math.sqrt(z.norm_sq) <= 2.0 * h:
         raise InputError(
             f"stencil escapes the ball: 1 - |z| = {1.0 - math.sqrt(z.norm_sq):.3e} <= 2h"
@@ -229,8 +222,7 @@ def laplacian_fd(u, z, h=FD_STEP):
 
     Second-order accurate for C^4 functions; exact on quadratics.
     """
-    if z.dim != 1:
-        raise InputError("the flat 5-point stencil is defined on the disc")
+    _check_dim("point", z.dim, "disc", 1)
     _stencil_margin(z, h)
     zs = np.array([[z.coords[0]]], dtype=complex)
     return float(_flat_laplacian_field(_as_field(u), zs, h)[0])
@@ -238,8 +230,7 @@ def laplacian_fd(u, z, h=FD_STEP):
 
 def invariant_laplacian_fd(u, z, space, h=FD_STEP):
     """Invariant (Bergman) Laplacian of a scalar function by central stencils."""
-    if z.dim != space.dim:
-        raise InputError(f"point has dimension {z.dim}, space has {space.dim}")
+    _check_dim("point", z.dim, "space", space.dim)
     _stencil_margin(z, h)
     zs = z.as_array().reshape(1, -1)
     return float(_invariant_laplacian_field(_as_field(u), zs, h)[0])
@@ -268,8 +259,6 @@ def _poisson_laplacian(z, lam, space):
 
 def laplacian_poisson_disc(z, lam):
     """Delta_z P_z(lam) = 4 (|lam|^2 - 1) / |1 - conj(lam) z|^4, always <= 0."""
-    if z.dim != 1 or lam.dim != 1:
-        raise InputError("disc formula needs one-dimensional points")
     return _poisson_laplacian(z, lam, Space.disc())
 
 
@@ -292,9 +281,8 @@ def poisson_gradient_ball(z, lam, j, space):
     the conjugate partial is the complex conjugate since P is real.
     """
     n = space.dim
-    if not 1 <= j <= n:
-        raise InputError(f"coordinate index {j} out of range 1..{n}")
-    d = 1.0 - inner(z, lam)
+    d = _denominator(z, lam, space)
+    j = _check_integer("coordinate index", j, 1, n)
     bracket = lam.coords[j - 1].conjugate() / d - z.coords[j - 1].conjugate() / (1.0 - z.norm_sq)
     return n * bracket * poisson_kernel(z, lam, space)
 
@@ -332,8 +320,7 @@ def potential_laplacian_closed(mu, z):
 
 def green_weight_disc(z):
     """Disc Green weight log(1/|z|); positive, +inf sentinel at the origin."""
-    if z.dim != 1:
-        raise InputError("disc weight needs a one-dimensional point")
+    _check_dim("point", z.dim, "disc", 1)
     if z.norm_sq == 0.0:
         return math.inf
     return float(_green_ball_field(math.sqrt(z.norm_sq), 1))
@@ -364,8 +351,7 @@ def green_function_ball(lam, space):
     """
     if space.kind != BALL:
         raise InputError("invariant Green's function needs a ball space")
-    if lam.dim != space.dim:
-        raise InputError(f"point has dimension {lam.dim}, space has {space.dim}")
+    _check_dim("point", lam.dim, "space", space.dim)
     if lam.norm_sq == 0.0:
         return math.inf
     return float(_green_ball_field(math.sqrt(lam.norm_sq), space.dim))
@@ -464,7 +450,7 @@ def uchiyama_checks(mu, f, q=None):
     kernel once per node and feeds all three checks.  Any non-finite
     integral or lhs raises NumericError.
     """
-    _check_poly_dim(f, mu.space)
+    _check_dim("polynomial", f.dim, "space", mu.space.dim)
     _check_atom_count(len(mu), "measure has {} atoms")
     if q is None:
         q = default_quadrature(mu.space)
@@ -530,14 +516,12 @@ def key_inequality_check(mu, f, lambda_idx, q=None):
     >= (1/2) e^(phi(lam)) |f(lam)|^2.  Ball: prefactor n!/pi^n, kernel
     (1-|lam|^2)(1-|z|^2)^n / |1-<z,lam>|^(2n+2), constant (n!)^2/(2n)!.
     """
-    _check_poly_dim(f, mu.space)
-    if not 0 <= lambda_idx < len(mu):
-        raise InputError(f"atom index {lambda_idx} out of range 0..{len(mu) - 1}")
+    _check_dim("polynomial", f.dim, "space", mu.space.dim)
+    lambda_idx = _check_integer("atom index", lambda_idx, 0, len(mu) - 1)
     return uchiyama_checks(mu, f, q)[2][lambda_idx]
 
 
 def beta_constant(n):
     """(n!)^2 / (2n)! = 2n * int_0^1 (1 - r^2)^n r^(2n-1) dr."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    n = _check_integer("n", n, 1)
     return math.factorial(n) ** 2 / math.factorial(2 * n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calculus, extremal, geometry, interpolation, measure
 from .corpus import random_measure, random_point, random_poly
-from .errors import InputError, NumericError, SingularityError, UnsupportedError
+from .errors import InputError, NumericError, SingularityError, UnsupportedError, _as_integer
 from .geometry import Space, SpacePoint
 from .numerics import default_quadrature, rng_stream
 
@@ -88,7 +88,7 @@ def space_from_dict(data):
         return Space.disc()
     if kind == "ball":
         dim = data.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        if _as_integer(dim) is None or dim < 1:
             raise InputError("ball space needs a positive integer 'dim'")
         return Space.ball(dim)
     raise InputError(f"unknown space kind {kind!r}")
@@ -180,7 +180,7 @@ def poly_from_dict(data):
     if not isinstance(data, dict):
         raise InputError("polynomial file must contain a JSON object")
     dim = data.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if _as_integer(dim) is None or dim < 1:
         raise InputError("polynomial file needs a positive integer 'dim'")
     terms_raw = data.get("terms")
     if not isinstance(terms_raw, list):
@@ -193,7 +193,7 @@ def poly_from_dict(data):
         if (
             not isinstance(alpha, list)
             or len(alpha) != dim
-            or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha)
+            or any(_as_integer(a) is None or a < 0 for a in alpha)
         ):
             raise InputError(f"terms[{i}]: alpha must be a list of {dim} non-negative integers")
         parts = entry.get("re", 0.0), entry.get("im", 0.0)

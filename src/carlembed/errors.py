@@ -1,4 +1,15 @@
-"""Exception hierarchy and warnings shared across the package."""
+"""Exception hierarchy and warnings, and the argument checks of every module.
+
+Whether a value is an integer (a Python or numpy integer, never a bool,
+passed on as an int), a finite real (never a bool, string or complex),
+or of the dimension wanted is decided here alone; a refusal is an InputError.
+"""
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class CarlembedError(Exception):
@@ -27,3 +38,38 @@ class KernelConditioningWarning(UserWarning):
     Reproducing kernels grow like (1 - |z|^2)**-n, so points with
     1 - |z|^2 below roughly 1e-8 lose about half the significand.
     """
+
+
+def _as_integer(value):
+    """value as an int if it is an integer other than a bool (numpy integers too), else None."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_integer(name, value, low, high=None):
+    """value as an int; InputError unless it is an integer in [low, high] (or >= low)."""
+    i = _as_integer(value)
+    if i is not None and low <= i and (high is None or i <= high):
+        return i
+    if high is not None:
+        raise InputError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    raise InputError(f"{name} must be {kind}, got {value!r}")
+
+
+def _finite_real(value):
+    """A real number other than a bool that is finite as a double (float skips the ABC test)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (float, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the double range
+        return False
+
+
+def _check_dim(what, dim, other, want):
+    """InputError unless dim, the dimension of what, equals want, that of other."""
+    if dim != want:
+        raise InputError(f"{what} has dimension {dim}, {other} has {want}")

@@ -24,20 +24,21 @@ its restart's walk reaches it, that the arrays cannot stand for: an
 atom at or near the boundary, a bad weight, or two rows of equal norm.
 """
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
+from .errors import (
+    CarlembedError, InputError, KernelConditioningWarning, NumericError, _check_integer,
+    _finite_real,
+)
 from .geometry import CONDITIONING_MARGIN, _norm_sq_rows
 from .measure import (
     BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
     _weighted_gram, embedding_norm_sq, kernel_constant_on_support, theorem_bound_constant,
 )
-from .numerics import _BLOCK_ENTRIES, _as_integer, _row_blocks, _top_eigs, rng_stream
+from .numerics import _BLOCK_ENTRIES, _row_blocks, _top_eigs, rng_stream
 
 # Consecutive rejected proposals before the step contracts.
 _STALL_WINDOW = 20
@@ -60,16 +61,6 @@ MAX_SEARCH_ATOMS = 1 << 16
 _EDGE_SCREEN = 1.0 - CONDITIONING_MARGIN - 1e-12
 
 
-def _finite_real(value):
-    """A real number other than a bool that is finite as a double."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the double range
-        return False
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     space: object
@@ -82,15 +73,12 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("atom_count", "iterations", "restarts"):
-            value = getattr(self, name)
-            if _as_integer(value) is None or value < 1:
-                raise InputError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), 1))
         _check_atom_count(self.atom_count, "search measures have {} atoms")
         if self.restarts * self.atom_count > MAX_SEARCH_ATOMS:
             raise InputError(f"restarts x atoms is {self.restarts} x {self.atom_count}, "
                              f"practical guard is {MAX_SEARCH_ATOMS}")
-        if _as_integer(self.seed) is None or self.seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
         if not (_finite_real(self.step_init) and self.step_init > 0.0):
             raise InputError(f"step_init must be positive and finite, got {self.step_init!r}")
         if not (_finite_real(self.step_decay) and 0.0 < self.step_decay < 1.0):

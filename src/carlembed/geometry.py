@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, KernelConditioningWarning, SingularityError
+from .errors import (
+    InputError, KernelConditioningWarning, SingularityError, _check_dim, _check_integer,
+)
 
 DISC = "disc"
 BALL = "ball"
@@ -41,8 +43,7 @@ class Space:
     def __post_init__(self):
         if self.kind not in (DISC, BALL):
             raise InputError(f"kind must be {DISC!r} or {BALL!r}, got {self.kind!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise InputError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _check_integer("dim", self.dim, 1))
         if self.kind == DISC and self.dim != 1:
             raise InputError("the disc has complex dimension 1")
 
@@ -95,19 +96,9 @@ class SpacePoint:
         return f"SpacePoint({list(self.coords)!r})"
 
 
-def _check_same_dim(z, w):
-    if z.dim != w.dim:
-        raise InputError(f"dimension mismatch: {z.dim} vs {w.dim}")
-
-
-def _check_space(z, s):
-    if z.dim != s.dim:
-        raise InputError(f"point has dimension {z.dim}, space has dimension {s.dim}")
-
-
 def inner(z, w):
     """Hermitian inner product <z, w> = sum(z_i * conj(w_i))."""
-    _check_same_dim(z, w)
+    _check_dim("point", z.dim, "other point", w.dim)
     return complex(sum(a * b.conjugate() for a, b in zip(z.coords, w.coords)))
 
 
@@ -152,8 +143,8 @@ def _poisson(d_sq, z_norm_sq, n, out=None):
 
 def _denominator(a, b, s):
     """d = 1 - <a, b> for two points of s, refusing a vanishing d."""
-    _check_space(a, s)
-    _check_space(b, s)
+    _check_dim("point", a.dim, "space", s.dim)
+    _check_dim("point", b.dim, "space", s.dim)
     d = 1.0 - inner(a, b)
     if abs(d) < _DENOM_FLOOR:
         raise SingularityError(f"kernel denominator |1 - <z, w>| = {abs(d):.3e}")
@@ -184,8 +175,8 @@ def mobius(lam, z, s):
     projection onto span(lam), Q = I - P, s = sqrt(1 - |lam|^2); for
     lam = 0 this degenerates to -z.
     """
-    _check_space(lam, s)
-    _check_space(z, s)
+    _check_dim("point", lam.dim, "space", s.dim)
+    _check_dim("point", z.dim, "space", s.dim)
     if s.dim == 1:
         l0, z0 = lam.coords[0], z.coords[0]
         return SpacePoint((l0 - z0) / (1.0 - l0.conjugate() * z0))

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, UnsupportedError
+from .errors import InputError, NumericError, UnsupportedError, _check_dim, _check_integer
 from .geometry import DISC, SpacePoint
 from .measure import (
-    BOUND_SLACK, DiscreteMeasure, _check_atom_count, _check_resolution, _weighted_gram,
+    BOUND_SLACK, MAX_GRID_RESOLUTION, DiscreteMeasure, _check_atom_count, _weighted_gram,
     kernel_constant_grid,
 )
 from .numerics import HermitianMatrix, extreme_eigs
@@ -37,8 +37,7 @@ class PointSequence:
         for p in points:
             if not isinstance(p, SpacePoint):
                 p = SpacePoint(p)
-            if p.dim != 1:
-                raise InputError("sequence points must be one-dimensional")
+            _check_dim("sequence point", p.dim, "space", space.dim)
             pts.append(p)
         if not pts:
             raise InputError("a sequence needs at least one point")
@@ -138,7 +137,7 @@ def orthogonalizer_cond(seq):
 
 def interpolation_report(seq, resolution=64):
     """Assemble the full section-3 chain for a finite sequence."""
-    _check_resolution(resolution)
+    resolution = _check_integer("resolution", resolution, 8, MAX_GRID_RESOLUTION)
     _check_atom_count(len(seq), "sequence has {} points")
     delta = carleson_delta(seq)
     if not delta > 0.0:

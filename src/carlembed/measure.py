@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError, UnsupportedError
+from .errors import (
+    InputError, NumericError, UnsupportedError, _check_dim, _check_integer, _finite_real,
+)
 from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson, _szego
 from .numerics import _row_blocks, _top_eigs, rng_stream
 
@@ -48,16 +50,10 @@ class DiscreteMeasure:
         for point, weight in atoms:
             if not isinstance(point, SpacePoint):
                 point = SpacePoint(point)
-            if point.dim != space.dim:
-                raise InputError(
-                    f"atom has dimension {point.dim}, space has dimension {space.dim}"
-                )
-            if isinstance(weight, (bool, np.bool_)):
-                raise InputError(f"weights must be numbers, got {weight!r}")
-            weight = float(weight)
-            if not 0.0 < weight < math.inf:
+            _check_dim("atom", point.dim, "space", space.dim)
+            if not (_finite_real(weight) and weight > 0.0):
                 raise InputError(f"weights must be positive and finite, got {weight!r}")
-            merged[point] = merged.get(point, 0.0) + weight
+            merged[point] = merged.get(point, 0.0) + float(weight)
         if not merged:
             raise InputError("a measure needs at least one atom")
         self.space = space
@@ -82,8 +78,8 @@ class DiscreteMeasure:
         return self._weights
 
     def scaled(self, c):
-        if not c > 0.0:
-            raise InputError("scale factor must be positive")
+        if not (_finite_real(c) and c > 0.0):
+            raise InputError(f"scale factor must be positive and finite, got {c!r}")
         return DiscreteMeasure(self.space, [(p, c * w) for p, w in self.atoms])
 
 
@@ -103,8 +99,7 @@ class AnalysisReport:
 
 def _point_row(mu, z):
     """z as a (1, n) coordinate array, checked against the space of mu."""
-    if z.dim != mu.space.dim:
-        raise InputError(f"point has dimension {z.dim}, space has {mu.space.dim}")
+    _check_dim("point", z.dim, "space", mu.space.dim)
     return z.as_array().reshape(1, -1)
 
 
@@ -175,13 +170,6 @@ def _check_atom_count(count, what):
         raise InputError(f"{what.format(count)}, practical guard is {MAX_ATOMS}")
 
 
-def _check_resolution(resolution):
-    if not isinstance(resolution, int) or not 8 <= resolution <= MAX_GRID_RESOLUTION:
-        raise InputError(
-            f"resolution must be an integer in [8, {MAX_GRID_RESOLUTION}], got {resolution!r}"
-        )
-
-
 def _grid_points(space, resolution):
     """Deterministic interior grid, nested as resolution grows.
 
@@ -191,7 +179,7 @@ def _grid_points(space, resolution):
     only on its own L, so grids at lower resolutions are subsets of
     grids at higher ones and the scanned supremum is monotone.
     """
-    _check_resolution(resolution)
+    resolution = _check_integer("resolution", resolution, 8, MAX_GRID_RESOLUTION)
     blocks = []
     level = 8
     while level <= resolution:
@@ -313,7 +301,7 @@ def theorem_bound_constant(space):
 
 def analyze(mu, resolution=64):
     """Compute every constant and the theorem verdict for one measure."""
-    _check_resolution(resolution)
+    resolution = _check_integer("resolution", resolution, 8, MAX_GRID_RESOLUTION)
     a_sq = embedding_norm_sq(mu)
     c_supp, c_grid = _support_and_grid_constants(mu, resolution)
     i_box = box_constant(mu) if mu.space.kind == DISC else None

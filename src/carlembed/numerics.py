@@ -13,13 +13,12 @@ mapping an (m, n) complex array of points to an (m,) real array.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NumericError, UnsupportedError
+from .errors import InputError, NumericError, UnsupportedError, _as_integer, _check_integer
 
 MAX_GAUSS_ORDER = 512
 # Node cap of one interior or boundary rule, checked before the rule is
@@ -45,9 +44,8 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("radial_order", "angular_order", "sphere_nodes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 4:
-                raise InputError(f"{name} must be an integer >= 4, got {value!r}")
+            value = _check_integer(name, getattr(self, name), 4)
+            object.__setattr__(self, name, value)
             if name != "angular_order" and value > MAX_GAUSS_ORDER:
                 raise InputError(
                     f"{name} is a Gauss-Legendre order, at most {MAX_GAUSS_ORDER}, got {value}"
@@ -426,9 +424,7 @@ def _leggauss(order):
 
 def gauss_legendre(order):
     """Gauss-Legendre nodes and weights on [-1, 1]."""
-    if not isinstance(order, int) or not 1 <= order <= MAX_GAUSS_ORDER:
-        raise InputError(f"order must be an integer in [1, {MAX_GAUSS_ORDER}], got {order!r}")
-    nodes, weights = _leggauss(order)
+    nodes, weights = _leggauss(_check_integer("order", order, 1, MAX_GAUSS_ORDER))
     return nodes.copy(), weights.copy()
 
 
@@ -454,8 +450,6 @@ def _moduli_rule(dim, sphere_nodes):
     weights times d(p_1) ... d(p_dim); this is the only piece of a rule
     that depends on the dimension, and it is implemented for n <= 2.
     """
-    if _as_integer(dim) is None or dim < 1:
-        raise InputError(f"complex dimension must be a positive integer, got {dim!r}")
     if dim == 1:
         moduli, weights = np.ones((1, 1)), np.ones(1)
     elif dim == 2:
@@ -497,7 +491,8 @@ def _check_node_count(count):
         raise InputError(f"quadrature rule has {count} nodes, limit is {MAX_QUAD_NODES}")
 
 
-# typed, so that True and 2.0 do not find the rules of 1 and 2
+# typed: every order and dimension reaching it is an int (QuadratureSpec
+# and ball_rule convert them), so any other type shows as a second rule
 @functools.lru_cache(maxsize=None, typed=True)
 def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
     """Interior rule carrying dV, or without radial_order the normalized boundary rule.
@@ -535,6 +530,7 @@ def ball_rule(q, dim=2):
     uniform angles.  Only the moduli depend on the dimension, and they
     are implemented for complex dimensions 1 and 2.
     """
+    dim = _check_integer("complex dimension", dim, 1)
     return _product_rule(dim, q.angular_order, q.sphere_nodes, q.radial_order)
 
 
@@ -572,14 +568,6 @@ def boundary_quadrature(f, q, space):
     """Mean of f over the boundary circle/sphere (measure normalized to 1)."""
     points, weights = boundary_rule(q, space)
     return _apply_rule(f, points, weights)
-
-
-def _as_integer(value):
-    """value as an int if it is an integer other than a bool (numpy integers too), else None."""
-    try:
-        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        return None
 
 
 def rng_stream(seed, stream):

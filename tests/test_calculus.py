@@ -63,6 +63,17 @@ def test_multipoly_eval():
         MultiPoly(True, {(0,): 1.0})
 
 
+def test_multipoly_refuses_multi_index_entries_that_are_no_non_negative_integers():
+    # int() would turn 1.5 into 1 and "2" into 2; the message shows the index as given
+    for alpha in [(1.5,), ("2",), (True,), (np.True_,), (None,), (-1,), [2.0], (1, 0)]:
+        with pytest.raises(InputError) as info:
+            MultiPoly(1, [(alpha, 1.0)])
+        assert str(info.value) == f"multi-index {alpha!r} invalid for dimension 1"
+    f = MultiPoly(np.int64(2), [((np.int64(1), np.uint8(2)), 1.0), ((1, 2), 1.0)])
+    assert type(f.dim) is int and f.terms == {(1, 2): 2.0}
+    assert all(type(a) is int for a in next(iter(f.terms)))
+
+
 def test_multipoly_refuses_degree_above_cap():
     # evaluation and hardy_norm_sq cost O(degree), however sparse the terms
     cap = calculus.MAX_POLY_DEGREE

@@ -60,9 +60,16 @@ def test_measure_validates_weights_and_dims():
         DiscreteMeasure(sp, [(SpacePoint([0.5, 0.0]), 1.0)])
     with pytest.raises(InputError):
         DiscreteMeasure(sp, [])
-    for weight in (True, np.True_, math.inf, math.nan):
+    for weight in (True, np.True_, math.inf, math.nan, "0.5", 0.5j, 1 + 0j, None, 10 ** 400):
         with pytest.raises(InputError):
             DiscreteMeasure(sp, [(SpacePoint(0.5), weight)])
+    mu = DiscreteMeasure(sp, [(SpacePoint(0.5), np.float32(0.5)), (SpacePoint(0.1), np.int64(2))])
+    assert [w for _, w in mu.atoms] == [0.5, 2.0]
+    assert all(type(w) is float for _, w in mu.atoms)
+    for c in ("2", 2j, True, np.True_, None, math.inf, math.nan, 10 ** 400, 0.0, -1.0):
+        with pytest.raises(InputError):
+            mu.scaled(c)
+    assert [w for _, w in mu.scaled(np.int64(2)).atoms] == [1.0, 4.0]
 
 
 def test_measure_arrays_are_built_once_and_read_only():
