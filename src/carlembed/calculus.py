@@ -21,17 +21,21 @@ vectorized callable mapping an (m, n) complex array to an (m,) real
 array, matching the numerics module.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import InputError, NumericError, _as_integer, _check_dim, _check_integer, _finite_real
+from .errors import (
+    InputError, NumericError, _as_integer, _check_dim, _check_integer, _finite_complex,
+    _finite_real,
+)
 from .geometry import (
     BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, poisson_kernel,
 )
 from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
 from .numerics import (
-    QuadratureSpec, _row_blocks, ball_rule, boundary_quadrature, default_quadrature,
+    QuadratureSpec, _interior_stream, _row_blocks, boundary_quadrature, default_quadrature,
 )
 
 __all__ = [
@@ -70,10 +74,11 @@ MAX_POLY_DEGREE = 4096
 class MultiPoly:
     """Analytic polynomial in n complex variables: multi-index -> coefficient.
 
-    The total degree is at most MAX_POLY_DEGREE.
+    A coefficient is a finite number, never a bool or a string (errors.py
+    decides).  The total degree is at most MAX_POLY_DEGREE.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_plan")
 
     def __init__(self, dim, terms):
         dim = _check_integer("dim", dim, 1)
@@ -83,45 +88,64 @@ class MultiPoly:
             index = tuple(map(_as_integer, alpha))
             if len(index) != dim or any(a is None or a < 0 for a in index):
                 raise InputError(f"multi-index {alpha!r} invalid for dimension {dim}")
-            coeff = complex(coeff)
-            if coeff != 0:
-                cleaned[index] = cleaned.get(index, 0.0) + coeff
+            value = _finite_complex(coeff)
+            if value is None:
+                raise InputError(
+                    f"coefficient of {alpha!r} must be a finite number other than a bool, "
+                    f"got {coeff!r}"
+                )
+            if value != 0:
+                cleaned[index] = cleaned.get(index, 0.0) + value
         terms = {a: c for a, c in cleaned.items() if c != 0}
+        if not all(map(cmath.isfinite, terms.values())):
+            raise InputError("repeated multi-indices sum to a coefficient past the double range")
         degree = max(map(sum, terms), default=0)
         if degree > MAX_POLY_DEGREE:
             raise InputError(f"polynomial degree {degree} exceeds the cap {MAX_POLY_DEGREE}")
         self.dim = dim
         self.terms = terms
+        self._plan = _horner_plan(terms) if terms else None
 
     def __call__(self, z):
         _check_dim("point", z.dim, "polynomial", self.dim)
-        return _horner(self.terms, z.coords) if self.terms else 0j
+        return _horner(self._plan, z.coords) if self.terms else 0j
 
     def eval_array(self, zs):
         """Values at the rows of zs as an (m,) complex array, by nested Horner."""
-        out = _horner(self.terms, zs.T) if self.terms else 0j
+        out = _horner(self._plan, zs.T) if self.terms else 0j
         return np.full(zs.shape[0], out) if np.isscalar(out) else out
 
 
-def _horner(terms, cols):
-    """Sum of coeff * prod_i cols[i]^alpha_i over a nonempty {alpha: coeff}.
+def _horner_plan(terms):
+    """A nonempty {alpha: coeff} nested by powers: {k: plan of the coefficient of z_1^k}.
 
-    cols is z.coords (numbers) or zs.T (one array per variable).  Horner
-    in the first variable; the coefficient of each of its powers is a
-    polynomial in the remaining ones, evaluated the same way.
+    The coefficient of each power of the first variable is a polynomial
+    in the remaining ones, nested the same way; with no variable left it
+    is the coefficient itself.  Built once per polynomial, so evaluating
+    a block of a blocked pass does no grouping.
     """
-    if len(cols) == 0:
+    if len(next(iter(terms))) == 0:
         return terms[()]
     by_power = {}
     for alpha, coeff in terms.items():
         by_power.setdefault(alpha[0], {})[alpha[1:]] = coeff
+    return {k: _horner_plan(rest) for k, rest in by_power.items()}
+
+
+def _horner(plan, cols):
+    """The polynomial of a _horner_plan at cols: Horner in the first variable, nested.
+
+    cols is z.coords (numbers) or zs.T (one array per variable).
+    """
+    if len(cols) == 0:
+        return plan
     z, rest = cols[0], cols[1:]
-    top = max(by_power)
-    out = _horner(by_power[top], rest)
+    top = max(plan)
+    out = _horner(plan[top], rest)
     for k in range(top - 1, -1, -1):
         out *= z  # in place only on a fresh array, never on a view of cols
-        if k in by_power:
-            out += _horner(by_power[k], rest)
+        if k in plan:
+            out += _horner(plan[k], rest)
     return out
 
 
@@ -287,9 +311,15 @@ def poisson_gradient_ball(z, lam, j, space):
     return n * bracket * poisson_kernel(z, lam, space)
 
 
-def _atom_matrix(d_sq, n):
-    """A[i, j] = 1 / |1 - <z_i, lam_j>|^(2n+2), given d_sq[i, j] = |1 - <z_i, lam_j>|^2."""
-    return 1.0 / _ipow(d_sq, n + 1)
+def _atom_matrix(d_sq, n, out=None):
+    """A[i, j] = 1 / |1 - <z_i, lam_j>|^(2n+2), given d_sq[i, j] = |1 - <z_i, lam_j>|^2.
+
+    out, an array other than d_sq, receives the values when it is given.
+    """
+    power = _ipow(d_sq, n + 1, out)
+    if isinstance(power, np.ndarray):  # not d_sq, as n + 1 >= 2
+        return np.divide(1.0, power, out=power)
+    return 1.0 / power
 
 
 def _atom_mass(mu):
@@ -299,7 +329,7 @@ def _atom_mass(mu):
 
 def _point_terms(mu, z):
     """(|z|^2, phi(z), _atom_matrix @ _atom_mass) at z as (1,) arrays, from one Poisson block."""
-    (_, nrm, d_sq, p), = _poisson_blocks(_point_row(mu, z), mu.points_array())
+    (_, _, nrm, d_sq, p), = _poisson_blocks(_point_row(mu, z), mu.points_array())
     return nrm, -(p @ mu.weights_array()), _atom_matrix(d_sq, mu.space.dim) @ _atom_mass(mu)
 
 
@@ -378,25 +408,29 @@ def greens_formula_check(u, space, q=None, laplacian=None):
     if q is None:
         q = default_quadrature(space)
     n = space.dim
-    points, weights = ball_rule(q, n)
+    rule = _interior_stream(q, n)
     stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
-    # Every per-node quantity lives only in its row block, which bounds the
-    # stencil-shifted copies of the rule held at once; the one sum over all
-    # terms keeps the summation order of the whole array.
-    terms = np.empty(len(weights))
-    for rows in _row_blocks(len(points), 4 * n):
-        zs = points[rows]
+    # Every per-node quantity, the nodes and weights included, lives only
+    # in its row block, which bounds the stencil-shifted copies held at
+    # once; the one sum over all terms keeps the summation order of the
+    # whole array.
+    terms = np.empty(len(rule))
+    for rows in _row_blocks(len(rule), 4 * n):
+        zs = rule.points(rows)
         nrm2 = _norm_sq_rows(zs)
         r = np.sqrt(nrm2)
         if laplacian is None:
             lap = stencil(u, zs, np.minimum(FD_STEP, 0.25 * (1.0 - r)))
         else:
-            lap = np.asarray(laplacian(zs), dtype=float)
+            lap = laplacian(zs)
         if space.kind == DISC:
             density = _green_ball_field(r, 1)
         else:
             density = _green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
-        np.multiply(weights[rows] * lap, density, out=terms[rows])
+        # (weight * lap) * density, the weights scaling the Laplacian in place
+        block = terms[rows]
+        block[...] = lap
+        np.multiply(rule.weigh(rows, block), density, out=block)
     if space.kind == DISC:
         lhs = float(np.sum(terms)) / (2.0 * np.pi)
     else:
@@ -460,18 +494,21 @@ def uchiyama_checks(mu, f, q=None):
     if degree >= q.angular_order:
         raise InputError(f"polynomial degree {degree} is not below angular order {q.angular_order}")
     n = mu.space.dim
-    points, weights = ball_rule(q, mu.space.dim)
+    rule = _interior_stream(q, n)
     lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)
     contraction = corollary = 0.0
     phi_atoms = _potential_field(lams, wts, lams)
     phi_sup = float(np.max(-phi_atoms))
     key = np.zeros(len(mu))
     # phi (as measure._potential_field) and the atom matrix share d_sq.
-    for rows, nrm, d_sq, p in _poisson_blocks(points, lams):
-        w_f = weights[rows] * np.abs(f.eval_array(points[rows])) ** 2
+    a_scratch = None
+    for rows, zs, nrm, d_sq, p in _poisson_blocks(rule, lams):
+        if a_scratch is None:
+            a_scratch = np.empty(d_sq.shape)
+        w_f = rule.weigh(rows, np.abs(f.eval_array(zs)) ** 2)
         phi = -(p @ wts)
         w_f_e = w_f * np.exp(phi)
-        a = _atom_matrix(d_sq, n)
+        a = _atom_matrix(d_sq, n, a_scratch[:len(d_sq)])
         density = _density_field(n, nrm, a @ mass)
         contraction += float(np.sum(w_f_e * density))
         corollary += float(np.sum(w_f * density))

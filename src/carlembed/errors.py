@@ -2,9 +2,12 @@
 
 Whether a value is an integer (a Python or numpy integer, never a bool,
 passed on as an int), a finite real (never a bool, string or complex),
-or of the dimension wanted is decided here alone; a refusal is an InputError.
+a complex number (a Python or numpy number, never a bool or string,
+passed on as a complex), or of the dimension wanted is decided here
+alone; a refusal is an InputError.
 """
 
+import cmath
 import math
 import numbers
 import operator
@@ -67,6 +70,32 @@ def _finite_real(value):
         return math.isfinite(value)
     except OverflowError:  # an integer past the double range
         return False
+
+
+# The number types one type test accepts; the SpacePoint coordinates the
+# identity suites build by the thousand are Python and numpy complexes.
+_PLAIN_NUMBERS = frozenset((int, float, complex, np.int64, np.float64, np.complex128))
+
+
+def _as_complex(value):
+    """value as a complex if it is a number other than a bool (numpy numbers too), else None.
+
+    The common types take one type test; any other must be a
+    numbers.Number and no bool.  A non-finite part is kept.
+    """
+    if type(value) not in _PLAIN_NUMBERS and (
+            isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Number)):
+        return None
+    try:
+        return complex(value)
+    except (OverflowError, TypeError, ValueError):  # an integer past the double range
+        return None
+
+
+def _finite_complex(value):
+    """_as_complex(value) if both its parts are finite, else None."""
+    c = _as_complex(value)
+    return c if c is not None and cmath.isfinite(c) else None
 
 
 def _check_dim(what, dim, other, want):

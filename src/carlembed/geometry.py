@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InputError, KernelConditioningWarning, SingularityError, _check_dim, _check_integer,
+    InputError, KernelConditioningWarning, SingularityError, _as_complex, _check_dim,
+    _check_integer,
 )
 
 DISC = "disc"
@@ -62,9 +63,16 @@ class SpacePoint:
     __slots__ = ("coords", "norm_sq")
 
     def __init__(self, coords):
-        if isinstance(coords, (int, float, complex)):
+        if isinstance(coords, (int, float, complex, np.number)):
             coords = (coords,)
-        cs = tuple(complex(c) for c in coords)
+        try:
+            cs = tuple(map(_as_complex, coords))
+        except TypeError:  # not iterable
+            cs = (None,)
+        if None in cs:
+            raise InputError(
+                f"point coordinates must be numbers in the double range, not bools, got {coords!r}"
+            )
         if not cs:
             raise InputError("a point needs at least one coordinate")
         norm_sq = math.fsum(c.real * c.real + c.imag * c.imag for c in cs)

@@ -19,7 +19,7 @@ from .errors import (
     InputError, NumericError, UnsupportedError, _check_dim, _check_integer, _finite_real,
 )
 from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson, _szego
-from .numerics import _row_blocks, _top_eigs, rng_stream
+from .numerics import _RuleStream, _row_blocks, _top_eigs, rng_stream
 
 MAX_ATOMS = 2000
 # The grid holds about 2.7 * resolution^2 disc points (2.8 M at 1024),
@@ -104,42 +104,48 @@ def _point_row(mu, z):
 
 
 def _kernel_blocks(zs, lams):
-    """(rows, d, spare) per row block: d[..., i, j] = 1 - <z_i, lam_j> for z_i in zs[..., rows, :].
+    """(rows, z, d, spare) per row block: z the points of rows, d[..., i, j] = 1 - <z_i, lam_j>.
 
     zs (..., k, n) and lams (..., m, n) are one point set and its atoms,
-    or stacks of them with the same leading axes.  d and spare, scratch
-    of d's shape, are one complex pair held until the next block.  Every
-    block is as long as the first: the last ends at row k, overlapping
-    the one before, and yields only its new rows, since numpy takes a
-    one-row product through gemv, which rounds otherwise than gemm.
+    or stacks of them with the same leading axes; or zs is a
+    numerics._RuleStream (k, n), whose node rows are filled block by
+    block.  d and spare, scratch of d's shape, are one complex pair held
+    until the next block.  Every block is as long as the first: the last
+    ends at row k, overlapping the one before, and yields only its new
+    rows, since numpy takes a one-row product through gemv, which rounds
+    otherwise than gemm.
     """
     k, n = zs.shape[-2:]
     blocks = _row_blocks(k, lams.size // n)
     size = min(blocks[0].stop, k)
     scratch = np.empty((2,) + zs.shape[:-2] + (size, lams.shape[-2]), dtype=complex)
     lams_h = lams.conj().swapaxes(-1, -2)
+    stream = isinstance(zs, _RuleStream)
     for rows in blocks:
         start = min(rows.start, k - size)
-        d = np.matmul(zs[..., start:start + size, :], lams_h, out=scratch[0])
+        block = slice(start, start + size)
+        z = zs.points(block) if stream else zs[..., block, :]
+        d = np.matmul(z, lams_h, out=scratch[0])
         new = slice(rows.start - start, None)
-        yield rows, np.subtract(1.0, d, out=d)[..., new, :], scratch[1][..., new, :]
+        d = np.subtract(1.0, d, out=d)
+        yield rows, z[..., new, :], d[..., new, :], scratch[1][..., new, :]
 
 
 def _poisson_blocks(zs, lams):
-    """(rows, |z|^2, D, P) for each block of _kernel_blocks(zs, lams), held until the next.
+    """(rows, z, |z|^2, D, P) for each block of _kernel_blocks(zs, lams), held until the next.
 
     D = |d|^2 is the real part of d * conj(d), as in the scalar kernels.
     P[..., i, j] = P_{z_i}(lam_j) goes to a C-contiguous float block: a
     matvec over a strided P sums in another order and moves the last bit.
     """
     p_scratch = None
-    for rows, d, spare in _kernel_blocks(zs, lams):
+    for rows, z, d, spare in _kernel_blocks(zs, lams):
         if p_scratch is None:
             p_scratch = np.empty(spare.shape)
-        nrm = _norm_sq_rows(zs[..., rows, :])
+        nrm = _norm_sq_rows(z)
         d_sq = np.multiply(d, np.conjugate(d, out=spare), out=spare).real
         p = _poisson(d_sq, nrm[..., None], zs.shape[-1], p_scratch[..., :d.shape[-2], :])
-        yield rows, nrm, d_sq, p
+        yield rows, z, nrm, d_sq, p
 
 
 def _potential_field(lams, w, zs):
@@ -148,7 +154,7 @@ def _potential_field(lams, w, zs):
     Stacks (..., m, n), (..., m) and (..., k, n) give phi of shape (..., k).
     """
     phi = np.empty(zs.shape[:-1])
-    for rows, _, _, p in _poisson_blocks(zs, lams):
+    for rows, _, _, _, p in _poisson_blocks(zs, lams):
         phi[..., rows] = -(p @ w[..., None])[..., 0]
     return phi
 
@@ -271,7 +277,7 @@ def _weighted_gram(points, root_w):
     then weighted in place.
     """
     m = np.empty(points.shape[:-1] + points.shape[-2:-1], dtype=complex)
-    for rows, d, _ in _kernel_blocks(points, points):
+    for rows, _, d, _ in _kernel_blocks(points, points):
         block = _szego(d, points.shape[-1], m[..., rows, :])
         block *= root_w[..., rows, None] * root_w[..., None, :]
     return m

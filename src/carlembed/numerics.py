@@ -6,9 +6,12 @@ plus the normalized boundary means dm on the circle and d(sigma) on the
 sphere.  Each rule is one product, radial (interior rules only) x moduli
 (|z_1|, ..., |z_n|) on the sphere x n uniform torus angles; the moduli
 rule, the only dimension-specific piece, covers n <= 2 and alone refuses
-a larger n.  A QuadratureSpec holds only the orders of a rule; pass/fail
-tolerances belong to its callers.  Integrands are vectorized callables
-mapping an (m, n) complex array of points to an (m,) real array.
+a larger n.  Only the factors of a rule are cached: a _RuleStream fills
+the nodes of one row range after another from them, and the public rule
+accessors fill and cache the whole rule the same way.  A QuadratureSpec
+holds only the orders of a rule; pass/fail tolerances belong to its
+callers.  Integrands are vectorized callables mapping an (m, n) complex
+array of points to an (m,) real array.
 """
 
 import functools
@@ -21,10 +24,11 @@ import numpy as np
 from .errors import InputError, NumericError, UnsupportedError, _as_integer, _check_integer
 
 MAX_GAUSS_ORDER = 512
-# Node cap of one interior or boundary rule, checked before the rule is
-# built: the points and weights of a 2^23-node ball(2) rule alone take
-# 336 MB.  The default rules stay far below (1.18 M nodes for uchiyama
-# on ball(2), 1.57 M for green-check --space ball2).
+# Node cap of one interior or boundary rule, checked before any node
+# exists: the points and weights of a whole 2^23-node ball(2) rule take
+# 336 MB, though a streamed pass holds one block of it.  The default
+# rules stay far below (1.18 M nodes for uchiyama on ball(2), 1.57 M for
+# green-check --space ball2).
 MAX_QUAD_NODES = 1 << 23
 
 
@@ -464,28 +468,6 @@ def _moduli_rule(dim, sphere_nodes):
     return moduli, weights
 
 
-def _torus_product(moduli, wmod, angular_order, scale):
-    """Nodes moduli[k, i] e^{i p_i} over dim uniform angles p_i per modulus row.
-
-    Node order is meshgrid(indexing="ij") over (row, p_1, ..., p_dim); the
-    weight of a node is wmod[k] * scale * ... * scale (dim factors).
-    """
-    rows, dim = moduli.shape
-    m = angular_order
-    phase = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-    points = np.empty((rows * m ** dim, dim), dtype=complex)
-    grid = points.reshape((rows,) + (m,) * dim + (dim,))
-    for i, p in enumerate(np.meshgrid(*[phase] * dim, indexing="ij", sparse=True)):
-        np.multiply(moduli[:, i].reshape((rows,) + (1,) * dim), p[None], out=grid[..., i])
-    weights = wmod
-    for _ in range(dim):
-        weights = weights * scale
-    weights = np.repeat(weights, m ** dim)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
-
 def _check_node_count(count):
     if count > MAX_QUAD_NODES:
         raise InputError(f"quadrature rule has {count} nodes, limit is {MAX_QUAD_NODES}")
@@ -494,12 +476,22 @@ def _check_node_count(count):
 # typed: every order and dimension reaching it is an int (QuadratureSpec
 # and ball_rule convert them), so any other type shows as a second rule
 @functools.lru_cache(maxsize=None, typed=True)
-def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
-    """Interior rule carrying dV, or without radial_order the normalized boundary rule.
+def _rule_factors(dim, angular_order, sphere_nodes, radial_order=None):
+    """The factors (rows, row_weights, phases) of one product rule, a few hundred entries.
 
-    The interior rule is the radial rule for r^(2 dim - 1) dr times the
-    moduli times the torus; the boundary rule drops the radial factor.
-    The node count is checked before the rule is built.
+    With radial_order the rule is the interior rule carrying dV: the
+    radial rule for r^(2 dim - 1) dr times the moduli times the torus;
+    without it, the normalized boundary rule, which drops the radial
+    factor.  rows (R, dim) complex holds the moduli of each
+    radial x moduli row, row_weights (R,) their weights times the torus
+    factor.  The torus nodes t = (p_1, ..., p_dim), in meshgrid "ij"
+    order, have phases e^{i p_j}; phases (dim, M^dim dim) is the matrix
+    whose column t dim + j holds the phase of p_j in row j and zeros
+    elsewhere.  So coordinate j of node k M^dim + t of the rule is entry
+    t dim + j of rows[k] @ phases: one product rows[k, j] e^{i p_j},
+    since the other terms are exact zeros, and its weight is
+    row_weights[k].  The node count is checked before anything of the
+    size of the rule exists.
     """
     moduli, wmod = _moduli_rule(dim, sphere_nodes)
     _check_node_count((radial_order or 1) * len(wmod) * angular_order ** dim)
@@ -507,14 +499,116 @@ def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
         # |S^(2n-1)| = 2 pi^n / (n-1)!, so the torus factor (2 pi / M)^n
         # over the sphere's area is (n-1)! 2^(n-1) / M^n.
         norm = math.factorial(dim - 1) * 2 ** (dim - 1) / angular_order ** dim
-        return _torus_product(moduli, wmod * norm, angular_order, 1.0)
-    r, wr = _radial_rule(radial_order, 2 * dim - 1)
-    return _torus_product(
-        np.multiply.outer(r, moduli).reshape(-1, dim),
-        np.outer(wr, wmod).ravel(),
-        angular_order,
-        2.0 * np.pi / angular_order,
-    )
+        rows, weights, scale = moduli, wmod * norm, 1.0
+    else:
+        r, wr = _radial_rule(radial_order, 2 * dim - 1)
+        rows = np.multiply.outer(r, moduli).reshape(-1, dim)
+        weights, scale = np.outer(wr, wmod).ravel(), 2.0 * np.pi / angular_order
+    for _ in range(dim):
+        weights = weights * scale
+    m = angular_order
+    phase = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    phases = np.zeros((dim, m ** dim, dim), dtype=complex)
+    for j, p in enumerate(np.meshgrid(*[phase] * dim, indexing="ij")):
+        phases[j, :, j] = p.ravel()
+    # moduli with zero imaginary parts: a node's coordinate is the product
+    # modulus * phase, with the bits numpy gives a float times a complex
+    factors = rows.astype(complex), weights, phases.reshape(dim, -1)
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
+def _fill_nodes(factors, start, stop, points=None, weighted=None):
+    """Write nodes [start, stop) of the rule of factors into points, or weigh values by them.
+
+    The one formula for a node (_rule_factors): node k M^dim + t is
+    columns [t dim, (t + 1) dim) of rows[k] @ phases, with weight
+    row_weights[k].  points (stop - start, dim) complex receives the
+    nodes of the range; weighted (stop - start,) holds a value per node
+    of the range and is multiplied by its weights in place.  Either may
+    be None.  A range is at most a partial row, whole rows and a partial
+    row, each one matrix product into points (BLAS writes the
+    interleaved coordinates in half the time of one broadcast product
+    per coordinate, and the exact zeros leave every node's bits as they
+    are) and one broadcast product by the row weights.
+    """
+    rows, row_weights, phases = factors
+    dim = rows.shape[1]
+    per_row = phases.shape[1] // dim
+    j = start
+    while j < stop:
+        k, t = divmod(j, per_row)
+        if t == 0 and stop - j >= per_row:
+            k1, t1 = k + (stop - j) // per_row, per_row
+        else:
+            k1, t1 = k + 1, min(per_row, t + stop - j)
+        shape = (k1 - k, t1 - t)
+        out = slice(j - start, j - start + shape[0] * shape[1])
+        if points is not None:
+            np.matmul(rows[k:k1], phases[:, t * dim:t1 * dim],
+                      out=points[out].reshape(shape[0], shape[1] * dim))
+        if weighted is not None:
+            block = weighted[out].reshape(shape)
+            np.multiply(block, row_weights[k:k1, None], out=block)
+        j = out.stop + start
+
+
+class _RuleStream:
+    """The nodes and weights of one product rule, filled range by range from its cached factors.
+
+    A blocked pass takes points(rows) of each row block (a slice,
+    clipped to the rule) and weighs its values with weigh(rows, values)
+    instead of reading the whole rule, so its memory is that of a block
+    whatever the node count.  points writes into scratch of this stream,
+    grown to the longest range asked for, and its result holds until
+    its next call.  A stream belongs to one pass: scratch shared by
+    passes that run side by side would be overwritten under them.  The
+    node count is checked when the stream is made, before any node
+    exists.
+    """
+
+    __slots__ = ("shape", "_factors", "_points")
+
+    def __init__(self, dim, angular_order, sphere_nodes, radial_order=None):
+        self._factors = _rule_factors(dim, angular_order, sphere_nodes, radial_order)
+        rows, _, phases = self._factors
+        self.shape = (len(rows) * phases.shape[1] // dim, dim)
+        self._points = np.empty((0, dim), dtype=complex)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def points(self, rows):
+        """(k, dim) complex nodes of rows."""
+        start, stop, _ = rows.indices(len(self))
+        if stop - start > len(self._points):
+            self._points = np.empty((stop - start, self.shape[1]), dtype=complex)
+        out = self._points[:stop - start]
+        _fill_nodes(self._factors, start, stop, points=out)
+        return out
+
+    def weigh(self, rows, values):
+        """values, one float per node of rows, times the weights of those nodes, in place."""
+        start, stop, _ = rows.indices(len(self))
+        _fill_nodes(self._factors, start, stop, weighted=values)
+        return values
+
+
+def _interior_stream(q, dim):
+    """The stream of ball_rule(q, dim), for an int dim."""
+    return _RuleStream(dim, q.angular_order, q.sphere_nodes, q.radial_order)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
+    """The whole rule of _rule_factors, (nodes, weights) read-only, filled as one range."""
+    stream = _RuleStream(dim, angular_order, sphere_nodes, radial_order)
+    whole = slice(None)
+    points, weights = stream.points(whole), stream.weigh(whole, np.ones(len(stream)))
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def disc_rule(q):

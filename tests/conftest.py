@@ -6,11 +6,17 @@ quadrature truncation stay well inside the tolerances asserted by the
 tests that consume the corpus.
 """
 
+import math
+
 import numpy as np
 
+from carlembed import calculus
 from carlembed.corpus import random_measure, random_point, random_poly
-from carlembed.geometry import Space, _ipow, _norm_sq_rows
-from carlembed.numerics import rng_stream
+from carlembed.geometry import DISC, Space, _ipow, _norm_sq_rows
+from carlembed.measure import _poisson_blocks, _potential_field
+from carlembed.numerics import (
+    _row_blocks, ball_rule, boundary_quadrature, default_quadrature, rng_stream,
+)
 
 
 # Dense kernel matrices, each formed in one piece with fresh temporaries:
@@ -32,6 +38,72 @@ def dense_poisson(zs, lams, n):
 def dense_szego(zs, ws, n):
     """K[..., i, j] = K(zs[..., i], ws[..., j]) = 1 / (1 - <z_i, w_j>)^n."""
     return 1.0 / _ipow(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
+
+
+# The two quadrature passes as they read the whole rule from the cached
+# accessor, before the rule was streamed block by block: the oracles of
+# calculus.uchiyama_checks and calculus.greens_formula_check, which must
+# equal them bit for bit.  Argument checks are left to the library.
+
+
+def full_rule_uchiyama_checks(mu, f, q=None):
+    """calculus.uchiyama_checks over the fully built ball_rule."""
+    if q is None:
+        q = default_quadrature(mu.space)
+    n = mu.space.dim
+    points, weights = ball_rule(q, n)
+    lams, wts, mass = mu.points_array(), mu.weights_array(), calculus._atom_mass(mu)
+    contraction = corollary = 0.0
+    phi_atoms = _potential_field(lams, wts, lams)
+    phi_sup = float(np.max(-phi_atoms))
+    key = np.zeros(len(mu))
+    for rows, _, nrm, d_sq, p in _poisson_blocks(points, lams):
+        w_f = weights[rows] * np.abs(f.eval_array(points[rows])) ** 2
+        phi = -(p @ wts)
+        w_f_e = w_f * np.exp(phi)
+        a = calculus._atom_matrix(d_sq, n)
+        density = calculus._density_field(n, nrm, a @ mass)
+        contraction += float(np.sum(w_f_e * density))
+        corollary += float(np.sum(w_f * density))
+        phi_sup = max(phi_sup, float(np.max(-phi)))
+        key += (w_f_e * (1.0 - nrm) ** n) @ a
+    prefactor, constant = math.factorial(n) / math.pi ** n, calculus.beta_constant(n)
+    norm_sq = calculus.hardy_norm_sq(f, mu.space)
+    lhs = prefactor * (1.0 - _norm_sq_rows(lams)) * key
+    rhs = constant * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
+    return ((contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq),
+            list(zip(lhs.tolist(), rhs.tolist())))
+
+
+def full_rule_greens_formula_check(u, space, q=None, laplacian=None):
+    """calculus.greens_formula_check over the fully built ball_rule."""
+    if q is None:
+        q = default_quadrature(space)
+    n = space.dim
+    points, weights = ball_rule(q, n)
+    stencil = (calculus._flat_laplacian_field if space.kind == DISC
+               else calculus._invariant_laplacian_field)
+    terms = np.empty(len(weights))
+    for rows in _row_blocks(len(points), 4 * n):
+        zs = points[rows]
+        nrm2 = _norm_sq_rows(zs)
+        r = np.sqrt(nrm2)
+        if laplacian is None:
+            lap = stencil(u, zs, np.minimum(calculus.FD_STEP, 0.25 * (1.0 - r)))
+        else:
+            lap = np.asarray(laplacian(zs), dtype=float)
+        if space.kind == DISC:
+            density = calculus._green_ball_field(r, 1)
+        else:
+            density = calculus._green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
+        np.multiply(weights[rows] * lap, density, out=terms[rows])
+    if space.kind == DISC:
+        lhs = float(np.sum(terms)) / (2.0 * np.pi)
+    else:
+        lhs = math.factorial(n) / np.pi ** n * float(np.sum(terms))
+    origin = np.zeros((1, space.dim), dtype=complex)
+    rhs = boundary_quadrature(u, q, space) - float(np.asarray(u(origin), dtype=float)[0])
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def disc_measure_corpus(count, max_atoms, rmax, seed, stream):

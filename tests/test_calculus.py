@@ -1,5 +1,7 @@
+import fractions
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,9 @@ from carlembed.geometry import (
 )
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
-from conftest import measure_poly_corpus, pair_corpus
+from conftest import (
+    full_rule_greens_formula_check, full_rule_uchiyama_checks, measure_poly_corpus, pair_corpus,
+)
 
 DISC = Space.disc()
 BALL2 = Space.ball(2)
@@ -72,6 +76,29 @@ def test_multipoly_refuses_multi_index_entries_that_are_no_non_negative_integers
     f = MultiPoly(np.int64(2), [((np.int64(1), np.uint8(2)), 1.0), ((1, 2), 1.0)])
     assert type(f.dim) is int and f.terms == {(1, 2): 2.0}
     assert all(type(a) is int for a in next(iter(f.terms)))
+
+
+@pytest.mark.parametrize("coeff", [
+    "2", True, np.True_, None, [1.0], float("nan"), float("inf"), complex(1.0, float("nan")),
+    -math.inf, 10 ** 400,
+])
+def test_multipoly_refuses_coefficients_that_are_no_finite_numbers(coeff):
+    # complex() turned "2" into 2 and True into 1, and kept a NaN that
+    # hardy_norm_sq and uchiyama then carried
+    with pytest.raises(InputError) as info:
+        MultiPoly(1, {(0,): coeff})
+    assert str(info.value) == (
+        f"coefficient of (0,) must be a finite number other than a bool, got {coeff!r}"
+    )
+
+
+def test_multipoly_takes_numpy_and_rational_coefficients():
+    f = MultiPoly(1, {(0,): np.float32(0.5), (1,): np.int64(3), (2,): np.complex64(1j),
+                      (3,): fractions.Fraction(1, 4)})
+    assert f.terms == {(0,): 0.5, (1,): 3.0, (2,): 1j, (3,): 0.25}
+    assert all(type(c) is complex for c in f.terms.values())
+    with pytest.raises(InputError, match="^repeated multi-indices sum to a coefficient past"):
+        MultiPoly(1, [((0,), 1e308), ((0,), 1e308)])
 
 
 def test_multipoly_refuses_degree_above_cap():
@@ -763,3 +790,76 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     atom_rows, node_rows = rows[0], rows[1:]
     assert atom_rows == 3
     assert sum(node_rows) == nodes and len(node_rows) == len(numerics._row_blocks(nodes, 3)) > 1
+
+
+# The quadrature passes stream the rule block by block from its cached
+# factors; the oracles in conftest read the whole rule.
+
+
+def _bench_shaped_ball_pair(seed):
+    rng = rng_stream(_ORACLE_SEED, seed)
+    mu = DiscreteMeasure(
+        BALL2, [(random_point(rng, 2, 0.6), math.exp(rng.normal(0.0, 0.5))) for _ in range(3)]
+    )
+    return mu, random_poly(rng, 2, 5)
+
+
+def test_rule_stream_uchiyama_equals_full_rule_oracle():
+    cases = measure_poly_corpus(4, DISC, 5, 0.8, 5, _ORACLE_SEED, 13)
+    cases += [(mu, f, _SMALL_BALL_RULE) for mu, f in
+              measure_poly_corpus(3, BALL2, 5, 0.6, 5, _ORACLE_SEED, 14)]
+    cases += [_bench_shaped_ball_pair(15)]
+    for mu, f, *q in cases:
+        assert uchiyama_checks(mu, f, *q) == full_rule_uchiyama_checks(mu, f, *q)
+
+
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+@pytest.mark.parametrize("fn", ["one", "radial", "re1", "mixed"])
+def test_rule_stream_greens_formula_equals_full_rule_oracle(space, fn):
+    u, lap = cli._green_case(space, fn)
+    q = default_quadrature(space) if fn == "mixed" else _SMALL_BALL_RULE
+    want = full_rule_greens_formula_check(u, space, q, laplacian=lap)
+    assert greens_formula_check(u, space, q, laplacian=lap) == want
+    # a scalar Laplacian broadcasts over the block, as it did over the rule
+    assert (greens_formula_check(u, space, q, laplacian=lambda zs: 2.5)
+            == full_rule_greens_formula_check(u, space, q, laplacian=lambda zs: 2.5))
+
+
+def _traced_peak(run, peaks=None):
+    """Peak traced allocation of run(), also appended to peaks when run raises."""
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        if peaks is not None:
+            peaks.append(peak)
+    return peak
+
+
+def test_streamed_passes_hold_one_block_whatever_the_node_count():
+    # The whole default ball(2) rule of uchiyama is 1.18 M nodes, 45 MB
+    # of nodes and weights; green-check keeps only its full-length terms.
+    mu, f = _bench_shaped_ball_pair(16)
+    uchiyama_checks(mu, f)  # the rule's factors are cached once per process
+    assert _traced_peak(lambda: uchiyama_checks(mu, f)) < 10 * 2 ** 20
+    u, lap = cli._green_case(BALL2, "mixed")
+    nodes = len(numerics._interior_stream(default_quadrature(BALL2), 2))
+    peak = _traced_peak(lambda: greens_formula_check(u, BALL2, laplacian=lap))
+    assert peak < 8 * nodes + 10 * 2 ** 20
+
+
+def test_over_cap_rule_is_refused_by_both_passes_before_any_block(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was filled")
+
+    monkeypatch.setattr(numerics, "_fill_nodes", no_block)
+    q = QuadratureSpec(radial_order=342, angular_order=32, sphere_nodes=24)
+    mu, f = _bench_shaped_ball_pair(17)
+    u, lap = cli._green_case(BALL2, "mixed")
+    peaks = []
+    for run in (lambda: uchiyama_checks(mu, f, q), lambda: greens_formula_check(u, BALL2, q)):
+        with pytest.raises(InputError, match="nodes, limit is"):
+            _traced_peak(run, peaks)
+    assert len(peaks) == 2 and max(peaks) < 2 ** 20

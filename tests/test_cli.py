@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from carlembed import calculus, cli, extremal, interpolation, measure
+from carlembed import calculus, cli, extremal, interpolation, measure, numerics
 from carlembed.errors import InputError
 
 PAIR = {
@@ -353,6 +353,34 @@ def test_interpolate_checks_grid_before_eigensolves(tmp_path, capsys):
     rc = cli.main(["interpolate", path, "--grid", str(measure.MAX_GRID_RESOLUTION + 1)])
     assert rc == 2
     assert "resolution" in capsys.readouterr().err
+
+
+def test_no_command_builds_a_whole_interior_rule(tmp_path, capsys, monkeypatch):
+    # uchiyama and green-check stream their rules block by block; only the
+    # boundary mean of green-check builds a whole (boundary) rule.
+    product_rule = numerics._product_rule
+
+    def boundary_only(dim, angular_order, sphere_nodes, radial_order=None):
+        assert radial_order is None, "a whole interior rule was built"
+        return product_rule(dim, angular_order, sphere_nodes)
+
+    monkeypatch.setattr(numerics, "_product_rule", boundary_only)
+    mu_ball = {"space": {"kind": "ball", "dim": 2},
+               "atoms": [{"point": [0.3, 0.0, 0.0, 0.1], "weight": 1.0}]}
+    poly_ball = {"dim": 2, "terms": [{"alpha": [1, 1], "re": 1.0, "im": 0.0}]}
+    disc = [write(tmp_path, "mu.json", PAIR), "--poly", write(tmp_path, "f.json", POLY)]
+    ball = [write(tmp_path, "mu2.json", mu_ball), "--poly", write(tmp_path, "f2.json", poly_ball)]
+    runs = [
+        ["analyze", disc[0]], ["interpolate", write(tmp_path, "seq.json", SEQ)],
+        ["uchiyama", *disc], ["uchiyama", *ball, "--quad-order", "8"],
+        ["verify-identities", "--samples", "3"],
+        ["search", "--atoms", "2", "--iters", "5", "--restarts", "1"],
+    ]
+    runs += [["green-check", "--space", space, "--fn", fn, "--quad-order", "8"]
+             for space in ("disc", "ball2") for fn in ("one", "radial", "re1", "mixed")]
+    for argv in runs:
+        assert cli.main(argv) != cli.EXIT_INPUT, argv
+    capsys.readouterr()
 
 
 def _refuse(*args, **kwargs):

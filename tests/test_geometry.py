@@ -40,6 +40,26 @@ def test_space_point_scalar_and_vector():
     assert q.norm_sq == pytest.approx(0.25, abs=1e-16)
 
 
+def test_space_point_takes_numpy_scalars_as_one_coordinate():
+    # complex() took a Python scalar only; a numpy scalar was iterated
+    assert SpacePoint(np.float32(0.5)).coords == (0.5 + 0j,)
+    assert SpacePoint(np.int64(0)).coords == (0j,)
+    assert SpacePoint(np.complex64(0.5j)).coords == (0.5j,)
+    row = np.array([0.3, 0.4j])
+    assert SpacePoint(row) == SpacePoint([0.3, 0.4j]) == SpacePoint(tuple(row))
+    assert all(type(c) is complex for c in SpacePoint(row).coords)
+
+
+@pytest.mark.parametrize("coords", [
+    "0.5", ["0.5"], [False], False, [np.True_], np.True_, None, [None], [0.1, "0.2"], [10 ** 400],
+])
+def test_space_point_refuses_coordinates_that_are_no_numbers(coords):
+    # complex() read ["0.5"] as 0.5 and [False] as the origin, and raised a
+    # bare ValueError or TypeError for "0.5" and None
+    with pytest.raises(InputError, match="^point coordinates must be numbers in the double range"):
+        SpacePoint(coords)
+
+
 def test_space_point_rejects_exterior():
     with pytest.raises(InputError):
         SpacePoint(1.0)
@@ -158,7 +178,7 @@ def test_scalar_kernels_match_matrix_entries(space):
     pts = [random_point(rng, space.dim, 0.95) for _ in range(60)]
     zs = np.array([p.coords for p in pts], dtype=complex)
     szego = _weighted_gram(zs, np.ones(len(zs)))  # unit weights leave the kernel exact
-    (_, _, _, poisson), = _poisson_blocks(zs, zs)
+    (_, _, _, _, poisson), = _poisson_blocks(zs, zs)
     worst = 0.0
     for i, z in enumerate(pts):
         for j, w in enumerate(pts):

@@ -313,9 +313,9 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
     kernel_blocks = measure._kernel_blocks
 
     def blocks(zs, lams):
-        for rows, d, spare in kernel_blocks(zs, lams):
+        for rows, z, d, spare in kernel_blocks(zs, lams):
             sizes.append(d.size)
-            yield rows, d, spare
+            yield rows, z, d, spare
 
     monkeypatch.setattr(measure, "_kernel_blocks", blocks)
     # the eigensolve forms no Poisson block and would add 2 s
@@ -457,7 +457,7 @@ def test_kernel_blocks_one_row_tail_equals_dense_denominator(dim, atoms):
     zs, lams = pts[:k], pts[k:]
     want = dense_denominator_sq(zs, lams)
     seen = []
-    for rows, _, d_sq, _ in _poisson_blocks(zs, lams):
+    for rows, _, _, d_sq, _ in _poisson_blocks(zs, lams):
         seen.append(rows)
         assert np.array_equal(d_sq, want[rows])
     assert [rows.start for rows in seen[-2:]] == [k - 1 - k // 2, k - 1]

@@ -12,6 +12,7 @@ from carlembed.numerics import (
     MAX_QUAD_NODES,
     HermitianMatrix,
     QuadratureSpec,
+    _RuleStream,
     _certified_top_eig,
     _hermitian_deviation,
     _row_blocks,
@@ -194,6 +195,74 @@ def test_product_rules_match_the_separate_builders_bit_for_bit(spec):
         assert np.array_equal(points, want_points)
         assert np.array_equal(weights, want_weights)
         assert not points.flags.writeable and not weights.flags.writeable
+
+
+def _streamed(stream, width):
+    """The nodes and weights of a stream, concatenated from blocks of width rows."""
+    points, weights = [], []
+    for start in range(0, len(stream), width):
+        rows = slice(start, start + width)
+        points.append(stream.points(rows).copy())
+        weights.append(stream.weigh(rows, np.ones(len(points[-1]))))
+    return np.concatenate(points), np.concatenate(weights)
+
+
+# (radial, angular, sphere) orders and a block width; narrow blocks only
+# on the smaller rules, whose ball(2) rule has at most 40,000 blocks.
+_STREAM_CASES = [
+    (spec, width)
+    for spec in [(4, 5, 4), (7, 13, 5), (16, 24, 12), (48, 32, 24)]
+    for width in [1, 3, 8, 2000]
+    if spec[0] * spec[2] * spec[1] ** 2 <= 40000 * width
+]
+
+
+@pytest.mark.parametrize(
+    "spec, width", _STREAM_CASES,
+    ids=["-".join(map(str, spec)) + f"-w{width}" for spec, width in _STREAM_CASES],
+)
+def test_rule_stream_blocks_equal_the_full_rules_bit_for_bit(spec, width):
+    # Blocks start and stop inside a row of the torus, at a row's end or
+    # across many rows; the accessors fill the whole rule through the same
+    # filler, so the separate builders of test_product_rules_... are the
+    # independent oracle.
+    radial, angular, sphere = spec
+    q = QuadratureSpec(radial_order=radial, angular_order=angular, sphere_nodes=sphere)
+    cases = [
+        (_RuleStream(1, angular, sphere, radial), disc_rule(q), _old_disc_rule(radial, angular)),
+        (_RuleStream(2, angular, sphere, radial), ball_rule(q, 2),
+         _old_ball2_rule(radial, angular, sphere)),
+        (_RuleStream(1, angular, sphere), boundary_rule(q, Space.disc()),
+         _old_circle_rule(angular)),
+        (_RuleStream(2, angular, sphere), boundary_rule(q, Space.ball(2)),
+         _old_sphere3_rule(angular, sphere)),
+    ]
+    for stream, rule, old in cases:
+        got = _streamed(stream, width)
+        for g, r, o in zip(got, rule, old):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes() == o.tobytes()
+
+
+def test_rule_stream_last_block_of_one_row_and_overlapping_ranges():
+    # 400 nodes in blocks of 3 leave one node for the last block; ranges
+    # may overlap and come in any order, as the kernel blocks ask them.
+    q = QuadratureSpec(radial_order=4, angular_order=5, sphere_nodes=4)
+    stream = _RuleStream(2, 5, 4, 4)
+    points, weights = ball_rule(q, 2)
+    assert len(stream) == len(points) == 400 and len(stream) % 3 == 1
+    for rows in [slice(399, 402), slice(397, 400), slice(0, 400), slice(5, 6), slice(3, 130)]:
+        got = stream.points(rows)
+        assert got.tobytes() == points[rows].tobytes()
+        assert stream.weigh(rows, np.ones(len(got))).tobytes() == weights[rows].tobytes()
+
+
+def test_rule_stream_scratch_is_reused_and_refuses_an_over_cap_rule():
+    stream = _RuleStream(2, 32, 24, 48)
+    first = stream.points(slice(0, 5000))
+    assert stream.points(slice(7000, 9000)).base is first.base
+    with pytest.raises(InputError, match="nodes, limit is"):
+        _RuleStream(2, 32, 24, 342)
 
 
 def test_product_rules_are_cached_per_order_and_reject_dimension_three():
