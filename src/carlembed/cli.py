@@ -593,7 +593,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # numpy's warnings would only repeat what the finiteness checks report as one error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

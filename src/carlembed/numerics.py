@@ -6,12 +6,14 @@ plus the normalized boundary means dm on the circle and d(sigma) on the
 sphere.  Each rule is one product, radial (interior rules only) x moduli
 (|z_1|, ..., |z_n|) on the sphere x n uniform torus angles; the moduli
 rule, the only dimension-specific piece, covers n <= 2 and alone refuses
-a larger n.  Only the factors of a rule are cached: a _RuleStream fills
-the nodes of one row range after another from them, and the public rule
-accessors fill and cache the whole rule the same way.  A QuadratureSpec
-holds only the orders of a rule; pass/fail tolerances belong to its
-callers.  Integrands are vectorized callables mapping an (m, n) complex
-array of points to an (m,) real array.
+a larger n.  Only the factors of a rule are cached (_rule_factors).  Every
+integral streams its rule: a _RuleStream fills one row block of nodes
+after another from the factors, so a pass holds one block and at most 8
+bytes per node.  The public rule accessors fill a whole rule the same way
+on each call and cache nothing.  A QuadratureSpec holds only the orders
+of a rule; pass/fail tolerances belong to its callers.  Integrands are
+vectorized callables mapping an (m, n) complex array of points to an
+(m,) real array; they are evaluated one row block at a time.
 """
 
 import functools
@@ -25,10 +27,10 @@ from .errors import InputError, NumericError, UnsupportedError, _as_integer, _ch
 
 MAX_GAUSS_ORDER = 512
 # Node cap of one interior or boundary rule, checked before any node
-# exists: the points and weights of a whole 2^23-node ball(2) rule take
-# 336 MB, though a streamed pass holds one block of it.  The default
-# rules stay far below (1.18 M nodes for uchiyama on ball(2), 1.57 M for
-# green-check --space ball2).
+# exists.  A streamed pass holds one block and 8 bytes per node: 67 MB at
+# the cap, where the whole rule's points and weights would take 336 MB.
+# The default rules stay far below (1.18 M nodes for uchiyama on ball(2),
+# 1.57 M for green-check --space ball2).
 MAX_QUAD_NODES = 1 << 23
 
 
@@ -117,13 +119,13 @@ def _hermitian_deviation(a):
 
 
 def _not_hermitian(a, deviation, scale):
-    """The InputError of a matrix that fails the deviation test."""
+    """The InputError of a matrix that fails the deviation test, or has no finite scale."""
     if not math.isfinite(scale):
         bad = np.argwhere(~np.isfinite(a))
         listed = "".join(f", a[{j}, {k}] = {a[j, k]}" for j, k in bad[:4])
         more = ", ..." if len(bad) > 4 else ""
         return InputError(
-            f"matrix is not Hermitian: max |a| is {scale}, "
+            f"matrix entries are not finite in modulus: max |a| is {scale}, "
             f"{len(bad)} non-finite entries{listed}{more}"
         )
     return InputError(
@@ -191,6 +193,8 @@ def _top_eigs(a):
     one batched eigensolve, and when that fails to converge, one at a
     time, so a NumericError belongs only to the matrix that raised it.
     """
+    # Gram stacks keep the test: they are not Hermitian to the bit at odd orders, and ball(2)
+    # searches over Grams mirrored from one triangle kept atoms within rounding of the sphere.
     deviation, scale, fails = _hermitian_deviation(a)
     out = [_not_hermitian(a[i], deviation[i], scale[i]) if fails[i] else None
            for i in range(len(a))]
@@ -474,7 +478,7 @@ def _check_node_count(count):
 
 
 # typed: every order and dimension reaching it is an int (QuadratureSpec
-# and ball_rule convert them), so any other type shows as a second rule
+# and _interior_stream convert them), so any other type shows as a second rule
 @functools.lru_cache(maxsize=None, typed=True)
 def _rule_factors(dim, angular_order, sphere_nodes, radial_order=None):
     """The factors (rows, row_weights, phases) of one product rule, a few hundred entries.
@@ -557,15 +561,13 @@ def _fill_nodes(factors, start, stop, points=None, weighted=None):
 class _RuleStream:
     """The nodes and weights of one product rule, filled range by range from its cached factors.
 
-    A blocked pass takes points(rows) of each row block (a slice,
-    clipped to the rule) and weighs its values with weigh(rows, values)
-    instead of reading the whole rule, so its memory is that of a block
-    whatever the node count.  points writes into scratch of this stream,
-    grown to the longest range asked for, and its result holds until
-    its next call.  A stream belongs to one pass: scratch shared by
-    passes that run side by side would be overwritten under them.  The
-    node count is checked when the stream is made, before any node
-    exists.
+    points(rows) fills the nodes of a row slice, clipped to the rule,
+    into scratch of this stream, grown to the longest range asked for,
+    and its result holds until its next call; weigh(rows, values)
+    multiplies a value per node of rows by their weights in place.  A
+    stream belongs to one pass: scratch shared by passes that run side
+    by side would be overwritten under them.  The node count is checked
+    when the stream is made, before any node exists.
     """
 
     __slots__ = ("shape", "_factors", "_points")
@@ -596,72 +598,68 @@ class _RuleStream:
 
 
 def _interior_stream(q, dim):
-    """The stream of ball_rule(q, dim), for an int dim."""
+    """The stream of ball_rule(q, dim); dim must be a positive integer."""
+    dim = _check_integer("complex dimension", dim, 1)
     return _RuleStream(dim, q.angular_order, q.sphere_nodes, q.radial_order)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _product_rule(dim, angular_order, sphere_nodes, radial_order=None):
-    """The whole rule of _rule_factors, (nodes, weights) read-only, filled as one range."""
-    stream = _RuleStream(dim, angular_order, sphere_nodes, radial_order)
-    whole = slice(None)
-    points, weights = stream.points(whole), stream.weigh(whole, np.ones(len(stream)))
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+def _whole_rule(stream):
+    """(nodes, weights) of the whole rule of stream, filled as one range into new arrays."""
+    return stream.points(slice(None)), stream.weigh(slice(None), np.ones(len(stream)))
 
 
 def disc_rule(q):
     """Interior nodes (m, 1) and weights carrying dA on the unit disc."""
-    return _product_rule(1, q.angular_order, q.sphere_nodes, q.radial_order)
+    return _whole_rule(_interior_stream(q, 1))
 
 
 def ball_rule(q, dim=2):
     """Interior nodes (m, dim) and weights carrying dV on the unit ball.
 
-    The rule is radial x moduli x torus: Gauss-Legendre in r (after
-    r = s^2), the moduli (|z_1|, ..., |z_dim|) on the sphere, and dim
-    uniform angles.  Only the moduli depend on the dimension, and they
-    are implemented for complex dimensions 1 and 2.
+    Gauss-Legendre in r (after r = s^2) x the moduli (|z_1|, ..., |z_dim|)
+    on the sphere x dim uniform angles, for complex dimensions 1 and 2.
     """
-    dim = _check_integer("complex dimension", dim, 1)
-    return _product_rule(dim, q.angular_order, q.sphere_nodes, q.radial_order)
+    return _whole_rule(_interior_stream(q, dim))
 
 
 def boundary_rule(q, space):
     """Boundary nodes and weights for the normalized measure (total mass 1)."""
-    return _product_rule(space.dim, q.angular_order, q.sphere_nodes)
+    return _whole_rule(_RuleStream(space.dim, q.angular_order, q.sphere_nodes))
 
 
-def _apply_rule(f, points, weights):
-    values = np.asarray(f(points), dtype=float)
-    if values.shape != weights.shape:
-        raise InputError(
-            f"integrand returned shape {values.shape}, expected {weights.shape}"
-        )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(f"integrand is not finite at node {i}, z = {points[i]}")
-    return float(np.sum(weights * values))
+def _integrate(f, stream):
+    """Sum of f times the weights over stream, one row block of values checked at a time.
+
+    One np.sum over a value per node adds the terms of the whole rule in its order.
+    """
+    terms = np.empty(len(stream))
+    for rows in _row_blocks(len(stream), stream.shape[1]):
+        points = stream.points(rows)
+        values = np.asarray(f(points), dtype=float)
+        if values.shape != (len(points),):
+            raise InputError(f"integrand returned shape {values.shape}, expected {(len(points),)}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericError(f"integrand is not finite at node {rows.start + i}, z = {points[i]}")
+        terms[rows] = values
+        stream.weigh(rows, terms[rows])
+    return float(np.sum(terms))
 
 
 def disc_quadrature(f, q):
     """Integral of f over the unit disc against unnormalized area dA."""
-    points, weights = disc_rule(q)
-    return _apply_rule(f, points, weights)
+    return _integrate(f, _interior_stream(q, 1))
 
 
 def ball_quadrature(f, q, dim=2):
     """Integral of f over the unit ball against unnormalized volume dV."""
-    points, weights = ball_rule(q, dim)
-    return _apply_rule(f, points, weights)
+    return _integrate(f, _interior_stream(q, dim))
 
 
 def boundary_quadrature(f, q, space):
     """Mean of f over the boundary circle/sphere (measure normalized to 1)."""
-    points, weights = boundary_rule(q, space)
-    return _apply_rule(f, points, weights)
+    return _integrate(f, _RuleStream(space.dim, q.angular_order, q.sphere_nodes))
 
 
 def rng_stream(seed, stream):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -104,12 +105,27 @@ def test_analyze_overflow_is_numeric_error(tmp_path, capsys):
             {"point": [-0.5, 0.0], "weight": 1e308},
         ],
     }
-    with np.errstate(all="ignore"):
-        rc = cli.main(["analyze", write(tmp_path, "huge.json", huge), "--grid", "8"])
+    rc = cli.main(["analyze", write(tmp_path, "huge.json", huge), "--grid", "8"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+def test_overflowing_weights_print_one_error_line(tmp_path, capsys):
+    # numpy's overflow warnings stay silent; the finiteness checks report
+    mu = {"space": {"kind": "disc"}, "atoms": [{"point": [0.9, 0.0], "weight": 1.5e308},
+                                               {"point": [0.0, 0.5], "weight": 1.0}]}
+    path, poly = write(tmp_path, "mu.json", mu), write(tmp_path, "f.json", POLY)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["analyze", path]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: matrix entries are not finite in modulus: "
+                "max |a| is inf, 1 non-finite entries, a[0, 0] = (inf+0j)\n")
+        assert cli.main(["uchiyama", path, "--poly", poly]) == 4
+        assert capsys.readouterr() == ("", "numeric error: Uchiyama integral is not finite: nan\n")
+    assert caught == []
 
 
 def test_analyze_bound_constant_of_high_dimensional_balls(tmp_path, capsys):
@@ -355,16 +371,14 @@ def test_interpolate_checks_grid_before_eigensolves(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
-def test_no_command_builds_a_whole_interior_rule(tmp_path, capsys, monkeypatch):
-    # uchiyama and green-check stream their rules block by block; only the
-    # boundary mean of green-check builds a whole (boundary) rule.
-    product_rule = numerics._product_rule
+def test_no_command_builds_a_whole_rule(tmp_path, capsys, monkeypatch):
+    # every integral of every command streams its rule block by block
+    def whole_rule(*args, **kwargs):
+        raise AssertionError("a whole rule was built")
 
-    def boundary_only(dim, angular_order, sphere_nodes, radial_order=None):
-        assert radial_order is None, "a whole interior rule was built"
-        return product_rule(dim, angular_order, sphere_nodes)
-
-    monkeypatch.setattr(numerics, "_product_rule", boundary_only)
+    for module in (numerics, calculus, cli, measure):
+        for name in ("disc_rule", "ball_rule", "boundary_rule"):
+            monkeypatch.setattr(module, name, whole_rule, raising=False)
     mu_ball = {"space": {"kind": "ball", "dim": 2},
                "atoms": [{"point": [0.3, 0.0, 0.0, 0.1], "weight": 1.0}]}
     poly_ball = {"dim": 2, "terms": [{"alpha": [1, 1], "re": 1.0, "im": 0.0}]}
@@ -513,9 +527,12 @@ def test_seed_must_fit_in_64_bits(argv, capsys):
 
 
 def test_search_ratio_above_the_bound_exits_3(capsys, monkeypatch):
-    # every ratio is at least 1, the single-atom value
+    # every ratio is at least 1, the single-atom value; the search's own
+    # warning prints under the command's silenced numpy warnings
     monkeypatch.setattr(cli.measure, "theorem_bound_constant", lambda space: 0.5)
-    assert cli.main(["search", "--atoms", "2", "--iters", "5", "--restarts", "1"]) == 3
+    monkeypatch.setattr(extremal, "theorem_bound_constant", lambda space: 0.5)
+    with pytest.warns(RuntimeWarning, match="above the theorem bound 0.5"):
+        assert cli.main(["search", "--atoms", "2", "--iters", "5", "--restarts", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("best_ratio = ") and "(bound 0.5)" in err
 

@@ -18,7 +18,7 @@ from carlembed.geometry import Space, SpacePoint, inner
 from carlembed.interpolation import PointSequence, interpolation_report
 from carlembed.measure import MAX_GRID_RESOLUTION, DiscreteMeasure, analyze, kernel_constant_grid
 from carlembed.numerics import (
-    MAX_GAUSS_ORDER, QuadratureSpec, ball_rule, default_quadrature, gauss_legendre,
+    MAX_GAUSS_ORDER, QuadratureSpec, ball_quadrature, ball_rule, default_quadrature, gauss_legendre,
 )
 
 DISC, BALL2 = Space.disc(), Space.ball(2)
@@ -95,10 +95,15 @@ def test_numpy_integers_are_accepted_and_passed_on_as_int():
     assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(np.int64(3)), gauss_legendre(3)))
 
 
-def test_numpy_orders_find_the_cached_default_ball_rule():
-    # a second 1.18 M-node ball(2) rule would hold about 47 MB
-    default = ball_rule(default_quadrature(BALL2), 2)
-    size = numerics._product_rule.cache_info().currsize
+def test_rule_stream_numpy_orders_find_the_cached_rule_factors():
+    # _rule_factors is the one rule cache (_leggauss holds the Gauss-Legendre
+    # factors of its rules), keyed by type: numpy orders must find its entry
+    caches = {name for name, value in vars(numerics).items() if hasattr(value, "cache_info")}
+    assert caches == {"_leggauss", "_rule_factors"}
+    one = lambda zs: np.ones(zs.shape[0])
+    default = ball_quadrature(one, default_quadrature(BALL2), 2)
+    size = numerics._rule_factors.cache_info().currsize
     spec = QuadratureSpec(radial_order=np.int64(48), angular_order=np.int64(32))
-    assert ball_rule(spec, np.int64(2)) is default
-    assert numerics._product_rule.cache_info().currsize == size
+    assert ball_quadrature(one, spec, np.int64(2)) == default
+    assert len(ball_rule(spec, np.int64(2))[1]) == 48 * 24 * 32 ** 2
+    assert numerics._rule_factors.cache_info().currsize == size

@@ -194,7 +194,6 @@ def test_product_rules_match_the_separate_builders_bit_for_bit(spec):
         assert points.shape == want_points.shape and weights.shape == want_weights.shape
         assert np.array_equal(points, want_points)
         assert np.array_equal(weights, want_weights)
-        assert not points.flags.writeable and not weights.flags.writeable
 
 
 def _streamed(stream, width):
@@ -265,24 +264,29 @@ def test_rule_stream_scratch_is_reused_and_refuses_an_over_cap_rule():
         _RuleStream(2, 32, 24, 342)
 
 
-def test_product_rules_are_cached_per_order_and_reject_dimension_three():
+def test_product_rules_are_filled_anew_per_call_and_reject_dimension_three():
     q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
     same_orders = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
-    assert ball_rule(q, 2)[0] is ball_rule(same_orders, 2)[0]
-    assert disc_rule(q)[0] is ball_rule(q, 1)[0]
-    with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
-        ball_rule(q, 3)
-    with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
-        boundary_rule(q, Space.ball(3))
+    first, again = ball_rule(q, 2), ball_rule(same_orders, 2)
+    for a, b in zip(first, again):
+        assert a is not b and a.flags.writeable and a.tobytes() == b.tobytes()
+    assert disc_rule(q)[0].tobytes() == ball_rule(q, 1)[0].tobytes()
+    one = lambda zs: np.ones(zs.shape[0])
+    for call in (lambda: ball_rule(q, 3), lambda: boundary_rule(q, Space.ball(3)),
+                 lambda: ball_quadrature(one, q, 3), lambda: boundary_quadrature(one, q, Space.ball(3))):
+        with pytest.raises(UnsupportedError, match="dimension <= 2, got 3"):
+            call()
 
 
 def test_ball_rule_refuses_a_dimension_that_is_no_positive_integer():
     q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
-    ball_rule(q, 1), ball_rule(q, 2)  # cached: True and 2.0 must not find these
+    ball_rule(q, 1), ball_rule(q, 2)  # factors cached: True and 2.0 must not find them
+    one = lambda zs: np.ones(zs.shape[0])
     for dim in (True, 2.0, "2", 0, -1, None, np.bool_(True)):
-        with pytest.raises(InputError, match=f"^complex dimension must be a positive integer, "
-                                             f"got {re.escape(repr(dim))}$"):
-            ball_rule(q, dim)
+        for call in (ball_rule, lambda q, dim: ball_quadrature(one, q, dim)):
+            with pytest.raises(InputError, match=f"^complex dimension must be a positive integer, "
+                                                 f"got {re.escape(repr(dim))}$"):
+                call(q, dim)
     assert np.array_equal(ball_rule(q, np.int64(2))[0], ball_rule(q, 2)[0])
 
 
@@ -311,6 +315,85 @@ def test_quadrature_reports_nonfinite_field():
     q = QuadratureSpec(radial_order=8, angular_order=8, sphere_nodes=8)
     with pytest.raises(NumericError):
         disc_quadrature(lambda zs: np.full(zs.shape[0], np.nan), q)
+
+
+# Each quadrature against the one-sum formula over its accessor's whole
+# rule: (accessor, quadrature, node count of (radial, angular, sphere)).
+_QUADRATURES = [
+    (disc_rule, disc_quadrature, lambda r, a, s: r * a),
+    (lambda q: ball_rule(q, 1), lambda f, q: ball_quadrature(f, q, 1), lambda r, a, s: r * a),
+    (lambda q: ball_rule(q, 2), lambda f, q: ball_quadrature(f, q, 2),
+     lambda r, a, s: r * s * a * a),
+    (lambda q: boundary_rule(q, Space.disc()), lambda f, q: boundary_quadrature(f, q, Space.disc()),
+     lambda r, a, s: a),
+    (lambda q: boundary_rule(q, Space.ball(2)),
+     lambda f, q: boundary_quadrature(f, q, Space.ball(2)), lambda r, a, s: s * a * a),
+]
+_INTEGRANDS = [
+    lambda zs: (zs * zs.conj()).real.sum(axis=1),
+    lambda zs: -0.5 * np.log((zs[:, 0] * zs[:, 0].conj()).real),
+    lambda zs: np.abs(1.0 + 2.0 * zs[:, 0] ** 3 - zs[:, -1] ** 2) ** 2 * np.cos(zs[:, -1].real),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, block_entries",
+    [((4, 5, 4), 6), ((7, 13, 5), 1 << 16), ((16, 24, 12), 1 << 16), ((48, 32, 24), 1 << 16),
+     ((7, 28087, 4), 1 << 16)],
+    ids=["4-5-4-b6", "7-13-5", "16-24-12", "48-32-24", "7-28087-4"],
+)
+def test_rule_stream_quadratures_equal_one_sum_over_the_whole_rule_bit_for_bit(
+        spec, block_entries, monkeypatch):
+    # Blocks of 6 entries hold 6 nodes of a dim-1 rule or 3 of a ball(2)
+    # rule, so of the rules of (4, 5, 4) the 400-node ball(2) and the
+    # 100-node sphere rule end in a block of one node; at the default size
+    # so does the 196,609-node disc rule of (7, 28087, 4).  The ball(2)
+    # rule of (48, 32, 24) is the 1.18 M-node default of uchiyama, in 36
+    # blocks.
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
+    q = QuadratureSpec(*spec)
+    for rule, quadrature, nodes in _QUADRATURES:
+        if nodes(*spec) > 2_000_000:
+            continue
+        points, weights = rule(q)
+        for f in _INTEGRANDS:
+            assert quadrature(f, q) == float(np.sum(weights * f(points)))
+
+
+def test_rule_stream_quadrature_errors_name_the_global_node():
+    # 8,192 disc nodes in blocks of 4096: the first bad node of the second block
+    q = QuadratureSpec(radial_order=64, angular_order=128, sphere_nodes=4)
+    node = disc_rule(q)[0][5000]
+
+    def spiky(zs):
+        return np.where(zs[:, 0] == node[0], np.nan, 1.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_BLOCK_ENTRIES", 4096)
+        with pytest.raises(NumericError, match=rf"^integrand is not finite at node 5000, z = "
+                                               rf"{re.escape(str(node))}$"):
+            disc_quadrature(spiky, q)
+        with pytest.raises(InputError, match=r"^integrand returned shape \(4096, 1\), expected \(4096,\)$"):
+            disc_quadrature(lambda zs: np.ones((len(zs), 1)), q)
+    with pytest.raises(InputError, match="integrand returned shape"):
+        boundary_quadrature(lambda zs: 1.0, q, Space.ball(2))
+
+
+def test_rule_stream_ball_quadrature_holds_one_block_and_a_float_per_node():
+    # the default ball(2) rule has 1.18 M nodes: its nodes and weights
+    # alone would take 47 MB, the array of terms takes 9.4 MB
+    import tracemalloc
+
+    q = default_quadrature(Space.ball(2))
+    f = lambda zs: (zs * zs.conj()).real.sum(axis=1)
+    ball_quadrature(f, q)  # the rule's factors, cached
+    tracemalloc.start()
+    try:
+        ball_quadrature(f, q)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6 and held < 2e6
 
 
 def test_hermitian_matrix_validation():
