@@ -8,11 +8,15 @@ File formats.  A measure file is
      "atoms": [{"point": [re1, im1, ..., re_n, im_n], "weight": w}, ...]}
 A sequence file replaces "atoms" with "points": [[re, im], ...].  A
 polynomial file is {"dim": n, "terms": [{"alpha": [..], "re": .., "im": ..}]}.
+
+main may be called many times in one process; it builds its parser on the
+first call and keeps it.
 """
 
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -589,10 +593,15 @@ def build_parser():
     return parser
 
 
+# parse_args leaves the parser as it was and every default is immutable,
+# so main keeps one.  It binds the _cmd_* functions when first built: a
+# monkeypatched cli._cmd_* would not reach main (no test patches one).
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         # numpy's warnings would only repeat what the finiteness checks report as one error
         with np.errstate(all="ignore"):
             return args.func(args)

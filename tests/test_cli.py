@@ -1,8 +1,13 @@
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,9 @@ PAIR = {
 }
 POLY = {"dim": 1, "terms": [{"alpha": [0], "re": 1.0, "im": 0.0}]}
 SEQ = {"space": {"kind": "disc"}, "points": [[0.5, 0.0], [-0.5, 0.0]]}
+# Weights whose constants overflow: analyze exits 4.
+HUGE = {"space": {"kind": "disc"}, "atoms": [{"point": [0.5, 0.0], "weight": 1e308},
+                                             {"point": [-0.5, 0.0], "weight": 1e308}]}
 
 
 def write(tmp_path, name, obj):
@@ -98,14 +106,7 @@ def test_schema_violations(tmp_path, capsys):
 
 
 def test_analyze_overflow_is_numeric_error(tmp_path, capsys):
-    huge = {
-        "space": {"kind": "disc"},
-        "atoms": [
-            {"point": [0.5, 0.0], "weight": 1e308},
-            {"point": [-0.5, 0.0], "weight": 1e308},
-        ],
-    }
-    rc = cli.main(["analyze", write(tmp_path, "huge.json", huge), "--grid", "8"])
+    rc = cli.main(["analyze", write(tmp_path, "huge.json", HUGE), "--grid", "8"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
@@ -575,3 +576,78 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
+
+
+# The parser main keeps for the life of the process.
+
+GREEN_ONE = ["green-check", "--space", "disc", "--fn", "one"]
+
+
+def run(argv, capsys):
+    """Exit code (SystemExit's code for --help), stdout and stderr of one main call."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = ("SystemExit", exc.code)
+    return (rc, *capsys.readouterr())
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._main_parser.cache_clear()
+    assert run(GREEN_ONE, capsys)[0] == 0
+    assert built[0] == "carlembed" and len(built) == 7  # the parser and its six commands
+    del built[:]
+    assert run(GREEN_ONE, capsys)[0] == 0
+    assert run(["analyze", "--help"], capsys)[0] == ("SystemExit", 0)
+    assert built == []
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["bogus"], 1),
+    (["green-check", "--fn", "nope"], 1),
+    (["analyze", "/nonexistent/mu.json"], 2),
+    (["analyze", "{huge}", "--grid", "8"], 4),
+    (["--help"], ("SystemExit", 0)),
+    (["analyze", "--help"], ("SystemExit", 0)),
+])
+def test_failed_calls_leave_the_next_call_unchanged(argv, rc, tmp_path, capsys):
+    argv = [a.format(huge=write(tmp_path, "huge.json", HUGE)) for a in argv]
+    before, first = run(GREEN_ONE, capsys), run(argv, capsys)
+    after, second = run(GREEN_ONE, capsys), run(argv, capsys)
+    assert before == after and before[0] == 0
+    assert first == second and first[0] == rc
+    if rc == ("SystemExit", 0):
+        assert first[1].startswith("usage: carlembed") and first[2] == ""
+
+
+def test_build_parser_returns_a_new_parser(capsys):
+    argv = ["--extra", "x"] + GREEN_ONE
+    before = run(argv, capsys)
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser() and parser is not cli._main_parser()
+    parser.add_argument("--extra")
+    assert parser.parse_args(argv).extra == "x"
+    assert run(argv, capsys) == before and before[0] == 1
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "carlembed.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = module(*GREEN_ONE)
+    assert (done.returncode, done.stdout) == run(GREEN_ONE, capsys)[:2]
+    assert done.returncode == 0
+    assert module("bogus").returncode == 1

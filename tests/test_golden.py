@@ -74,6 +74,23 @@ def test_golden_output(name, tmp_path):
     assert not bad, f"{name}: numbers beyond {GOLDEN_RTOL:g} relative: {bad}"
 
 
+def test_golden_outputs_repeat_in_one_process(tmp_path):
+    # Nothing kept for the life of the process, such as main's parser, the
+    # cached quadrature rule factors or a measure's lazy arrays, may carry
+    # one call's state into the next: a second round, in reverse order,
+    # repeats the first byte for byte.
+    def round_(names):
+        runs = {}
+        for name in names:
+            out_path = tmp_path / f"{name}.out"
+            out_path.unlink(missing_ok=True)
+            runs[name] = run_case(CASES[name], out_path)
+        return runs
+
+    first = round_(sorted(CASES))
+    assert round_(sorted(CASES, reverse=True)) == first
+
+
 def _poly_to_dict(f):
     return {"dim": f.dim, "terms": [
         {"alpha": list(alpha), "re": c.real, "im": c.imag} for alpha, c in f.terms.items()
