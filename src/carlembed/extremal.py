@@ -18,10 +18,12 @@ numerics._top_eigs (the route of embedding_norm_sq) and one Poisson
 stack.  Each restart then walks its window in iteration order, keeps it
 up to its first accepted or aborting step, drops the rest and opens its
 next window there with the draws it has not used, so its trace and
-best ratio are bit-identical to a climb run on its own.  A
+best ratio are bit-identical to a climb run on its own.  A proposal
+with an atom within CONDITIONING_MARGIN of the sphere, where kernel
+values are ill conditioned, is refused on its arrays.  A
 DiscreteMeasure is built only for the winner and for a proposal, once
-its restart's walk reaches it, that the arrays cannot stand for: an
-atom at or near the boundary, a bad weight, or two rows of equal norm.
+its restart's walk reaches it, that the arrays cannot stand for: a bad
+weight, or two rows of equal norm.
 """
 
 import warnings
@@ -29,10 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CarlembedError, InputError, KernelConditioningWarning, NumericError, _check_integer,
-    _finite_real,
-)
+from .errors import CarlembedError, InputError, NumericError, _check_integer, _finite_real
 from .geometry import CONDITIONING_MARGIN, _norm_sq_rows
 from .measure import (
     BOUND_SLACK, DiscreteMeasure, _check_atom_count, _potential_field,
@@ -53,12 +52,6 @@ _LOOKAHEAD = 16
 # state are built: a one-iteration search of one disc atom per restart peaks
 # at 73 MB (tracemalloc, numpy 2.4) at the cap.
 MAX_SEARCH_ATOMS = 1 << 16
-
-# A proposal with a row whose vectorized |z|^2 reaches this is built as a
-# measure, so that SpacePoint's exact fsum decides the boundary error and
-# the conditioning warning.  The vectorized sum of 2n squares is off by
-# about 2n ulps, far inside the 1e-12 of room.
-_EDGE_SCREEN = 1.0 - CONDITIONING_MARGIN - 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,30 +110,38 @@ def _ratios(space, y, v, defer=False):
     """ratio of each proposal (y[i], v[i]) of a stack: (values, errors).
 
     A CarlembedError of proposal i goes to errors[i], and values[i] stays
-    NaN; the caller decides what it means.  An InputError says that the
-    proposal is no measure (tanh(|y|) rounds to 1 once |y| >= 19, an atom
-    on the boundary) or that its Gram matrix fails the Hermitian test.
+    NaN; the caller decides what it means.  A proposal with a row whose
+    vectorized |z|^2 exceeds 1 - CONDITIONING_MARGIN gets an InputError
+    and no measure: its kernel values are ill conditioned, or its atom
+    lies on the sphere (tanh(|y|) rounds to 1 once |y| >= 19).  For
+    n <= 2 this is SpacePoint's warning condition bit for bit, as its
+    fsum of two rounded |z_j|^2 is their rounded sum.
 
-    A proposal is evaluated on the stack when its arrays are the atoms
-    of its measure as they stand: every row inside _EDGE_SCREEN, every
-    weight positive and finite, and no two rows of equal |z|^2 (so none
-    equal, and DiscreteMeasure merges nothing).  Any other is evaluated
-    as ratio(_build_measure(...)), with every check and warning of that
-    path; with defer it is left to the caller, marked by errors[i] = None,
-    so that the search builds only the proposals it reaches.
+    The others are evaluated on the stack when their arrays are the
+    atoms of their measure as they stand: every weight positive and
+    finite, and no two rows of equal |z|^2 (so none equal, and
+    DiscreteMeasure merges nothing).  Any other is evaluated as
+    ratio(_build_measure(...)), with every check of that path; with
+    defer it is left to the caller, marked by errors[i] = None, so that
+    the search builds only the proposals it reaches.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
-    nsq = np.sort(_norm_sq_rows(points), axis=-1)
+    nsq = np.sort(_norm_sq_rows(points), axis=-1)  # a NaN sorts last
+    edge = nsq[:, -1] > 1.0 - CONDITIONING_MARGIN
     stacked = (
-        (nsq[:, -1] < _EDGE_SCREEN)
+        (nsq[:, -1] <= 1.0 - CONDITIONING_MARGIN)
         & ~np.any(nsq[:, 1:] == nsq[:, :-1], axis=-1)
         & np.all((weights > 0.0) & (weights < np.inf), axis=-1)
     )
     values = np.full(len(y), np.nan)
-    errors = dict.fromkeys(np.flatnonzero(~stacked).tolist())
+    errors = {i: InputError(f"an atom has 1 - |z|^2 = {1.0 - nsq[i, -1]:.3e}, not above "
+                            f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned")
+              for i in np.flatnonzero(edge).tolist()}
+    measured = np.flatnonzero(~stacked & ~edge).tolist()
+    errors.update(dict.fromkeys(measured))
     if not defer:
-        for i in list(errors):
+        for i in measured:
             try:
                 values[i] = ratio(_build_measure(space, y[i], v[i]))
                 del errors[i]
@@ -178,9 +179,8 @@ def search(cfg):
     never past the last iteration.  A restart whose start raises, or
     whose step raises anything but an InputError (a rejected step), is
     recorded as a failed entry and does not disturb the others.  The
-    KernelConditioningWarnings of atoms near the sphere come out as one
-    warning that counts them; the warnings of ratios above the theorem
-    bound come at the end, in (iteration, restart) order.
+    warnings of ratios above the theorem bound come at the end, in
+    (iteration, restart) order.
     """
     space, count, decay = cfg.space, cfg.atom_count, cfg.step_decay
     bound = theorem_bound_constant(space)
@@ -193,87 +193,76 @@ def search(cfg):
     for r, rng in enumerate(rngs):
         y[r] = rng.normal(0.0, 0.7, size=shape)
         v[r] = rng.normal(0.0, 0.3, size=count)
-    edge, high = [], []
-    with warnings.catch_warnings():
-        # count every KernelConditioningWarning; show any other as it comes
-        warnings.simplefilter("always", KernelConditioningWarning)
-        show = warnings.showwarning
-        warnings.showwarning = lambda message, category, *rest: (
-            edge.append(message) if issubclass(category, KernelConditioningWarning)
-            else show(message, category, *rest))
-        best, errors = _ratios(space, y, v)
-        best = best.tolist()
-        notes = {r: f"restart {r} aborted: {exc}" for r, exc in errors.items()}
-        traces = {r: [(0, best[r])] for r in range(cfg.restarts) if r not in notes}
-        live = sorted(traces)
-        step, stall = [float(cfg.step_init)] * cfg.restarts, [0] * cfg.restarts
-        done = [0] * cfg.restarts  # iterations taken
-        unused = {}  # restart: the rows it drew for its last window and did not take
-        while live:
-            k = _LOOKAHEAD if len(live) * _LOOKAHEAD * count * count <= _BLOCK_ENTRIES else 1
-            sizes = [min(k, cfg.iterations - done[r]) for r in live]
-            steps = []
-            draws = np.empty((sum(sizes), split + count))
-            first = 0
-            for r, size in zip(live, sizes):
-                taken = 0
-                if r in unused:
-                    rows = unused.pop(r)[:size]
-                    taken = len(rows)
-                    draws[first:first + taken] = rows
-                if taken < size:
-                    draws[first + taken:first + size] = rngs[r].normal(
-                        0.0, 1.0, size=(size - taken, split + count))
-                first += size
-                s, t = step[r], stall[r]
+    high = []
+    best, errors = _ratios(space, y, v)
+    best = best.tolist()
+    notes = {r: f"restart {r} aborted: {exc}" for r, exc in errors.items()}
+    traces = {r: [(0, best[r])] for r in range(cfg.restarts) if r not in notes}
+    live = sorted(traces)
+    step, stall = [float(cfg.step_init)] * cfg.restarts, [0] * cfg.restarts
+    done = [0] * cfg.restarts  # iterations taken
+    unused = {}  # restart: the rows it drew for its last window and did not take
+    while live:
+        k = _LOOKAHEAD if len(live) * _LOOKAHEAD * count * count <= _BLOCK_ENTRIES else 1
+        sizes = [min(k, cfg.iterations - done[r]) for r in live]
+        steps = []
+        draws = np.empty((sum(sizes), split + count))
+        first = 0
+        for r, size in zip(live, sizes):
+            taken = 0
+            if r in unused:
+                rows = unused.pop(r)[:size]
+                taken = len(rows)
+                draws[first:first + taken] = rows
+            if taken < size:
+                draws[first + taken:first + size] = rngs[r].normal(
+                    0.0, 1.0, size=(size - taken, split + count))
+            first += size
+            s, t = step[r], stall[r]
+            steps.append(s)
+            for _ in range(size - 1):
+                s, t = _rejected(s, t, decay)
                 steps.append(s)
-                for _ in range(size - 1):
-                    s, t = _rejected(s, t, decay)
-                    steps.append(s)
-            owner, steps = np.repeat(live, sizes), np.array(steps)
-            cand_y = y[owner] + steps[:, None, None] * draws[:, :split].reshape((-1,) + shape)
-            cand_v = v[owner] + (0.5 * steps)[:, None] * draws[:, split:]
-            values, errors = _ratios(space, cand_y, cand_v, defer=True)
-            values = values.tolist()
-            first = 0
-            for r, size in zip(live, sizes):
-                for i in range(first, first + size):
-                    done[r] += 1
-                    if i in errors:
-                        if errors[i] is None:  # the measure path, evaluated once reached
-                            one, error = _ratios(space, cand_y[i:i + 1], cand_v[i:i + 1])
-                            values[i], errors[i] = one.item(), error.get(0)
-                        if errors[i] is not None and not isinstance(errors[i], InputError):
-                            notes[r] = f"restart {r} aborted: {errors[i]}"
-                            break
-                    if values[i] > limit:
-                        high.append((done[r], r, values[i]))
-                    if values[i] > best[r]:
-                        traces[r].append((done[r], values[i]))
-                        y[r], v[r], best[r], stall[r] = cand_y[i], cand_v[i], values[i], 0
+        owner, steps = np.repeat(live, sizes), np.array(steps)
+        cand_y = y[owner] + steps[:, None, None] * draws[:, :split].reshape((-1,) + shape)
+        cand_v = v[owner] + (0.5 * steps)[:, None] * draws[:, split:]
+        values, errors = _ratios(space, cand_y, cand_v, defer=True)
+        values = values.tolist()
+        first = 0
+        for r, size in zip(live, sizes):
+            for i in range(first, first + size):
+                done[r] += 1
+                if i in errors:
+                    if errors[i] is None:  # the measure path, evaluated once reached
+                        one, error = _ratios(space, cand_y[i:i + 1], cand_v[i:i + 1])
+                        values[i], errors[i] = one.item(), error.get(0)
+                    if errors[i] is not None and not isinstance(errors[i], InputError):
+                        notes[r] = f"restart {r} aborted: {errors[i]}"
                         break
-                    step[r], stall[r] = _rejected(step[r], stall[r], decay)
-                if i + 1 < first + size:
-                    unused[r] = draws[i + 1:first + size]
-                first += size
-            live = [r for r in live if r not in notes and done[r] < cfg.iterations]
-        for _, _, value in sorted(high):
-            warnings.warn(
-                f"search found ratio {value!r} above the theorem bound {bound!r}; "
-                "this falsifies the implementation or the theorem",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        survivors = [r for r in range(cfg.restarts) if r not in notes]
-        notes = tuple(notes[r] for r in sorted(notes))
-        if not survivors:
-            raise NumericError("all restarts failed: " + "; ".join(notes))
-        winner = max(survivors, key=lambda r: best[r])  # the first of equal ratios
-        best_measure = _build_measure(space, y[winner], v[winner])
-    if edge:
-        warnings.warn(f"search built {len(edge)} proposal atoms with 1 - |z|^2 below "
-                      f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned",
-                      KernelConditioningWarning, stacklevel=2)
+                if values[i] > limit:
+                    high.append((done[r], r, values[i]))
+                if values[i] > best[r]:
+                    traces[r].append((done[r], values[i]))
+                    y[r], v[r], best[r], stall[r] = cand_y[i], cand_v[i], values[i], 0
+                    break
+                step[r], stall[r] = _rejected(step[r], stall[r], decay)
+            if i + 1 < first + size:
+                unused[r] = draws[i + 1:first + size]
+            first += size
+        live = [r for r in live if r not in notes and done[r] < cfg.iterations]
+    for _, _, value in sorted(high):
+        warnings.warn(
+            f"search found ratio {value!r} above the theorem bound {bound!r}; "
+            "this falsifies the implementation or the theorem",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    survivors = [r for r in range(cfg.restarts) if r not in notes]
+    notes = tuple(notes[r] for r in sorted(notes))
+    if not survivors:
+        raise NumericError("all restarts failed: " + "; ".join(notes))
+    winner = max(survivors, key=lambda r: best[r])  # the first of equal ratios
+    best_measure = _build_measure(space, y[winner], v[winner])
     return SearchResult(
         best_ratio=best[winner],
         best_measure=best_measure,

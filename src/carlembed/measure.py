@@ -56,6 +56,8 @@ class DiscreteMeasure:
             merged[point] = merged.get(point, 0.0) + float(weight)
         if not merged:
             raise InputError("a measure needs at least one atom")
+        if not all(map(math.isfinite, merged.values())):
+            raise InputError("duplicate atoms sum to a weight past the double range")
         self.space = space
         self.atoms = tuple(merged.items())
         self._points = self._weights = None
@@ -274,12 +276,25 @@ def _weighted_gram(points, root_w):
     points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
     M is the only array of its size: each row block of the kernel is
     written into it from the d = 1 - <lam_j, lam_k> of _kernel_blocks,
-    then weighted in place.
+    then weighted in place.  The zgemm blocks are not Hermitian to the
+    bit at every order, so the upper triangle is kept and the strict
+    lower triangle overwritten, row block by row block, with its
+    conjugate mirror, and the diagonal's imaginary part set to zero:
+    every M equals its conjugate transpose exactly, as K(z, w) =
+    conj K(w, z) does.
     """
     m = np.empty(points.shape[:-1] + points.shape[-2:-1], dtype=complex)
     for rows, _, d, _ in _kernel_blocks(points, points):
         block = _szego(d, points.shape[-1], m[..., rows, :])
         block *= root_w[..., rows, None] * root_w[..., None, :]
+    k = m.shape[-1]
+    for rows in _row_blocks(k, m.size // k):
+        r0 = rows.start
+        np.conjugate(m[..., :r0, rows].swapaxes(-1, -2), out=m[..., rows, :r0])
+        square = m[..., rows, rows]
+        below = np.tri(square.shape[-1], k=-1, dtype=bool)
+        np.copyto(square, np.conjugate(square.swapaxes(-1, -2)), where=below)
+    m.imag.reshape(m.shape[:-2] + (-1,))[..., :: k + 1] = 0.0
     return m
 
 

@@ -14,6 +14,10 @@ on each call and cache nothing.  A QuadratureSpec holds only the orders
 of a rule; pass/fail tolerances belong to its callers.  Integrands are
 vectorized callables mapping an (m, n) complex array of points to an
 (m,) real array; they are evaluated one row block at a time.
+
+HermitianMatrix tests the matrices that come from outside the program;
+the program's own Gram matrices are Hermitian by construction
+(measure._weighted_gram), and _top_eigs takes them untested.
 """
 
 import functools
@@ -187,20 +191,17 @@ _CERTIFIED_MIN_ORDER = 256
 def _top_eigs(a):
     """Largest eigenvalue of each matrix of a (r, k, k) complex stack.
 
-    A matrix that fails HermitianMatrix's deviation test gets its
-    InputError in place of a value.  From order _CERTIFIED_MIN_ORDER on
-    the others take rho of _certified_top_eig's bracket; the rest go to
-    one batched eigensolve, and when that fails to converge, one at a
-    time, so a NumericError belongs only to the matrix that raised it.
+    Every matrix equals its conjugate transpose exactly, as the Gram
+    matrices of measure._weighted_gram do; nothing here tests it.  From
+    order _CERTIFIED_MIN_ORDER on each matrix takes rho of
+    _certified_top_eig's bracket; the rest go to one batched
+    eigensolve, and when that fails to converge, one at a time, so a
+    NumericError belongs only to the matrix that raised it.
     """
-    # Gram stacks keep the test: they are not Hermitian to the bit at odd orders, and ball(2)
-    # searches over Grams mirrored from one triangle kept atoms within rounding of the sphere.
-    deviation, scale, fails = _hermitian_deviation(a)
-    out = [_not_hermitian(a[i], deviation[i], scale[i]) if fails[i] else None
-           for i in range(len(a))]
+    out = [None] * len(a)
     if a.shape[-1] >= _CERTIFIED_MIN_ORDER:
-        for i in np.flatnonzero(~fails):
-            bracket = _certified_top_eig(a[i], float(deviation[i]))
+        for i in range(len(a)):
+            bracket = _certified_top_eig(a[i])
             if bracket is not None:
                 out[i] = bracket[0]
     rest = [i for i, top in enumerate(out) if top is None]
@@ -260,26 +261,24 @@ def _sqrt_out(q, up):
     return Fraction(s)
 
 
-def _kato_temple_upper_end(a, v, w, rho, res, deviation):
-    """A float t >= lambda_max(H) from a power iterate v, or None when the gap bound fails.
+def _kato_temple_upper_end(a, v, w, rho, res):
+    """A float t >= lambda_max(a) from a power iterate v, or None when the gap bound fails.
 
-    H is the Hermitian matrix of a's upper triangle, the one eigvalsh
-    reads; deviation is max |a - a^H| as _hermitian_deviation computes
-    it.  w = a @ v, rho = np.vdot(v, w).real and res =
-    np.linalg.norm(w - rho * v) as the power loop computes them, with
-    0.5 <= ||v||^2 <= 2.  O(n^2) work: one np.vdot over a, which is only
-    read.  With x = v / ||v||, rho_x = x^H H x, eps = ||H x - rho_x x||
-    and P = I - x x^H:
+    a equals its conjugate transpose exactly.  w = a @ v, rho =
+    np.vdot(v, w).real and res = np.linalg.norm(w - rho * v) as the
+    power loop computes them, with 0.5 <= ||v||^2 <= 2.  O(n^2) work:
+    one np.vdot over a, which is only read.  With x = v / ||v||, rho_x =
+    x^H a x, eps = ||a x - rho_x x|| and P = I - x x^H:
 
-    - Gap.  alpha^2 = ||P H P||_F^2 = ||H||_F^2 - 2 ||H x||^2 + rho_x^2.
-      The compression of H to x^perp has top eigenvalue at least
+    - Gap.  alpha^2 = ||P a P||_F^2 = ||a||_F^2 - 2 ||a x||^2 + rho_x^2.
+      The compression of a to x^perp has top eigenvalue at least
       lambda_2 (Cauchy interlacing), so lambda_2 <= alpha.
     - Upper end (Kato-Temple).  When alpha < rho_x <= lambda_1, lambda_1
       is the only eigenvalue above alpha, so with c_i the components of
       x on the eigenvectors, 0 <= sum (lambda_i - lambda_1)(lambda_i -
       alpha) |c_i|^2 = eps^2 - (lambda_1 - rho_x)(rho_x - alpha), and
       lambda_1 <= rho_x + eps^2 / (rho_x - alpha).  An iterate near a
-      lower eigenvector leaves the top one in P H P, so alpha >=
+      lower eigenvector leaves the top one in P a P, so alpha >=
       lambda_1 > rho_x and this returns None.
 
     Rounding: u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k u), and
@@ -294,21 +293,17 @@ def _kato_temple_upper_end(a, v, w, rho, res, deviation):
     - ||a||_F^2 is a sum of 2 n^2 squares, so F_a^2 <= (fl + tiny) /
       (1 - gamma_{2n^2}); ||v||^2 and ||w||^2, of 2n squares, are
       bracketed likewise with gamma_2n.
-    - a = H + E with E zero above the diagonal and each |E_jk| at most
-      the exact deviation, which is below twice the computed one (a
-      subtraction and a modulus, each within two ulps): ||E||_2 and
-      ||E||_F are at most e = 2 n deviation, and ||H||_F <= F_a + e.
     - Re and Im of (a v)_j are sums of 2n products whose moduli sum to
-      at most (|a| |v|)_j, and || |a| ||_2 <= F_a, so ||w - H v|| <= dw
-      = (3/2 gamma_2n F_a + e) sqrt N + tiny, as 3/2 >= sqrt 2.  Hence
-      ||H v|| >= ||w|| - dw, and |rho - v^H H v| <= gamma_2n sqrt N ||w||
-      + tiny + sqrt N dw brackets rho_x = v^H H v / N.
+      at most (|a| |v|)_j, and || |a| ||_2 <= F_a, so ||w - a v|| <= dw
+      = 3/2 gamma_2n F_a sqrt N + tiny, as 3/2 >= sqrt 2.  Hence
+      ||a v|| >= ||w|| - dw, and |rho - v^H a v| <= gamma_2n sqrt N ||w||
+      + tiny + sqrt N dw brackets rho_x = v^H a v / N.
     - Each part of fl(w - rho v) is off by at most gamma_2 (|w_j| +
       |rho v_j|) + eta, gamma_2 <= gamma_2n, and res is the rounded
-      square root of a sum of 2n squares, so ||H v - rho v|| <=
+      square root of a sum of 2n squares, so ||a v - rho v|| <=
       sqrt(((res / (1 - u))^2 + tiny) / (1 - gamma_2n)) + gamma_2n
       (||w|| + rho sqrt N) + tiny + dw; divided by sqrt N it bounds eps,
-      since rho_x minimizes ||H x - sigma x|| over sigma.
+      since rho_x minimizes ||a x - sigma x|| over sigma.
 
     The bounds, alpha^2 and t are combined in exact rational arithmetic;
     each square root is stepped outward to a float whose square lies on
@@ -322,17 +317,16 @@ def _kato_temple_upper_end(a, v, w, rho, res, deviation):
     u, tiny = Fraction(_UNIT_ROUNDOFF), 3 * n * n * Fraction(_SMALLEST_SUBNORMAL)
     g = 2 * n * u / (1 - 2 * n * u)
     g_frob = 2 * n * n * u / (1 - 2 * n * n * u)
-    e = 2 * n * Fraction(deviation)
     fa = _sqrt_out((Fraction(f2) + tiny) / (1 - g_frob), True)
     n_lo, n_hi = (Fraction(nv) - tiny) / (1 + g), (Fraction(nv) + tiny) / (1 - g)
     root_n = _sqrt_out(n_hi, True)
     w_hi = _sqrt_out((Fraction(ww) + tiny) / (1 - g), True)
     w_lo = _sqrt_out(max((Fraction(ww) - tiny) / (1 + g), 0), False)
-    dw = (Fraction(3, 2) * g * fa + e) * root_n + tiny
+    dw = Fraction(3, 2) * g * fa * root_n + tiny
     hv_lo = max(w_lo - dw, 0)
     drq = g * root_n * w_hi + tiny + root_n * dw
     rho_lo, rho_hi = (Fraction(rho) - drq) / n_hi, (Fraction(rho) + drq) / n_lo
-    alpha = _sqrt_out((fa + e) ** 2 - 2 * hv_lo ** 2 / n_hi + rho_hi ** 2, True)
+    alpha = _sqrt_out(fa ** 2 - 2 * hv_lo ** 2 / n_hi + rho_hi ** 2, True)
     if not alpha < rho_lo:
         return None
     r = _sqrt_out(((Fraction(res) / (1 - u)) ** 2 + tiny) / (1 - g), True)
@@ -340,18 +334,16 @@ def _kato_temple_upper_end(a, v, w, rho, res, deviation):
     return math.nextafter(float(rho_hi + resid ** 2 / n_lo / (rho_lo - alpha)), math.inf)
 
 
-def _certified_top_eig(a, deviation):
+def _certified_top_eig(a):
     """Bracket (rho, t) with rho <= lambda_max(a) <= t and t - rho <= 1e-8 rho, or None.
 
-    a passed _hermitian_deviation, whose max |a - a^H| is deviation, and
-    has a positive diagonal.  Both tiers prove t for the matrix of a's
-    upper triangle, the one eigvalsh reads.  rho is the Rayleigh
-    quotient of a power iterate from the all-ones vector, a lower bound
-    up to its own rounding.  The iteration stops on the residual
-    r = a v - rho v, once ||r|| plus the Cholesky tier's rounding
-    allowance is within 1e-8 rho; it never stops on successive rho,
-    which can keep flipping by an ulp after it has settled.  Then t
-    comes from the first tier that proves it:
+    a equals its conjugate transpose exactly and has a positive
+    diagonal.  rho is the Rayleigh quotient of a power iterate from the
+    all-ones vector, a lower bound up to its own rounding.  The
+    iteration stops on the residual r = a v - rho v, once ||r|| plus the
+    Cholesky tier's rounding allowance is within 1e-8 rho; it never
+    stops on successive rho, which can keep flipping by an ulp after it
+    has settled.  Then t comes from the first tier that proves it:
 
     - the gap tier (_kato_temple_upper_end), O(n^2) work that only reads
       a, when the Frobenius gap bound alpha >= lambda_2 lies below rho
@@ -389,7 +381,7 @@ def _certified_top_eig(a, deviation):
         v = w / np.linalg.norm(w)
     else:
         return None
-    t = _kato_temple_upper_end(a, v, w, rho, res, deviation)
+    t = _kato_temple_upper_end(a, v, w, rho, res)
     if t is not None and t - rho <= _BRACKET_TOL * rho:
         return float(rho), t
     s = rho + res + shift

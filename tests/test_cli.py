@@ -114,19 +114,74 @@ def test_analyze_overflow_is_numeric_error(tmp_path, capsys):
 
 
 def test_overflowing_weights_print_one_error_line(tmp_path, capsys):
-    # numpy's overflow warnings stay silent; the finiteness checks report
-    mu = {"space": {"kind": "disc"}, "atoms": [{"point": [0.9, 0.0], "weight": 1.5e308},
-                                               {"point": [0.0, 0.5], "weight": 1.0}]}
-    path, poly = write(tmp_path, "mu.json", mu), write(tmp_path, "f.json", POLY)
+    # numpy's overflow warnings stay silent; the finiteness checks report,
+    # with the exit code of a numerical failure for both commands
+    over = {"space": {"kind": "disc"}, "atoms": [{"point": [0.9, 0.0], "weight": 1.5e308},
+                                                 {"point": [0.0, 0.5], "weight": 1.0}]}
+    poly = write(tmp_path, "f.json", POLY)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(["analyze", path]) == 2
-        assert capsys.readouterr() == (
-            "", "input error: matrix entries are not finite in modulus: "
-                "max |a| is inf, 1 non-finite entries, a[0, 0] = (inf+0j)\n")
-        assert cli.main(["uchiyama", path, "--poly", poly]) == 4
-        assert capsys.readouterr() == ("", "numeric error: Uchiyama integral is not finite: nan\n")
+        for mu in (over, HUGE):
+            path = write(tmp_path, "mu.json", mu)
+            assert cli.main(["analyze", path]) == 4
+            assert capsys.readouterr() == (
+                "", "numeric error: a_sq, c_supp, c_grid, i_box, bound, ratio not finite "
+                    "in double precision\n")
+            assert cli.main(["uchiyama", path, "--poly", poly]) == 4
+            assert capsys.readouterr() == (
+                "", "numeric error: Uchiyama integral is not finite: nan\n")
     assert caught == []
+
+
+def test_duplicate_atoms_past_the_double_range_exit_2(tmp_path, capsys):
+    atom = {"point": [0.5, 0.0], "weight": 1e308}
+    path = write(tmp_path, "mu.json", {"space": {"kind": "disc"}, "atoms": [atom, atom]})
+    poly = write(tmp_path, "f.json", POLY)
+    for argv in (["analyze", path], ["uchiyama", path, "--poly", poly]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "input error: duplicate atoms sum to a weight past the double range\n")
+
+
+@pytest.mark.parametrize("space, point, weight", [
+    ({"kind": "disc"}, [0.9, 0.0], 1.5e308),
+    ({"kind": "disc"}, [0.0, -0.999999], 1e303),
+    ({"kind": "disc"}, [0.9999999, 0.0], 1e302),
+    ({"kind": "ball", "dim": 2}, [0.0, 0.0, 0.9999, 0.0], 1e301),
+    ({"kind": "ball", "dim": 2}, [0.7, 0.0, 0.0, 0.7], 1e307),
+])
+def test_overflowing_weight_times_kernel_never_holds(tmp_path, capsys, space, point, weight):
+    # w K(lam, lam) overflows, and LAPACK returns a value for a matrix with
+    # non-finite entries; c_supp carries the same P_lam(lam) = K(lam, lam)
+    # term, so analyze's finiteness check refuses a verdict
+    dim = space.get("dim", 1)
+    atoms = [{"point": point, "weight": weight},
+             {"point": [0.1] * (2 * dim), "weight": 1.0}]
+    assert weight / (1.0 - sum(x * x for x in point)) ** dim == math.inf
+    path = write(tmp_path, "mu.json", {"space": space, "atoms": atoms})
+    assert cli.main(["analyze", path, "--grid", "8"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error: ") and err.count("\n") == 1
+
+
+def test_analyze_atoms_near_the_sphere_exit_0(tmp_path, capsys):
+    # 1 - |z|^2 is about 6e-5 at the first atom; the zgemm Gram of this
+    # measure is not Hermitian to the bit, and a_sq is the top eigenvalue
+    # of the dense Gram matrix
+    mu = {"space": {"kind": "ball", "dim": 2}, "atoms": [
+        {"point": [-0.493963, -0.815761, -0.152982, 0.25898], "weight": 1.0},
+        {"point": [0.761759, 0.073562, -0.370569, -0.526223], "weight": 1.0},
+        {"point": [0.340729, 0.743935, 0.124128, -0.561246], "weight": 1.0}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["analyze", write(tmp_path, "mu.json", mu), "--grid", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    pts = np.array([a["point"] for a in mu["atoms"]])
+    lam = pts[:, ::2] + 1j * pts[:, 1::2]
+    dense = 1.0 / (1.0 - lam @ lam.conj().T) ** 2
+    want = np.linalg.eigvalsh((dense + dense.conj().T) / 2)[-1]
+    assert out["a_sq"] == pytest.approx(want, rel=1e-9)
+    assert out["holds"] is True and out["ratio"] <= 3.0
 
 
 def test_analyze_bound_constant_of_high_dimensional_balls(tmp_path, capsys):

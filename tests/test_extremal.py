@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carlembed import cli, extremal, measure, numerics
+from carlembed import cli, extremal, numerics
 from carlembed.errors import CarlembedError, InputError, KernelConditioningWarning, NumericError
 from carlembed.extremal import SearchConfig, SearchResult, ratio, search
 from carlembed.geometry import Space, SpacePoint
@@ -36,14 +36,23 @@ def _oracle_build_measure(space, y, v):
     return DiscreteMeasure(space, atoms)
 
 
+def _oracle_ratio(space, y, v):
+    """(measure, ratio) of a proposal; an atom at which SpacePoint warns makes it an InputError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KernelConditioningWarning)
+        try:
+            mu = _oracle_build_measure(space, y, v)
+        except KernelConditioningWarning as exc:
+            raise InputError(str(exc)) from None
+    return mu, ratio(mu)
+
+
 def _climb(cfg, restart, bound):
     rng = rng_stream(cfg.seed, restart)
     dim2 = 2 * cfg.space.dim
     y = rng.normal(0.0, 0.7, size=(cfg.atom_count, dim2))
     v = rng.normal(0.0, 0.3, size=cfg.atom_count)
-    mu = _oracle_build_measure(cfg.space, y, v)
-    best = ratio(mu)
-    best_mu = mu
+    best_mu, best = _oracle_ratio(cfg.space, y, v)
     trace = [(0, best)]
     step = cfg.step_init
     stall = 0
@@ -53,9 +62,8 @@ def _climb(cfg, restart, bound):
         cand_y = y + step * dy
         cand_v = v + 0.5 * step * dv
         try:
-            cand_mu = _oracle_build_measure(cfg.space, cand_y, cand_v)
-            value = ratio(cand_mu)
-        except InputError:  # no measure, or a Gram matrix that is not Hermitian
+            cand_mu, value = _oracle_ratio(cfg.space, cand_y, cand_v)
+        except InputError:  # no measure, or an atom within 1e-8 of the sphere
             value = None
         else:
             if value > bound * (1.0 + BOUND_SLACK):
@@ -169,10 +177,8 @@ def test_search_saturated_proposal_is_one_rejected_step():
     cfg = SearchConfig(
         space=DISC, atom_count=2, iterations=100, restarts=2, seed=1, step_init=20.0
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        a = search(cfg)
-        b = search(cfg)
+    a = search(cfg)
+    b = search(cfg)
     assert a.notes == ()
     assert a.best_ratio == b.best_ratio
     assert a.trace == b.trace
@@ -200,7 +206,7 @@ ORACLE_CONFIGS = [
     SearchConfig(space=BALL2, atom_count=8, iterations=100, restarts=4, seed=6),
     SearchConfig(space=DISC, atom_count=2, iterations=100, restarts=2, seed=1, step_init=20.0),
     SearchConfig(space=DISC, atom_count=2, iterations=2500, restarts=4, seed=42),
-    # the winner accepts proposals from the measure path, atoms near the sphere
+    # steps this large reject proposals with atoms near the sphere
     SearchConfig(space=BALL2, atom_count=1, iterations=100, restarts=2, seed=5, step_init=5.0),
 ]
 
@@ -213,11 +219,8 @@ def test_search_matches_per_restart_oracle(cfg):
 
 def _match_oracle(cfg):
     """search(cfg) against the oracle, bit for bit; the oracle outcomes and winner."""
-    # atoms within rounding of the sphere divide by zero on the measure path
-    with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        outcomes = _oracle_outcomes(cfg)
-        res = search(cfg)
+    outcomes = _oracle_outcomes(cfg)
+    res = search(cfg)
     winner = _winner(outcomes)
     assert res.best_ratio == winner[0]
     assert res.trace == winner[2]
@@ -297,15 +300,17 @@ def test_window_abort_mid_window_matches_per_restart_oracle(monkeypatch):
 
 
 def test_window_measure_path_after_acceptance_matches_per_restart_oracle(monkeypatch):
-    # steps this large send proposals to the measure path, atoms near the boundary
-    cfg = SearchConfig(space=DISC, atom_count=3, iterations=100, restarts=2, seed=3, step_init=5.0)
+    # Random draws give no two atoms of equal |z|^2.  Norms floored to
+    # quarters make many, and send those proposals to the measure path;
+    # no atom comes near the sphere at these steps.
+    norm_sq_rows = extremal._norm_sq_rows
+    monkeypatch.setattr(extremal, "_norm_sq_rows", lambda z: np.floor(4.0 * norm_sq_rows(z)) / 4.0)
+    cfg = SearchConfig(space=DISC, atom_count=3, iterations=100, restarts=2, seed=3)
     outcomes, _ = _match_oracle(cfg)
     assert not any(isinstance(o, str) for o in outcomes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        reached = sum(extremal._ratios(DISC, y[None], v[None], defer=True)[1] == {0: None}
-                      for r in range(cfg.restarts)
-                      for _, y, v in _oracle_proposals(cfg, r, outcomes[r][2]))
+    reached = sum(extremal._ratios(DISC, y[None], v[None], defer=True)[1] == {0: None}
+                  for r in range(cfg.restarts)
+                  for _, y, v in _oracle_proposals(cfg, r, outcomes[r][2]))
     builds, deferred = [], []
     build_measure, ratios = extremal._build_measure, extremal._ratios
 
@@ -320,9 +325,7 @@ def test_window_measure_path_after_acceptance_matches_per_restart_oracle(monkeyp
 
     monkeypatch.setattr(extremal, "_build_measure", counted_build)
     monkeypatch.setattr(extremal, "_ratios", counted_ratios)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        search(cfg)
+    search(cfg)
     # each proposal that the oracle evaluates on the measure path, and the
     # winner; the deferred proposals dropped after an acceptance are not built
     assert reached > 0 and len(builds) == reached + 1
@@ -423,61 +426,33 @@ def test_search_records_aborted_restart(monkeypatch):
         search(ABORT_CFG)
 
 
-@pytest.mark.parametrize("case", ["start", "mid-climb"])
-def test_search_rejects_step_with_non_hermitian_gram(monkeypatch, case):
-    outcomes, best, grams = _abort_setup()
-    target = grams[case]
-    weighted_gram = measure._weighted_gram
-    hits = []
-
-    def skewed(points, root_w):
-        m = weighted_gram(points, root_w)
-        for a in m if m.ndim == 3 else [m]:
-            if np.array_equal(a, target):
-                a[0, 1] += 1.0
-                hits.append(1)
-        return m
-
-    # the stacked path and the measure path (the oracle's ratio) both see it
-    monkeypatch.setattr(extremal, "_weighted_gram", skewed)
-    monkeypatch.setattr(measure, "_weighted_gram", skewed)
-    res = search(ABORT_CFG)
-    skewed_outcomes = _oracle_outcomes(ABORT_CFG)
-    if case == "start":
-        # a start that is no measure to evaluate aborts its restart
-        assert hits and res.notes == (skewed_outcomes[best],)
-        assert res.notes[0].startswith(f"restart {best} aborted: matrix is not Hermitian: ")
-    else:
-        assert hits and res.notes == ()
-        assert skewed_outcomes[best][2] != outcomes[best][2]  # the step was rejected
-    winner = _winner(skewed_outcomes)
-    assert res.best_ratio == winner[0]
-    assert res.trace == winner[2]
-    assert _atoms(res.best_measure) == _atoms(winner[1])
-
-
 def test_search_integer_step_init_equals_float():
     # 200 iterations stall often enough to decay the integer step
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        a, b = (search(SearchConfig(space=DISC, atom_count=2, iterations=200, restarts=2, seed=4,
-                                    step_init=step)) for step in (10, 10.0))
+    a, b = (search(SearchConfig(space=DISC, atom_count=2, iterations=200, restarts=2, seed=4,
+                                step_init=step)) for step in (10, 10.0))
     assert a.best_ratio == b.best_ratio and a.trace == b.trace and a.notes == b.notes
     assert _atoms(a.best_measure) == _atoms(b.best_measure)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_search_ball_large_steps_reject_non_hermitian_proposals(seed):
-    # Steps this large put atoms within rounding of the sphere, where the
-    # Gram matrix fails the Hermitian test: each such proposal is one
-    # rejected step, not an aborted restart.
-    cfg = SearchConfig(BALL2, atom_count=3, iterations=100, restarts=6, step_init=10.0, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        res = search(cfg)
-    assert res.notes == ()
-    assert math.isfinite(res.best_ratio)
-    assert res.best_ratio <= theorem_bound_constant(BALL2) * (1.0 + BOUND_SLACK)
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+@pytest.mark.parametrize("count", [2, 3, 4])
+@pytest.mark.parametrize("step", [6.0, 15.0])
+def test_search_ratio_never_exceeds_the_atom_count(space, count, step):
+    # An exact oracle: lambda_max(M) <= trace M, and c_supp is at least
+    # each diagonal entry M_jj, since P_lam(lam) = K(lam, lam); so no
+    # measure of m atoms has a ratio above m.  Steps this large put atoms
+    # within rounding of the sphere, where the ratio in double precision
+    # is meaningless (4.000000000000001 on ball(2), 4 atoms, step 6, seed
+    # 0, for a measure whose exact ratio is 1): such proposals are
+    # rejected steps, without a warning.
+    for seed in range(6):
+        cfg = SearchConfig(space, atom_count=count, iterations=100, restarts=6,
+                           step_init=step, seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = search(cfg)
+        assert all(value <= count for _, value in res.trace) and res.best_ratio <= count
+        assert caught == [] and res.notes == ()
 
 
 def _measure_path(monkeypatch):
@@ -513,28 +488,36 @@ def test_stacked_proposal_past_the_boundary_is_rejected(monkeypatch):
     values, errors = extremal._ratios(BALL2, y, v)
     assert math.isnan(values[0]) and measures == []
     assert list(errors) == [0] and isinstance(errors[0], InputError)
-    assert "strictly inside the unit ball" in str(errors[0])
+    assert str(errors[0]) == ("an atom has 1 - |z|^2 = 0.000e+00, not above 1e-08; "
+                              "kernel values are ill conditioned")
     assert values[1] == ratio(extremal._build_measure(BALL2, y[1], v[1]))
 
 
-def test_stacked_proposal_near_the_boundary_warns_like_spacepoint(monkeypatch):
-    rng = np.random.default_rng(2)
-    y, v = rng.normal(0.0, 0.7, size=(2, 3, 2)), rng.normal(0.0, 0.3, size=(2, 3))
-    y[1, 2] = [6.0, 8.0]  # |y| = 10: 1 - tanh(10)^2 = 8.2e-9
-    with warnings.catch_warnings(record=True) as direct:
-        warnings.simplefilter("always")
-        SpacePoint(extremal._proposal_arrays(y[1], v[1])[0][2])
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+def test_stacked_proposal_is_rejected_where_spacepoint_warns(space, monkeypatch):
+    # For n <= 2 the vectorized |z|^2 is SpacePoint's fsum bit for bit, so
+    # the stack refuses exactly the atoms at which SpacePoint warns.  Radii
+    # |y| around 9.9: 1 - tanh(|y|)^2 lies in 8.5e-9 to 1.1e-8.
+    rng = rng_stream(77, space.dim)
+    count = 400
+    y = rng.normal(size=(count, 1, 2 * space.dim))
+    y *= rng.uniform(9.85, 9.98, size=(count, 1, 1)) / np.sqrt(np.sum(y * y, axis=-1))[..., None]
+    y = np.concatenate([y, rng.normal(0.0, 0.7, size=(count, 2, 2 * space.dim))], axis=1)
+    v = rng.normal(0.0, 0.3, size=(count, 3))
+    warns = []
+    for i in range(count):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SpacePoint(extremal._proposal_arrays(y[i], v[i])[0][0])
+        warns.append(bool(caught))
+    assert 0 < sum(warns) < count
     measures = _measure_path(monkeypatch)
-    with pytest.warns(KernelConditioningWarning) as stacked:
-        values, errors = extremal._ratios(DISC, y, v)
-    assert [str(w.message) for w in stacked] == [str(w.message) for w in direct]
-    assert "kernel values are ill conditioned" in str(direct[0].message)
-    assert errors == {} and len(measures) == 1
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        assert _atoms(measures[0]) == _atoms(extremal._build_measure(DISC, y[1], v[1]))
-        assert values[1] == ratio(extremal._build_measure(DISC, y[1], v[1]))
-    assert values[0] == ratio(extremal._build_measure(DISC, y[0], v[0]))
+        warnings.simplefilter("error")
+        values, errors = extremal._ratios(space, y, v)
+    assert measures == [] and sorted(errors) == [i for i in range(count) if warns[i]]
+    assert all(isinstance(exc, InputError) for exc in errors.values())
+    assert all(math.isnan(values[i]) != (i not in errors) for i in range(count))
 
 
 @pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
@@ -548,8 +531,8 @@ def test_stacked_certified_orders_match_per_restart_oracle(space, monkeypatch):
     brackets = []
     certified_top_eig = numerics._certified_top_eig
 
-    def counted(a, deviation):
-        brackets.append(certified_top_eig(a, deviation))
+    def counted(a):
+        brackets.append(certified_top_eig(a))
         return brackets[-1]
 
     monkeypatch.setattr(numerics, "_certified_top_eig", counted)
@@ -575,23 +558,18 @@ def test_all_stacked_search_builds_only_the_winner(monkeypatch):
     assert measures == [] and builds == [1] and len(res.best_measure) == cfg.atom_count
 
 
-def test_search_shows_one_conditioning_warning(capsys):
+def test_search_rejects_atoms_near_the_sphere_without_a_warning(capsys):
     # Steps this large put 931 ball(2) proposal atoms within 1e-8 of the
-    # sphere; each used to raise its own warning (707 distinct messages).
+    # sphere; each is a rejected step, and no measure is built for it.
     argv = ["search", "--space", "ball2", "--atoms", "3", "--iters", "100", "--restarts", "6",
             "--step-init", "10", "--seed", "0"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(argv) == 0
     out, err = capsys.readouterr()
-    assert [w.category for w in caught] == [KernelConditioningWarning]
-    assert str(caught[0].message) == (
-        "search built 931 proposal atoms with 1 - |z|^2 below 1e-08; "
-        "kernel values are ill conditioned")
+    assert caught == []
     cfg = SearchConfig(BALL2, atom_count=3, iterations=100, restarts=6, step_init=10.0, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelConditioningWarning)
-        winner = _winner(_oracle_outcomes(cfg))
+    winner = _winner(_oracle_outcomes(cfg))
     assert out == "iteration,best_ratio\n" + "".join(
         f"{it},{cli._fmt(val)}\n" for it, val in winner[2])
     bound = cli._fmt(theorem_bound_constant(BALL2))

@@ -50,6 +50,14 @@ def test_measure_merges_duplicate_atoms():
     assert mu.atoms[0][1] == pytest.approx(3.0)
 
 
+def test_measure_refuses_duplicate_atoms_past_the_double_range():
+    sp = Space.disc()
+    with pytest.raises(InputError, match="^duplicate atoms sum to a weight past the double range$"):
+        DiscreteMeasure(sp, [(SpacePoint(0.5), 1e308), (SpacePoint(0.5), 1e308)])
+    mu = DiscreteMeasure(sp, [(SpacePoint(0.5), 1e308), (SpacePoint(0.5), 7e307)])
+    assert mu.atoms[0][1] == 1.7e308
+
+
 def test_measure_validates_weights_and_dims():
     sp = Space.disc()
     with pytest.raises(InputError):
@@ -409,17 +417,36 @@ def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
 # _weighted_gram before it wrote each row block of the kernel into one
 # preallocated matrix: the whole Szego matrix, then the weights r_j r_k
 # as one product per entry (r_j K r_k, in either order, rounds
-# differently).  The blocked build must equal it bit for bit.
+# differently).  The blocked build must equal it bit for bit in the upper
+# triangle and the real part of the diagonal; the rest is the mirror.
 
 
-def _dense_gram_oracle(points, root_w):
-    kernel = dense_szego(points, points, points.shape[-1])
-    return kernel * (root_w[..., :, None] * root_w[..., None, :])
+def _dense_gram_oracle(points, root_w, rows=slice(None)):
+    kernel = dense_szego(points[..., rows, :], points, points.shape[-1])
+    return kernel * (root_w[..., rows, None] * root_w[..., None, :])
 
 
 def _random_points(rng, shape, dim):
     rows = [random_point(rng, dim, 0.95).coords for _ in range(math.prod(shape))]
     return np.array(rows, dtype=complex).reshape(shape + (dim,))
+
+
+def _assert_gram_is_the_mirrored_oracle(m, points, root_w, chunk=512):
+    """m is the upper triangle of _dense_gram_oracle, in row chunks, and its exact mirror."""
+    order = m.shape[-1]
+    upper, lower = np.triu_indices(order, 1), np.tril_indices(order, -1)
+    assert m[..., lower[0], lower[1]].tobytes() == np.conj(m[..., lower[1], lower[0]]).tobytes()
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+    assert np.all(diagonal.imag == 0.0)
+    assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+    for r0 in range(0, order, chunk):
+        rows = slice(r0, r0 + chunk)
+        want = _dense_gram_oracle(points, root_w, rows)
+        mask = upper[0] // chunk == r0 // chunk
+        i, j = upper[0][mask], upper[1][mask]
+        assert m[..., i, j].tobytes() == want[..., i - r0, j].tobytes()
+        k = np.arange(r0, min(r0 + chunk, order))
+        assert diagonal[..., k].real.tobytes() == want[..., k - r0, k].real.tobytes()
 
 
 @pytest.mark.parametrize("shape, dim, block_entries", [
@@ -440,7 +467,24 @@ def test_blocked_gram_equals_dense_gram(shape, dim, block_entries, monkeypatch):
     order = shape[-1]
     blocks = _row_blocks(order, math.prod(shape))
     assert (len(blocks) >= 3 and blocks[-1].stop > order) or len(shape) == 2
-    assert np.array_equal(_weighted_gram(points, root_w), _dense_gram_oracle(points, root_w))
+    _assert_gram_is_the_mirrored_oracle(_weighted_gram(points, root_w), points, root_w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 39, 40, 255, 256, 1999])
+def test_weighted_gram_is_hermitian_to_the_bit(dim, order):
+    # The zgemm blocks alone are Hermitian to the bit on the disc and at
+    # ball orders divisible by 4, never at 2, 3, 5 or 39 (numpy 2.4,
+    # OpenBLAS 0.3.31).  Atoms reach 1 - |z| = 1e-7; stacks are the
+    # search's (r, m, m).
+    rng = rng_stream(2828, 10 * order + dim)
+    shape = (3, order) if order <= 256 else (order,)
+    raw = rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,))
+    radii = 1.0 - 10.0 ** -rng.uniform(0.1, 7.0, size=shape)
+    radii[..., 0] = 1.0 - 1e-7
+    points = raw * (radii / np.sqrt(_norm_sq_rows(raw)))[..., None]
+    root_w = np.sqrt(np.exp(rng.normal(0.0, 0.5, size=shape)))
+    _assert_gram_is_the_mirrored_oracle(_weighted_gram(points, root_w), points, root_w)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
