@@ -20,10 +20,9 @@ up to its first accepted or aborting step, drops the rest and opens its
 next window there with the draws it has not used, so its trace and
 best ratio are bit-identical to a climb run on its own.  A proposal
 with an atom within CONDITIONING_MARGIN of the sphere, where kernel
-values are ill conditioned, is refused on its arrays.  A
-DiscreteMeasure is built only for the winner and for a proposal, once
-its restart's walk reaches it, that the arrays cannot stand for: a bad
-weight, or two rows of equal norm.
+values are ill conditioned, or with a weight that is not positive and
+finite, is refused on its arrays.  A DiscreteMeasure is built only for
+the winner.
 """
 
 import warnings
@@ -94,11 +93,12 @@ def ratio(mu):
 
 def _proposal_arrays(y, v):
     """Points (..., m, n) and weights (..., m) of raw vectors y (..., m, 2n) and v (..., m)."""
-    v = v - np.mean(v, axis=-1, keepdims=True)
-    radii_raw = np.sqrt(np.sum(y * y, axis=-1))
-    scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
-    scaled = y * scale[..., None]
-    return scaled[..., ::2] + 1j * scaled[..., 1::2], np.exp(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge step overflows, silently
+        v = v - np.mean(v, axis=-1, keepdims=True)
+        radii_raw = np.sqrt(np.sum(y * y, axis=-1))
+        scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
+        scaled = y * scale[..., None]
+        return scaled[..., ::2] + 1j * scaled[..., 1::2], np.exp(v)
 
 
 def _build_measure(space, y, v):
@@ -106,48 +106,36 @@ def _build_measure(space, y, v):
     return DiscreteMeasure(space, [(p, float(w)) for p, w in zip(points, weights)])
 
 
-def _ratios(space, y, v, defer=False):
+def _ratios(space, y, v):
     """ratio of each proposal (y[i], v[i]) of a stack: (values, errors).
 
     A CarlembedError of proposal i goes to errors[i], and values[i] stays
-    NaN; the caller decides what it means.  A proposal with a row whose
-    vectorized |z|^2 exceeds 1 - CONDITIONING_MARGIN gets an InputError
-    and no measure: its kernel values are ill conditioned, or its atom
-    lies on the sphere (tanh(|y|) rounds to 1 once |y| >= 19).  For
-    n <= 2 this is SpacePoint's warning condition bit for bit, as its
-    fsum of two rounded |z_j|^2 is their rounded sum.
-
-    The others are evaluated on the stack when their arrays are the
-    atoms of their measure as they stand: every weight positive and
-    finite, and no two rows of equal |z|^2 (so none equal, and
-    DiscreteMeasure merges nothing).  Any other is evaluated as
-    ratio(_build_measure(...)), with every check of that path; with
-    defer it is left to the caller, marked by errors[i] = None, so that
-    the search builds only the proposals it reaches.
+    NaN; the caller decides what it means.  A row whose vectorized |z|^2
+    is not at most 1 - CONDITIONING_MARGIN gives an InputError: its
+    kernel values are ill conditioned, its atom lies on the sphere
+    (tanh(|y|) rounds to 1 once |y| >= 19), or a step overflowed to NaN.
+    For n <= 2 this is SpacePoint's warning condition bit for bit, as its
+    fsum of two rounded |z_j|^2 is their rounded sum.  Else a weight that
+    is not positive and finite gives DiscreteMeasure's InputError.  The
+    rest are evaluated on the stack, two equal rows unmerged, which gives
+    the merged atom's ratio up to rounding.
     """
     points, weights = _proposal_arrays(y, v)
     order = points.shape[1]
-    nsq = np.sort(_norm_sq_rows(points), axis=-1)  # a NaN sorts last
-    edge = nsq[:, -1] > 1.0 - CONDITIONING_MARGIN
-    stacked = (
-        (nsq[:, -1] <= 1.0 - CONDITIONING_MARGIN)
-        & ~np.any(nsq[:, 1:] == nsq[:, :-1], axis=-1)
-        & np.all((weights > 0.0) & (weights < np.inf), axis=-1)
-    )
+    nsq = _norm_sq_rows(points)
+    inside = np.all(nsq <= 1.0 - CONDITIONING_MARGIN, axis=-1)  # False at a NaN
+    bad = ~((weights > 0.0) & (weights < np.inf))
+    refused = ~inside | np.any(bad, axis=-1)
     values = np.full(len(y), np.nan)
-    errors = {i: InputError(f"an atom has 1 - |z|^2 = {1.0 - nsq[i, -1]:.3e}, not above "
-                            f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned")
-              for i in np.flatnonzero(edge).tolist()}
-    measured = np.flatnonzero(~stacked & ~edge).tolist()
-    errors.update(dict.fromkeys(measured))
-    if not defer:
-        for i in measured:
-            try:
-                values[i] = ratio(_build_measure(space, y[i], v[i]))
-                del errors[i]
-            except CarlembedError as exc:
-                errors[i] = exc
-    ready = np.flatnonzero(stacked)
+    errors = {}
+    for i in np.flatnonzero(refused).tolist():
+        if not inside[i]:
+            errors[i] = InputError(f"an atom has 1 - |z|^2 = {1.0 - np.max(nsq[i]):.3e}, not above "
+                                   f"{CONDITIONING_MARGIN:g}; kernel values are ill conditioned")
+        else:  # the first bad weight, as DiscreteMeasure reports it
+            first = float(weights[i][bad[i]][0])
+            errors[i] = InputError(f"weights must be positive and finite, got {first!r}")
+    ready = np.flatnonzero(~refused)
     # stacks of about _BLOCK_ENTRIES Gram entries, so memory stays that of
     # one matrix at large orders
     for rows in _row_blocks(len(ready), order * order):
@@ -224,21 +212,18 @@ def search(cfg):
                 s, t = _rejected(s, t, decay)
                 steps.append(s)
         owner, steps = np.repeat(live, sizes), np.array(steps)
-        cand_y = y[owner] + steps[:, None, None] * draws[:, :split].reshape((-1,) + shape)
-        cand_v = v[owner] + (0.5 * steps)[:, None] * draws[:, split:]
-        values, errors = _ratios(space, cand_y, cand_v, defer=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in _ratios
+            cand_y = y[owner] + steps[:, None, None] * draws[:, :split].reshape((-1,) + shape)
+            cand_v = v[owner] + (0.5 * steps)[:, None] * draws[:, split:]
+        values, errors = _ratios(space, cand_y, cand_v)
         values = values.tolist()
         first = 0
         for r, size in zip(live, sizes):
             for i in range(first, first + size):
                 done[r] += 1
-                if i in errors:
-                    if errors[i] is None:  # the measure path, evaluated once reached
-                        one, error = _ratios(space, cand_y[i:i + 1], cand_v[i:i + 1])
-                        values[i], errors[i] = one.item(), error.get(0)
-                    if errors[i] is not None and not isinstance(errors[i], InputError):
-                        notes[r] = f"restart {r} aborted: {errors[i]}"
-                        break
+                if i in errors and not isinstance(errors[i], InputError):
+                    notes[r] = f"restart {r} aborted: {errors[i]}"
+                    break
                 if values[i] > limit:
                     high.append((done[r], r, values[i]))
                 if values[i] > best[r]:

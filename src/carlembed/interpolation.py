@@ -22,7 +22,7 @@ from .measure import (
     BOUND_SLACK, MAX_GRID_RESOLUTION, DiscreteMeasure, _check_atom_count, _weighted_gram,
     kernel_constant_grid,
 )
-from .numerics import HermitianMatrix, extreme_eigs
+from . import numerics
 
 
 class PointSequence:
@@ -80,7 +80,11 @@ class InterpolationReport:
 
 
 def carleson_delta(seq):
-    """Separation constant delta, computed in log space to dodge underflow."""
+    """Separation constant delta, computed in log space to dodge underflow.
+
+    Refuses more than MAX_ATOMS points before any m x m array is built.
+    """
+    _check_atom_count(len(seq), "sequence has {} points")
     lam = seq.values()
     n = len(lam)
     if n == 1:
@@ -101,24 +105,32 @@ def sequence_measure(seq):
     return DiscreteMeasure(seq.space, [(p, 1.0 - p.norm_sq) for p in seq.points])
 
 
+def _gram(seq):
+    """G as an array, Hermitian by construction; refuses more than MAX_ATOMS points first."""
+    _check_atom_count(len(seq), "sequence has {} points")
+    lam = seq.values()
+    return _weighted_gram(lam[:, None], np.sqrt(1.0 - (lam * lam.conj()).real))
+
+
 def gram_matrix(seq):
-    """Gram matrix of the normalized kernels.
+    """Gram matrix of the normalized kernels, as a HermitianMatrix.
 
     G[j, k] = sqrt((1-|lam_j|^2)(1-|lam_k|^2)) / (1 - lam_j conj(lam_k)):
     unit diagonal, Hermitian, positive definite for separated sequences.
+    Refuses more than MAX_ATOMS points before G is built.
     """
-    lam = seq.values()
-    return HermitianMatrix(_weighted_gram(lam[:, None], np.sqrt(1.0 - (lam * lam.conj()).real)))
+    return numerics.HermitianMatrix(_gram(seq))
 
 
 def _gram_extremes(seq):
     """(lambda_min(G), lambda_max(G)); refuses a numerically singular G.
 
     G is also the weighted kernel matrix of sequence_measure(seq), so
-    lambda_max(G) is its embedding norm K^2.
+    lambda_max(G) is its embedding norm K^2.  A NaN end is refused too.
     """
-    lo, hi = extreme_eigs(gram_matrix(seq))
-    if lo <= 1e-14 * hi:
+    eigs = numerics._eigvalsh(_gram(seq))
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    if not lo > 1e-14 * hi:
         raise NumericError(
             f"degenerate sequence: smallest Gram eigenvalue {lo:.3e} vs largest {hi:.3e}"
         )
@@ -129,16 +141,16 @@ def orthogonalizer_cond(seq):
     """sqrt(lambda_max(G) / lambda_min(G)), the realization of ||J|| ||J^-1||.
 
     J = G^(-1/2) orthonormalizes the kernel system, so ||J|| ||J^-1|| is
-    exactly the square root of the condition number of G.
+    exactly the square root of the condition number of G.  Refuses more
+    than MAX_ATOMS points before G is built.
     """
     lo, hi = _gram_extremes(seq)
     return math.sqrt(hi / lo)
 
 
 def interpolation_report(seq, resolution=64):
-    """Assemble the full section-3 chain for a finite sequence."""
+    """Assemble the full section-3 chain for a finite sequence of at most MAX_ATOMS points."""
     resolution = _check_integer("resolution", resolution, 8, MAX_GRID_RESOLUTION)
-    _check_atom_count(len(seq), "sequence has {} points")
     delta = carleson_delta(seq)
     if not delta > 0.0:
         raise InputError("delta must be positive for the interpolation chain")

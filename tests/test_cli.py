@@ -459,7 +459,7 @@ def _refuse(*args, **kwargs):
 
 def test_oversize_inputs_exit_2_before_any_square_array(tmp_path, capsys, monkeypatch):
     for owner, name in [
-        (interpolation, "carleson_delta"), (measure, "_kernel_blocks"),
+        (interpolation.PointSequence, "values"), (measure, "_kernel_blocks"),
         (measure, "_poisson_blocks"), (extremal, "rng_stream"),
     ]:
         monkeypatch.setattr(owner, name, _refuse)

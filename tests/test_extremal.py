@@ -89,7 +89,8 @@ def _oracle_outcomes(cfg):
     outcomes = []
     for r in range(cfg.restarts):
         try:
-            outcomes.append(_climb(cfg, r, bound))
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowing steps
+                outcomes.append(_climb(cfg, r, bound))
         except CarlembedError as exc:
             outcomes.append(f"restart {r} aborted: {exc}")
     return outcomes
@@ -208,11 +209,17 @@ ORACLE_CONFIGS = [
     SearchConfig(space=DISC, atom_count=2, iterations=2500, restarts=4, seed=42),
     # steps this large reject proposals with atoms near the sphere
     SearchConfig(space=BALL2, atom_count=1, iterations=100, restarts=2, seed=5, step_init=5.0),
+    # steps that overflow: NaN points, and weights that are 0, infinite or NaN
+    SearchConfig(space=DISC, atom_count=3, iterations=60, restarts=3, seed=0, step_init=1e300),
+    SearchConfig(space=BALL2, atom_count=2, iterations=60, restarts=3, seed=0, step_init=1e308),
 ]
 
 
-@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: (
-    f"{c.space.kind}{c.space.dim}-m{c.atom_count}-it{c.iterations}-step{c.step_init:g}"))
+def _cfg_id(c):
+    return f"{c.space.kind}{c.space.dim}-m{c.atom_count}-it{c.iterations}-step{c.step_init:g}"
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 def test_search_matches_per_restart_oracle(cfg):
     _match_oracle(cfg)
 
@@ -299,39 +306,6 @@ def test_window_abort_mid_window_matches_per_restart_oracle(monkeypatch):
         o[2] for r, o in enumerate(outcomes) if r != best]
 
 
-def test_window_measure_path_after_acceptance_matches_per_restart_oracle(monkeypatch):
-    # Random draws give no two atoms of equal |z|^2.  Norms floored to
-    # quarters make many, and send those proposals to the measure path;
-    # no atom comes near the sphere at these steps.
-    norm_sq_rows = extremal._norm_sq_rows
-    monkeypatch.setattr(extremal, "_norm_sq_rows", lambda z: np.floor(4.0 * norm_sq_rows(z)) / 4.0)
-    cfg = SearchConfig(space=DISC, atom_count=3, iterations=100, restarts=2, seed=3)
-    outcomes, _ = _match_oracle(cfg)
-    assert not any(isinstance(o, str) for o in outcomes)
-    reached = sum(extremal._ratios(DISC, y[None], v[None], defer=True)[1] == {0: None}
-                  for r in range(cfg.restarts)
-                  for _, y, v in _oracle_proposals(cfg, r, outcomes[r][2]))
-    builds, deferred = [], []
-    build_measure, ratios = extremal._build_measure, extremal._ratios
-
-    def counted_build(space, y, v):
-        builds.append(1)
-        return build_measure(space, y, v)
-
-    def counted_ratios(space, y, v, defer=False):
-        values, errors = ratios(space, y, v, defer)
-        deferred.extend(i for i, exc in errors.items() if exc is None)
-        return values, errors
-
-    monkeypatch.setattr(extremal, "_build_measure", counted_build)
-    monkeypatch.setattr(extremal, "_ratios", counted_ratios)
-    search(cfg)
-    # each proposal that the oracle evaluates on the measure path, and the
-    # winner; the deferred proposals dropped after an acceptance are not built
-    assert reached > 0 and len(builds) == reached + 1
-    assert len(deferred) > reached
-
-
 def test_window_above_bound_warnings_per_restart_oracle_order(monkeypatch):
     cfg = SearchConfig(space=DISC, atom_count=2, iterations=40, restarts=3, seed=7)
     low = 1.1
@@ -359,9 +333,9 @@ def test_search_windows_make_few_stacked_calls(monkeypatch):
     calls = []
     ratios = extremal._ratios
 
-    def counted(space, y, v, defer=False):
+    def counted(space, y, v):
         calls.append(len(y))
-        return ratios(space, y, v, defer)
+        return ratios(space, y, v)
 
     monkeypatch.setattr(extremal, "_ratios", counted)
     # the benchmark's search: 501 calls with one proposal per restart
@@ -456,28 +430,33 @@ def test_search_ratio_never_exceeds_the_atom_count(space, count, step):
 
 
 def _measure_path(monkeypatch):
-    """The measure of every proposal that _ratios evaluates through extremal.ratio."""
+    """Every DiscreteMeasure built from now on."""
     measures = []
+    init = DiscreteMeasure.__init__
 
-    def counted(mu):
-        measures.append(mu)
-        return ratio(mu)
+    def counted(self, space, atoms):
+        measures.append(self)
+        init(self, space, atoms)
 
-    monkeypatch.setattr(extremal, "ratio", counted)
+    monkeypatch.setattr(DiscreteMeasure, "__init__", counted)
     return measures
 
 
-def test_stacked_proposal_with_equal_rows_is_merged(monkeypatch):
+def test_stacked_proposal_with_equal_rows_matches_merged_measure(monkeypatch):
+    # Two equal rows stay two atoms on the stack: the duplicated Gram rows
+    # give the merged atom's top eigenvalue, and c_supp counts both weights
+    # at that atom, so the ratio is the merged measure's up to rounding.
     rng = np.random.default_rng(0)
     y, v = rng.normal(0.0, 0.7, size=(3, 4, 2)), rng.normal(0.0, 0.3, size=(3, 4))
     y[1, 2] = y[1, 0]
+    merged = extremal._build_measure(DISC, y[1], v[1])
+    assert len(merged) == 3
+    expected = [ratio(extremal._build_measure(DISC, y[i], v[i])) for i in range(3)]
     measures = _measure_path(monkeypatch)
     values, errors = extremal._ratios(DISC, y, v)
-    assert errors == {}
-    assert len(measures) == 1 and len(measures[0]) == 3
-    assert _atoms(measures[0]) == _atoms(extremal._build_measure(DISC, y[1], v[1]))
-    for i in range(3):
-        assert values[i] == ratio(extremal._build_measure(DISC, y[i], v[i]))
+    assert errors == {} and measures == []
+    assert values[1] == pytest.approx(expected[1], rel=1e-13, abs=0.0)
+    assert values[0] == expected[0] and values[2] == expected[2]
 
 
 def test_stacked_proposal_past_the_boundary_is_rejected(monkeypatch):
@@ -542,20 +521,46 @@ def test_stacked_certified_orders_match_per_restart_oracle(space, monkeypatch):
         assert values[i] == ratio(extremal._build_measure(space, y[i], v[i]))
 
 
-def test_all_stacked_search_builds_only_the_winner(monkeypatch):
-    # 8 disc atoms, as on the benchmark: no proposal needs the measure path
-    cfg = ORACLE_CONFIGS[3]
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_all_stacked_search_builds_only_the_winner(cfg, monkeypatch):
+    # every proposal is decided on its arrays, the overflowing ones too
     measures = _measure_path(monkeypatch)
-    builds = []
-    init = DiscreteMeasure.__init__
-
-    def counted(self, space, atoms):
-        builds.append(1)
-        init(self, space, atoms)
-
-    monkeypatch.setattr(DiscreteMeasure, "__init__", counted)
     res = search(cfg)
-    assert measures == [] and builds == [1] and len(res.best_measure) == cfg.atom_count
+    assert len(measures) == 1 and measures[0] is res.best_measure
+
+
+def test_stacked_proposal_with_a_nan_point_or_a_bad_weight_is_refused(monkeypatch):
+    rng = np.random.default_rng(2)
+    y, v = rng.normal(0.0, 0.7, size=(4, 3, 2)), rng.normal(0.0, 0.3, size=(4, 3))
+    y[1, 2] = [np.inf, 0.0]  # tanh(inf) / inf = 0, and inf * 0 is NaN
+    v[2] = [3000.0, 0.0, 0.0]  # weights exp(2000), exp(-1000), exp(-1000): inf, 0, 0
+    v[3] = [-3000.0, 0.0, 0.0]  # 0, inf, inf
+    refusals = {}
+    for i, weight in [(2, "inf"), (3, "0.0")]:
+        with pytest.raises(InputError) as exc:
+            extremal._build_measure(DISC, y[i], v[i])
+        assert str(exc.value) == f"weights must be positive and finite, got {weight}"
+        refusals[i] = str(exc.value)
+    measures = _measure_path(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = extremal._ratios(DISC, y, v)
+    assert measures == [] and sorted(errors) == [1, 2, 3]
+    assert all(isinstance(exc, InputError) for exc in errors.values())
+    assert str(errors[1]) == ("an atom has 1 - |z|^2 = nan, not above 1e-08; "
+                              "kernel values are ill conditioned")
+    assert {i: str(errors[i]) for i in (2, 3)} == refusals
+    assert not math.isnan(values[0]) and all(math.isnan(values[i]) for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+@pytest.mark.parametrize("step", [1e300, 1e308])
+def test_search_with_overflowing_steps_raises_no_warning(space, step):
+    cfg = SearchConfig(space, atom_count=3, iterations=60, restarts=3, seed=0, step_init=step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = search(cfg)
+    assert caught == [] and res.notes == ()
 
 
 def test_search_rejects_atoms_near_the_sphere_without_a_warning(capsys):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carlembed import numerics
-from carlembed.errors import InputError, UnsupportedError
+from carlembed.errors import InputError, NumericError, UnsupportedError
 from carlembed.geometry import Space, SpacePoint
 from carlembed.interpolation import (
     PointSequence,
@@ -14,7 +15,7 @@ from carlembed.interpolation import (
     orthogonalizer_cond,
     sequence_measure,
 )
-from carlembed.measure import embedding_norm_sq
+from carlembed.measure import MAX_ATOMS, embedding_norm_sq
 from carlembed.numerics import extreme_eigs
 from conftest import dense_szego, sequence_corpus
 
@@ -113,3 +114,41 @@ def test_report_bounds_on_random_sequence():
     assert rep.k_sq <= rep.k_sq_bound * (1 + 1e-9)
     assert rep.interp_constant >= rep.orth_bound
     assert rep.kernel_sup >= 1.0 - 1e-12
+
+
+def test_report_builds_no_hermitian_matrix(monkeypatch):
+    # G is Hermitian by construction; only the public gram_matrix wraps it
+    built = []
+    init = numerics.HermitianMatrix.__init__
+
+    def counted(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(numerics.HermitianMatrix, "__init__", counted)
+    seq = seq_pm_half()
+    interpolation_report(seq, resolution=32)
+    orthogonalizer_cond(seq)
+    assert built == []
+    gram_matrix(seq)
+    assert built == [1]
+
+
+def test_gram_extremes_refuse_a_nan_end(monkeypatch):
+    monkeypatch.setattr(numerics, "_eigvalsh", lambda a: np.array([np.nan, 1.0]))
+    with pytest.raises(NumericError, match="^degenerate sequence: smallest Gram eigenvalue nan"):
+        orthogonalizer_cond(seq_pm_half())
+
+
+@pytest.mark.parametrize("fn", [gram_matrix, orthogonalizer_cond, carleson_delta])
+def test_point_cap_is_checked_before_any_square_array(fn):
+    m = MAX_ATOMS + 1
+    seq = PointSequence(DISC, [SpacePoint(0.9 * k / m) for k in range(m)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"^sequence has {m} points, practical guard is 2000$"):
+            fn(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
