@@ -92,12 +92,24 @@ def ratio(mu):
 
 
 def _proposal_arrays(y, v):
-    """Points (..., m, n) and weights (..., m) of raw vectors y (..., m, 2n) and v (..., m)."""
+    """Points (..., m, n) and weights (..., m) of raw vectors y (..., m, 2n) and v (..., m).
+
+    A row goes to tanh(|y|) y / |y|.  Where |y|^2 is past the double
+    range, y is divided by its largest |entry| before the norm, so the
+    row lands near the sphere, not at the origin.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # a huge step overflows, silently
         v = v - np.mean(v, axis=-1, keepdims=True)
-        radii_raw = np.sqrt(np.sum(y * y, axis=-1))
+        norm_sq = np.sum(y * y, axis=-1)
+        radii_raw = np.sqrt(norm_sq)
         scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
         scaled = y * scale[..., None]
+        huge = np.isinf(norm_sq)
+        if np.any(huge):
+            top = np.max(np.abs(y[huge]), axis=-1, keepdims=True)
+            unit = y[huge] / top
+            norm = np.sqrt(np.sum(unit * unit, axis=-1, keepdims=True))
+            scaled[huge] = np.tanh(top * norm) * (unit / norm)
         return scaled[..., ::2] + 1j * scaled[..., 1::2], np.exp(v)
 
 

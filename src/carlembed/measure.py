@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (
     InputError, NumericError, UnsupportedError, _check_dim, _check_integer, _finite_real,
 )
-from .geometry import DISC, SpacePoint, _norm_sq_rows, _poisson, _szego
+from .geometry import DISC, SpacePoint, _ipow, _norm_sq_rows, _poisson, _szego
 from .numerics import _RuleStream, _row_blocks, _top_eigs, rng_stream
 
 MAX_ATOMS = 2000
@@ -178,41 +178,105 @@ def _check_atom_count(count, what):
         raise InputError(f"{what.format(count)}, practical guard is {MAX_ATOMS}")
 
 
-def _grid_points(space, resolution):
-    """Deterministic interior grid, nested as resolution grows.
+def _grid_levels(space, resolution):
+    """(radii, directions) of each level L = 8, 16, ... up to resolution of the interior grid.
 
-    The grid is a union of levels L = 8, 16, ... up to resolution; each
-    level pairs L Chebyshev-spaced radii in [0, 1 - 1e-4] with 2L uniform
-    angles (disc) or L seeded unit directions (ball).  A level depends
-    only on its own L, so grids at lower resolutions are subsets of
-    grids at higher ones and the scanned supremum is monotone.
+    Level L pairs L Chebyshev-spaced radii in [0, 1 - 1e-4], an (L,)
+    float array, with 2L uniform angles (disc) or L seeded unit
+    directions (ball), a (2L or L, n) complex array; its points are
+    every radius times every direction.  A level depends only on its own
+    L, so grids at lower resolutions are subsets of grids at higher ones
+    and the scanned supremum is monotone.
     """
     resolution = _check_integer("resolution", resolution, 8, MAX_GRID_RESOLUTION)
-    blocks = []
+    levels = []
     level = 8
     while level <= resolution:
         idx = np.arange(level)
         radii = _GRID_RADIUS_CAP * 0.5 * (1.0 + np.cos(np.pi * (2 * idx + 1) / (2 * level)))
         if space.dim == 1:
             angles = 2.0 * np.pi * np.arange(2 * level) / (2 * level)
-            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).reshape(-1, 1)
+            dirs = np.exp(1j * angles)[:, None]
         else:
             rng = rng_stream(_GRID_DIRECTION_SEED, level)
             raw = rng.normal(size=(level, 2 * space.dim))
             dirs = raw[:, ::2] + 1j * raw[:, 1::2]
             dirs /= np.sqrt(_norm_sq_rows(dirs))[:, None]
-            pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, space.dim)
-        blocks.append(pts)
+        levels.append((radii, dirs))
         level *= 2
-    return np.concatenate(blocks, axis=0)
+    return levels
+
+
+def _grid_points(space, resolution):
+    """The points of _grid_levels, level by level, each radius times every direction."""
+    return np.concatenate([
+        (radii[:, None, None] * dirs[None, :, :]).reshape(-1, space.dim)
+        for radii, dirs in _grid_levels(space, resolution)
+    ], axis=0)
+
+
+def _grid_maximum(mu, resolution):
+    """max of -phi over the grid of _grid_levels, NaN if any point's value is.
+
+    A point r u of a level has 1 - <r u, lam_j> = 1 - r g_j with
+    g_j = <u, lam_j>, so g is formed once per numerics._row_blocks block
+    of directions, from real products added over the coordinates in
+    order.  Each chunk of radii (at most _BLOCK_ENTRIES entries, or one
+    radius) then takes q = (1/r - Re g)^2 + (Im g)^2 = |1 - r g|^2 / r^2
+    (every radius is positive) and P = ((1 - r^2) / r^2 / q)^n, which is
+    (1 - |r u|^2)^n / |1 - r g|^(2n) as u is a unit vector.  Every row of
+    P is C-contiguous and summed against w by einsum in one order: no
+    matmul touches a grid value, so a point's value has the same bits in
+    every block and under every BLAS thread count.
+    """
+    lams, w = mu.points_array(), mu.weights_array()
+    m, n = lams.shape
+    lam_re, lam_im = lams.real.T.copy(), lams.imag.T.copy()
+    # Every block of a level takes the chunks of radii sized by its first
+    # (longest) block; one scratch pair fits the largest g block and one
+    # the largest chunk of any level.
+    plans, g_entries, entries = [], 0, 0
+    for radii, dirs in _grid_levels(mu.space, resolution):
+        blocks = _row_blocks(len(dirs), m)
+        block_entries = min(blocks[0].stop, len(dirs)) * m
+        chunks = _row_blocks(len(radii), block_entries)
+        plans.append((radii, dirs, blocks, chunks))
+        g_entries = max(g_entries, block_entries)
+        entries = max(entries, min(chunks[0].stop, len(radii)) * block_entries)
+    g_pair, pair = np.empty((2, g_entries)), np.empty((2, entries))
+    best = -math.inf
+    for radii, dirs, blocks, chunks in plans:
+        for rows in blocks:
+            u_re, u_im = dirs[rows].real, dirs[rows].imag
+            shape = (len(u_re), m)
+            re_g, im_g = g_pair[:, :len(u_re) * m].reshape((2,) + shape)
+            t, s = pair[:, :re_g.size].reshape((2,) + shape)
+            re_g.fill(0.0)
+            im_g.fill(0.0)
+            for k in range(n):
+                # Re g += Re u_k Re lam_k + Im u_k Im lam_k
+                re_g += np.add(np.multiply(u_re[:, k, None], lam_re[k], out=t),
+                               np.multiply(u_im[:, k, None], lam_im[k], out=s), out=t)
+                # Im g += Im u_k Re lam_k - Re u_k Im lam_k
+                im_g += np.subtract(np.multiply(u_im[:, k, None], lam_re[k], out=t),
+                                    np.multiply(u_re[:, k, None], lam_im[k], out=s), out=t)
+            im_sq = np.multiply(im_g, im_g, out=im_g)
+            for chunk in chunks:
+                r = radii[chunk, None, None]
+                q, p = pair[:, :len(r) * re_g.size].reshape((2, len(r)) + shape)
+                np.subtract(1.0 / r, re_g, out=q)
+                np.multiply(q, q, out=q)
+                q += im_sq
+                p = _ipow(np.divide((1.0 - r * r) / (r * r), q, out=p), n, q)
+                best = np.maximum(best, np.max(np.einsum("ij,j->i", p.reshape(-1, m), w)))
+    return float(best)
 
 
 def _support_and_grid_constants(mu, resolution):
     """(c_supp, c_grid): kernel_constant_on_support(mu), and the max of it and -phi on the grid."""
-    grid = _grid_points(mu.space, resolution)
-    phi = _potential_field(mu.points_array(), mu.weights_array(), grid)
+    grid_max = _grid_maximum(mu, resolution)
     c_supp = kernel_constant_on_support(mu)
-    return c_supp, max(c_supp, -float(np.min(phi)))
+    return c_supp, max(c_supp, grid_max)
 
 
 def kernel_constant_grid(mu, resolution):
@@ -251,10 +315,13 @@ def box_constant(mu):
 
     # Scratch for the largest block of centers, reused by every block:
     # ordered holds the weights, then the distances, in distance order.
+    # The complex differences lam - xi, dead once dist is taken, lie in
+    # the memory of ordered and mass: one allocation of 3 float blocks.
     blocks = _row_blocks(len(centers), len(lam))
     size = min(blocks[0].stop, len(centers))
-    diff = np.empty((size, len(lam)), dtype=complex)
-    dist, ordered, mass = np.empty((3, size, len(lam)))
+    scratch = np.empty((3, size, len(lam)))
+    dist, ordered, mass = scratch
+    diff = scratch[1:].reshape(-1).view(complex).reshape(size, len(lam))
     row_starts = len(lam) * np.arange(size)[:, None]
     best = -math.inf
     for rows in blocks:

@@ -77,12 +77,12 @@ def default_quadrature(space):
 
 # Every blocked pass works on row blocks of about this many entries, so
 # no full (rows x columns) matrix is held: the 1 - <z, lam> blocks of
-# measure._kernel_blocks behind every Poisson block (c_supp, the grid
-# scan, uchiyama's atoms and nodes) and every Gram build (the search's
-# stacks included), the box scan, the Hermitian check and the
-# Green's-formula stencil.  A complex block is 1 MiB; of 2^14-2^20,
-# 2^15-2^16 ran the ball(2) green-check and uchiyama passes fastest
-# (fresh processes, 2 vCPUs).
+# measure._kernel_blocks behind every Poisson block (c_supp, uchiyama's
+# atoms and nodes) and every Gram build (the search's stacks included),
+# the grid scan's blocks of directions and chunks of radii, the box
+# scan, the Hermitian check and the Green's-formula stencil.  A complex
+# block is 1 MiB; of 2^14-2^20, 2^15-2^16 ran the ball(2) green-check
+# and uchiyama passes fastest (fresh processes, 2 vCPUs).
 _BLOCK_ENTRIES = 1 << 16
 
 

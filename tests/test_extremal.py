@@ -26,9 +26,16 @@ _STALL_WINDOW = 20
 
 def _oracle_build_measure(space, y, v):
     v = v - np.mean(v)
-    radii_raw = np.sqrt(np.sum(y * y, axis=1))
-    scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
-    scaled = y * scale[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = np.sum(y * y, axis=1)
+        radii_raw = np.sqrt(norm_sq)
+        scale = np.where(radii_raw > 1e-12, np.tanh(radii_raw) / np.maximum(radii_raw, 1e-12), 1.0)
+        scaled = y * scale[:, None]
+        for j in np.flatnonzero(np.isinf(norm_sq)):  # |y|^2 past the double range
+            top = np.max(np.abs(y[j]))
+            unit = y[j] / top
+            norm = np.sqrt(np.sum(unit * unit))
+            scaled[j] = np.tanh(top * norm) * (unit / norm)
     atoms = []
     for row, vj in zip(scaled, v):
         coords = row[::2] + 1j * row[1::2]
@@ -470,6 +477,30 @@ def test_stacked_proposal_past_the_boundary_is_rejected(monkeypatch):
     assert str(errors[0]) == ("an atom has 1 - |z|^2 = 0.000e+00, not above 1e-08; "
                               "kernel values are ill conditioned")
     assert values[1] == ratio(extremal._build_measure(BALL2, y[1], v[1]))
+
+
+def test_proposal_past_the_double_range_lands_near_the_sphere(monkeypatch):
+    # |y|^2 overflows in the first atom of rows 0 and 1, and |y| itself in
+    # row 1.  Such an atom went to the origin; it lands at tanh(|y|) y / |y|,
+    # on the sphere to rounding, and the conditioning screen refuses it.
+    y = np.array([[[1e200, 3e199], [0.3, 0.1]],
+                  [[1e308, -1e308], [0.3, 0.1]],
+                  [[0.2, -0.4], [0.3, 0.1]]])
+    v = np.zeros((3, 2))
+    points, _ = extremal._proposal_arrays(y, v)
+    for row, point in zip(y[:2, 0], points[:2, 0, 0]):
+        unit = row / np.max(np.abs(row))
+        assert point == pytest.approx(complex(*unit) / math.hypot(*unit), rel=1e-15, abs=0.0)
+        assert abs(abs(point) - 1.0) <= 1e-15
+    for i in range(2):  # the oracle's copy of the map refuses them too
+        with pytest.raises(InputError):
+            _oracle_ratio(DISC, y[i], v[i])
+    measures = _measure_path(monkeypatch)
+    values, errors = extremal._ratios(DISC, y, v)
+    assert measures == [] and sorted(errors) == [0, 1]
+    assert all(isinstance(exc, InputError) and "ill conditioned" in str(exc)
+               for exc in errors.values())
+    assert values[2] == ratio(extremal._build_measure(DISC, y[2], v[2]))
 
 
 @pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])

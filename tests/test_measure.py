@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from carlembed import calculus, extremal, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint, _norm_sq_rows, _poisson
+from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson
 from carlembed.measure import (
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
+    _grid_levels,
+    _grid_maximum,
     _grid_points,
     _poisson_blocks,
     _potential_field,
@@ -162,6 +165,63 @@ def test_kernel_constant_grid_matches_unblocked_scan():
         assert kernel_constant_grid(mu, 64) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2), Space.ball(3)],
+                         ids=["disc", "ball2", "ball3"])
+def test_grid_maximum_is_block_independent_and_monotone(space, monkeypatch):
+    # No matmul touches a grid value, so the grid maximum has the same
+    # bits at every block size and, in CI's one-BLAS-thread step, at every
+    # thread count.  c_supp is still a gemv scan whose last bit can follow
+    # the blocks (ball(3), 777 atoms: two values over these four sizes),
+    # so c_grid is the block-independent grid maximum wherever that wins.
+    for count in (1, 7, 100, 777):
+        mu = _random_measure(space, count, 0.95, 3300 + count)
+        grid_max = set()
+        for log_entries in (10, 13, 16, 20):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << log_entries)
+            value = _grid_maximum(mu, 64)
+            grid_max.add(value)
+            assert kernel_constant_grid(mu, 64) == max(kernel_constant_on_support(mu), value)
+        assert len(grid_max) == 1
+        monkeypatch.undo()
+        scan = [kernel_constant_grid(mu, res) for res in (8, 16, 32, 64, 256)]
+        assert scan == sorted(scan)
+
+
+def _exact_minus_phi(mu, r, u):
+    """-phi(r u) as a Fraction, from the doubles of r, of u and of the atoms and weights of mu."""
+    n = mu.space.dim
+    z = [(Fraction(r) * Fraction(c.real), Fraction(r) * Fraction(c.imag)) for c in u]
+    num = (1 - sum(x * x + y * y for x, y in z)) ** n
+    total = Fraction(0)
+    for lam, w in zip(mu.points_array(), mu.weights_array()):
+        re = im = Fraction(0)  # of <z, lam>
+        for (x, y), c in zip(z, lam):
+            a, b = Fraction(c.real), Fraction(c.imag)
+            re += x * a + y * b
+            im += y * a - x * b
+        total += Fraction(w) * num / ((1 - re) ** 2 + im * im) ** n
+    return total
+
+
+@pytest.mark.parametrize("space", [Space.disc(), Space.ball(2)], ids=["disc", "ball2"])
+def test_grid_maximum_matches_the_exact_rational_maximum(space):
+    # 3 atoms out to |lam| = 0.999 at resolution 8: 128 disc or 64 ball(2)
+    # points, each point's -phi exact at z = r u from the scan's doubles
+    rng = rng_stream(3400, space.dim)
+    atoms = []
+    for modulus in (0.6, 0.95, 0.999):
+        raw = rng.normal(size=2 * space.dim)
+        u = (raw[::2] + 1j * raw[1::2]) / math.sqrt(float(np.sum(raw * raw)))
+        atoms.append((modulus * u, 0.5 + rng.random()))
+    mu = DiscreteMeasure(space, atoms)
+    levels = _grid_levels(space, 8)
+    assert sum(len(radii) * len(dirs) for radii, dirs in levels) == 128 // space.dim
+    exact = max(_exact_minus_phi(mu, r, u) for radii, dirs in levels for r in radii for u in dirs)
+    assert _grid_maximum(mu, 8) == pytest.approx(float(exact), rel=1e-13)
+    on_support = max(_exact_minus_phi(mu, 1.0, lam) for lam in mu.points_array())
+    assert kernel_constant_grid(mu, 8) == pytest.approx(float(max(exact, on_support)), rel=1e-13)
+
+
 def _box_constant_loop(mu, directions=64):
     """Per-radius double loop over the center grid: the oracle for box_constant."""
     lam = mu.points_array()[:, 0]
@@ -233,6 +293,11 @@ def _support_constant_oracle(mu):
 
 
 def _grid_constant_oracle(mu, resolution):
+    """c_grid from gemv row blocks of the dense Poisson matrix of the grid points and the atoms.
+
+    The scan of the grid before measure._grid_maximum: c_grid now equals
+    it within 1e-13 relative, and _grid_level_oracle bit for bit.
+    """
     pts = mu.points_array()
     w = mu.weights_array()
     grid = np.concatenate([_grid_points(mu.space, resolution), pts], axis=0)
@@ -240,6 +305,36 @@ def _grid_constant_oracle(mu, resolution):
         np.max(dense_poisson(grid[rows], pts, mu.space.dim) @ w)
         for rows in _row_blocks(len(grid), len(pts))
     ]))
+
+
+def _grid_level_oracle(mu, resolution):
+    """max of -phi over the grid, each point r u of _grid_levels on its own dense row.
+
+    The formula of measure._grid_maximum, point by point: g = <u, lam_j>
+    from real products summed over the coordinates in order,
+    q = (1/r - Re g)^2 + (Im g)^2 = |1 - r g|^2 / r^2 and
+    P = ((1 - r^2) / r^2 / q)^n, each row summed against w by einsum;
+    rows of 1024 points at a time keep the memory small.
+    """
+    lams, w = mu.points_array(), mu.weights_array()
+    n = lams.shape[1]
+    levels = _grid_levels(mu.space, resolution)
+    r = np.concatenate([np.repeat(radii, len(dirs)) for radii, dirs in levels])[:, None]
+    u = np.concatenate([np.tile(dirs, (len(radii), 1)) for radii, dirs in levels])
+    best = -math.inf
+    for start in range(0, len(r), 1024):
+        rr, uu = r[start:start + 1024], u[start:start + 1024]
+        re = im = 0.0
+        for k in range(n):
+            ur, ui = uu[:, k, None].real, uu[:, k, None].imag
+            lr, li = lams[:, k].real, lams[:, k].imag
+            re = re + (ur * lr + ui * li)
+            im = im + (ui * lr - ur * li)
+        t = 1.0 / rr - re
+        q = t * t + im * im
+        p = _ipow((1.0 - rr * rr) / (rr * rr) / q, n)
+        best = np.maximum(best, np.max(np.einsum("ij,j->i", p, w)))
+    return float(best)
 
 
 def _embedding_norm_sq_oracle(mu):
@@ -265,8 +360,11 @@ def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
         assert len(_row_blocks(len(grid), len(mu))) >= 3
         phi = _potential_field(mu.points_array(), mu.weights_array(), grid)
         assert np.array_equal(phi, _potential_field_oracle(mu, grid))
-        assert kernel_constant_on_support(mu) == _support_constant_oracle(mu)
-        assert kernel_constant_grid(mu, 32) == _grid_constant_oracle(mu, 32)
+        c_supp = _support_constant_oracle(mu)
+        assert kernel_constant_on_support(mu) == c_supp
+        c_grid = kernel_constant_grid(mu, 32)
+        assert c_grid == max(c_supp, _grid_level_oracle(mu, 32))
+        assert c_grid == pytest.approx(_grid_constant_oracle(mu, 32), rel=1e-13)
         f = random_poly(rng, mu.space.dim, 3)
         assert uchiyama_checks(mu, f, q) == _uchiyama_oracle(mu, f, q)
         want = _embedding_norm_sq_oracle(mu)
@@ -408,7 +506,10 @@ def test_scratch_scans_equal_fresh_block_scans(space, count, resolution, shape):
         "atoms straddle two blocks": sum(b.stop > rows for b in appended) == 2,
     }[shape]
     c_supp, c_grid = _support_and_grid_constants(mu, resolution)
-    assert (c_supp, c_grid) == _fresh_block_scan_oracle(mu, resolution)
+    want_supp, want_grid = _fresh_block_scan_oracle(mu, resolution)
+    assert c_supp == want_supp
+    assert c_grid == max(want_supp, _grid_level_oracle(mu, resolution))
+    assert c_grid == pytest.approx(want_grid, rel=1e-13)
     assert kernel_constant_grid(mu, resolution) == c_grid
     if space.dim == 1:
         assert box_constant(mu) == _fresh_block_box_oracle(mu)
@@ -750,5 +851,6 @@ def test_analyze_constants_from_one_scan_equal_separate_scans(space, resolution,
         rep = analyze(mu, res)
         assert rep.c_supp == kernel_constant_on_support(mu)
         assert rep.ratio == extremal.ratio(mu)
-        assert rep.c_grid == _grid_constant_oracle(mu, res)
+        assert rep.c_grid == max(rep.c_supp, _grid_level_oracle(mu, res))
+        assert rep.c_grid == pytest.approx(_grid_constant_oracle(mu, res), rel=1e-13)
         assert rep.c_grid == kernel_constant_grid(mu, res)
