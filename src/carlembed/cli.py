@@ -82,6 +82,10 @@ def load_json(path):
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def space_from_dict(data):

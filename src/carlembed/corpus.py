@@ -8,8 +8,6 @@ numpy Generator, usually from numerics.rng_stream.
 import itertools
 import math
 
-import numpy as np
-
 from .calculus import MultiPoly
 from .geometry import SpacePoint
 from .measure import DiscreteMeasure
@@ -19,7 +17,7 @@ def random_point(rng, dim, rmax):
     """Uniform direction, uniform radius in [0, rmax)."""
     raw = rng.normal(size=2 * dim)
     vec = raw[::2] + 1j * raw[1::2]
-    vec /= math.sqrt(float(np.sum((vec * vec.conj()).real)))
+    vec /= math.sqrt(sum((vec * vec.conj()).real.tolist()))
     return SpacePoint(vec * (rmax * rng.random()))
 
 

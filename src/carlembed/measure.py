@@ -341,27 +341,27 @@ def _weighted_gram(points, root_w):
     """M[..., j, k] = r_j r_k K(lam_j, lam_k) for atoms lam_j (rows of points), r = root_w.
 
     points may be one (m, n) array or a stack (..., m, n) with root_w (..., m).
-    M is the only array of its size: each row block of the kernel is
-    written into it from the d = 1 - <lam_j, lam_k> of _kernel_blocks,
-    then weighted in place.  The zgemm blocks are not Hermitian to the
-    bit at every order, so the upper triangle is kept and the strict
-    lower triangle overwritten, row block by row block, with its
-    conjugate mirror, and the diagonal's imaginary part set to zero:
-    every M equals its conjugate transpose exactly, as K(z, w) =
-    conj K(w, z) does.
+    M is the only array of its size, built in one pass over the row
+    blocks of _kernel_blocks.  The zgemm blocks are not Hermitian to the
+    bit at every order, so only the upper part is kernel: row block
+    [r0, r1) takes K from d[..., r0:] and is weighted in place; left of
+    column r0 it takes the conjugate mirror of the columns the earlier
+    blocks built, and below the diagonal of its square the mirror of the
+    square's upper triangle.  With the diagonal's imaginary part set to
+    zero, every M equals its conjugate transpose exactly, as K(z, w) =
+    conj K(w, z) does.  The zgemm still forms whole rows of d: narrowed
+    to columns r0:, its product rounds otherwise.
     """
     m = np.empty(points.shape[:-1] + points.shape[-2:-1], dtype=complex)
     for rows, _, d, _ in _kernel_blocks(points, points):
-        block = _szego(d, points.shape[-1], m[..., rows, :])
-        block *= root_w[..., rows, None] * root_w[..., None, :]
-    k = m.shape[-1]
-    for rows in _row_blocks(k, m.size // k):
         r0 = rows.start
+        block = _szego(d[..., r0:], points.shape[-1], m[..., rows, r0:])
+        block *= root_w[..., rows, None] * root_w[..., None, r0:]
         np.conjugate(m[..., :r0, rows].swapaxes(-1, -2), out=m[..., rows, :r0])
         square = m[..., rows, rows]
         below = np.tri(square.shape[-1], k=-1, dtype=bool)
         np.copyto(square, np.conjugate(square.swapaxes(-1, -2)), where=below)
-    m.imag.reshape(m.shape[:-2] + (-1,))[..., :: k + 1] = 0.0
+    m.imag.reshape(m.shape[:-2] + (-1,))[..., :: m.shape[-1] + 1] = 0.0
     return m
 
 

@@ -93,32 +93,29 @@ def _row_blocks(rows, cols):
 
 
 def _hermitian_deviation(a):
-    """The deviation test over the last two axes of a: (deviation, scale, fails).
+    """The deviation test of a square matrix a: (deviation, scale, fails).
 
-    deviation is max |a - a^H| and scale max |a| per matrix; a matrix
-    fails when its deviation exceeds 1e-12 * scale, or when scale is NaN
-    or inf: an entry is non-finite, or its modulus overflows.  |a - a^H| is the same
+    deviation is max |a - a^H| and scale max |a|; a fails when its
+    deviation exceeds 1e-12 * scale, or when scale is NaN or inf: an
+    entry is non-finite, or its modulus overflows.  |a - a^H| is the same
     on both sides of the diagonal, so row block [r0, r1) compares only
-    a[r0:r1, r0:] with a[r0:, r0:r1]^H, in scratch of one block; a stack
-    or a matrix of one block takes one pass.  The block maxima combine
-    by np.maximum, which keeps a NaN (Python's max drops it).
+    a[r0:r1, r0:] with a[r0:, r0:r1]^H, in scratch of one block.  The
+    block maxima combine by np.maximum, which keeps a NaN (Python's max
+    drops it).
     """
-    k = a.shape[-1]
-    blocks = _row_blocks(k, a.size // k)
-    shape = a.shape[:-2] + (min(blocks[0].stop, k), k)
+    k = len(a)
+    blocks = _row_blocks(k, k)
+    shape = (min(blocks[0].stop, k), k)
     diff, mag = np.empty(shape, dtype=complex), np.empty(shape)
-    deviations, scales = [], []
+    deviation = scale = -np.inf
     for rows in blocks:
         r0 = rows.start
         h = min(rows.stop, k) - r0
-        d = np.conjugate(a[..., r0:, rows].swapaxes(-1, -2), out=diff[..., :h, r0:])
-        dev = np.abs(np.subtract(a[..., rows, r0:], d, out=d), out=mag[..., :h, r0:])
-        deviations.append(np.maximum.reduce(dev, axis=(-2, -1)))
-        size = np.abs(a[..., rows, :], out=mag[..., :h, :])
-        scales.append(np.maximum.reduce(size, axis=(-2, -1)))
-    deviation = functools.reduce(np.maximum, deviations)
-    scale = functools.reduce(np.maximum, scales)
-    fails = ~np.isfinite(scale) | (deviation > 1e-12 * np.maximum(scale, 1e-300))
+        d = np.conjugate(a[r0:, rows].T, out=diff[:h, r0:])
+        dev = np.abs(np.subtract(a[rows, r0:], d, out=d), out=mag[:h, r0:])
+        deviation = np.maximum(deviation, dev.max())
+        scale = np.maximum(scale, np.abs(a[rows], out=mag[:h]).max())
+    fails = not np.isfinite(scale) or deviation > 1e-12 * np.maximum(scale, 1e-300)
     return deviation, scale, fails
 
 

@@ -535,6 +535,12 @@ _DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
                  "input error: terms[0]: re and im must be numbers", id="coeff-overflow"),
     pytest.param("uchiyama", {"dim": 1, "terms": [{"alpha": [0], "re": math.inf}]}, 2,
                  "input error: terms[0]: re and im must be finite", id="coeff-infinite"),
+    *[pytest.param(command, raw, 2, "input error: {path}: " + reason, id=f"{command}-{kind}")
+      for command in ("analyze", "interpolate", "uchiyama")
+      for kind, raw, reason in [
+          ("not-utf8", b'{"x": "\xff\xfe"}', "not UTF-8 text: invalid start byte at byte 7"),
+          ("nested-100000", b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to read"),
+      ]],
     pytest.param("verify-identities --fd-step 0", None, 1,
                  "usage error: --fd-step must be positive", id="fd-step-zero"),
     pytest.param("verify-identities --tol 0", None, 1, "usage error: --tol must be positive",
@@ -546,14 +552,14 @@ _DISC_ATOMS = [{"point": [0.5, 0.0], "weight": 1.0}]
 def test_malformed_input_exits_with_one_line_message(command, data, rc, message, tmp_path,
                                                      capsys):
     # the JSON module writes 10 ** 399 as 400 digits and math.inf as
-    # Infinity, which json.load reads back
-    argv = command.split()
+    # Infinity, which json.load reads back; bytes are the file itself
+    argv, path = command.split(), tmp_path / "data.json"
     if data is not None:
-        path = write(tmp_path, "data.json", data)
-        argv = (["uchiyama", write(tmp_path, "pair.json", PAIR), "--poly", path]
-                if command == "uchiyama" else [command, path])
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+        argv = (["uchiyama", write(tmp_path, "pair.json", PAIR), "--poly", str(path)]
+                if command == "uchiyama" else [command, str(path)])
     assert cli.main(argv) == rc
-    assert capsys.readouterr() == ("", message + "\n")
+    assert capsys.readouterr() == ("", message.format(path=path) + "\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "interpolate", "uchiyama"])

@@ -20,6 +20,19 @@ from carlembed.measure import _poisson_blocks, _weighted_gram
 from carlembed.numerics import rng_stream
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_point_draws_equal_the_numpy_sum_formula(dim):
+    # random_point once normalized by float(np.sum(...)) of the squared
+    # moduli; below 8 terms numpy adds them in order, as Python's sum does
+    rng, old = rng_stream(2727, dim), rng_stream(2727, dim)
+    for _ in range(2000):
+        raw = old.normal(size=2 * dim)
+        vec = raw[::2] + 1j * raw[1::2]
+        vec /= math.sqrt(float(np.sum((vec * vec.conj()).real)))
+        want = SpacePoint(vec * (0.95 * old.random()))
+        assert random_point(rng, dim, 0.95).as_array().tobytes() == want.as_array().tobytes()
+
+
 def test_space_constructors():
     d = Space.disc()
     assert d.kind == "disc" and d.dim == 1

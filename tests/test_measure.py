@@ -9,7 +9,7 @@ from carlembed import calculus, extremal, measure, numerics
 from carlembed.calculus import MultiPoly, beta_constant, hardy_norm_sq, uchiyama_checks
 from carlembed.corpus import random_point, random_poly
 from carlembed.errors import InputError, UnsupportedError
-from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson
+from carlembed.geometry import Space, SpacePoint, _ipow, _norm_sq_rows, _poisson, _szego
 from carlembed.measure import (
     MAX_GRID_RESOLUTION,
     DiscreteMeasure,
@@ -586,6 +586,64 @@ def test_weighted_gram_is_hermitian_to_the_bit(dim, order):
     points = raw * (radii / np.sqrt(_norm_sq_rows(raw)))[..., None]
     root_w = np.sqrt(np.exp(rng.normal(0.0, 0.5, size=shape)))
     _assert_gram_is_the_mirrored_oracle(_weighted_gram(points, root_w), points, root_w)
+
+
+# _weighted_gram before it built M in one pass: the kernel and weights on
+# every entry of each row block of _kernel_blocks, then a second walk
+# over the row blocks that overwrote the strict lower triangle with its
+# conjugate mirror.
+
+
+def _two_pass_gram(points, root_w):
+    m = np.empty(points.shape[:-1] + points.shape[-2:-1], dtype=complex)
+    for rows, _, d, _ in measure._kernel_blocks(points, points):
+        block = _szego(d, points.shape[-1], m[..., rows, :])
+        block *= root_w[..., rows, None] * root_w[..., None, :]
+    k = m.shape[-1]
+    for rows in _row_blocks(k, m.size // k):
+        r0 = rows.start
+        np.conjugate(m[..., :r0, rows].swapaxes(-1, -2), out=m[..., rows, :r0])
+        square = m[..., rows, rows]
+        below = np.tri(square.shape[-1], k=-1, dtype=bool)
+        np.copyto(square, np.conjugate(square.swapaxes(-1, -2)), where=below)
+    m.imag.reshape(m.shape[:-2] + (-1,))[..., :: k + 1] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("block_entries", [2 ** 10, 2 ** 13, 2 ** 16, 2 ** 20])
+@pytest.mark.parametrize("shape", [
+    (1,), (2,), (256,), (257,), (571,), (1999,), (2000,), (64, 8), (4, 8), (3, 257),
+], ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_pass_gram_equals_two_pass_gram(dim, shape, block_entries, monkeypatch):
+    # At 2^16 entries 571 atoms end in a one-row block and 257 in a
+    # two-row one; at 2^10 every block is one row.  Stacks are the
+    # search's (r, m, m).
+    rng = rng_stream(3434, 10 * shape[-1] + dim)
+    points = _random_points(rng, shape, dim)
+    root_w = np.sqrt(0.1 + rng.random(shape))
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
+    order, stack = shape[-1], math.prod(shape[:-1])
+    starts, evaluated = [], []
+
+    def counted_szego(d, n, out):
+        # out is a view of M whose first entry opens its block's diagonal square
+        first = (out.ctypes.data - out.base.ctypes.data) // out.itemsize
+        *_, row, col = np.unravel_index(first, out.base.shape)
+        assert row == col and out.shape[-1] == order - row
+        starts.append(row)
+        evaluated.append(out.size)
+        return _szego(d, n, out)
+
+    monkeypatch.setattr(measure, "_szego", counted_szego)
+    got = _weighted_gram(points, root_w)
+    assert got.tobytes() == _two_pass_gram(points, root_w).tobytes()
+    blocks = _row_blocks(order, math.prod(shape))
+    assert starts == [rows.start for rows in blocks]
+    # the upper triangle with the diagonal, and the strict lower triangle of each square
+    heights = [min(rows.stop, order) - rows.start for rows in blocks]
+    squares = sum(h * (h - 1) // 2 for h in heights)
+    assert sum(evaluated) == stack * (order * (order + 1) // 2 + squares)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -442,10 +442,6 @@ def test_blocked_hermitian_deviation_equals_dense(block_entries, monkeypatch):
         assert all(np.array_equal(x, y) for x, y in zip(got, _dense_hermitian_deviation(m)))
         fails.append(bool(got[2]))
     assert fails == [False] * 4 + [True] * 4
-    # a stack takes one pass, or blocks of whole rows of every matrix
-    stack = np.stack(matrices)
-    got = _hermitian_deviation(stack)
-    assert all(np.array_equal(x, y) for x, y in zip(got, _dense_hermitian_deviation(stack)))
 
 
 # inf - inf in a - a^H is numpy's "invalid value" warning, before the InputError
@@ -462,10 +458,6 @@ def test_hermitian_check_refuses_non_finite_entries(bad):
     b[2, 2] = bad
     with pytest.raises(InputError, match=r" 1 non-finite entries, a\[2, 2\] = "):
         HermitianMatrix(b)
-    # in a stack only the matrix that holds it fails
-    stack = np.stack([np.eye(2), a, 2.0 * np.eye(2)]).astype(complex)
-    deviation, scale, fails = _hermitian_deviation(stack)
-    assert fails.tolist() == [False, True, False]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
