@@ -8,11 +8,14 @@ test functions, and the beta-integral constant (n!)^2 / (2n)!.
 
 The contraction, the bounded-potential corollary and the key inequality
 at every atom integrate against the same rule, potential phi and test
-function f.  uchiyama_checks computes them in one loop over row blocks
-of the rule, evaluating |f|^2 (nested Horner), |z|^2, the node-by-atom
-|1 - <z, lam_j>|^2 and from it phi, e^phi, the density and the
-node-by-atom kernel once per node; uchiyama_embedding_check,
-corollary_check and key_inequality_check are views of that pass.
+function f.  uchiyama_checks computes them in one loop over blocks of
+the rule's factors (whole radial x moduli rows, or ranges of one row's
+torus nodes): f from matrix products of the rows' monomials and the
+torus phase powers; |z|^2, the Green factor and (1 - |z|^2)^n once per
+row; the node-by-atom |1 - <z, lam_j>|^2 and from it phi, e^phi, the
+density and the node-by-atom kernel once per node.
+uchiyama_embedding_check, corollary_check and key_inequality_check are
+views of that pass.
 
 Function arguments named ``u`` or ``f`` follow two conventions.  The
 pointwise stencil ops (laplacian_fd, invariant_laplacian_fd) take a
@@ -31,11 +34,12 @@ from .errors import (
     _finite_real,
 )
 from .geometry import (
-    BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, poisson_kernel,
+    BALL, DISC, Space, SpacePoint, _denominator, _ipow, _norm_sq_rows, _poisson, poisson_kernel,
 )
 from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
 from .numerics import (
-    QuadratureSpec, _interior_stream, _row_blocks, boundary_quadrature, default_quadrature,
+    QuadratureSpec, _fill_nodes, _interior_stream, _row_blocks, _rule_factors,
+    boundary_quadrature, default_quadrature,
 )
 
 __all__ = [
@@ -474,15 +478,111 @@ def uchiyama_density(mu, z):
     return float(np.exp(phi)[0] * density[0])
 
 
+def _factor_blocks(factors, atoms):
+    """The blocks (rows, t0, t1) of the rule of factors, torus nodes [t0, t1) of factor rows rows.
+
+    A block is whole factor rows, as many as fit their node-by-atom
+    entries in _BLOCK_ENTRIES (at least one); when one row's entries do
+    not fit, each row's torus nodes split into even ranges that do, so
+    no range is a single node (numpy takes a one-row product through
+    gemv, which rounds otherwise than gemm) unless a block holds only
+    one.  No block is longer than the first.
+    """
+    moduli, _, phases = factors
+    per_row = phases.shape[1] // moduli.shape[1]
+    parts = len(_row_blocks(per_row, atoms))
+    if parts == 1:
+        for rows in _row_blocks(len(moduli), per_row * atoms):
+            yield slice(rows.start, min(rows.stop, len(moduli))), 0, per_row
+        return
+    cuts = [-(-per_row * i // parts) for i in range(parts + 1)]
+    for k in range(len(moduli)):
+        for t0, t1 in zip(cuts, cuts[1:]):
+            yield slice(k, k + 1), t0, t1
+
+
+def _block_nodes(block, per_row):
+    """(start, stop) of a block of _factor_blocks in the node order of the whole rule."""
+    rows, t0, t1 = block
+    return rows.start * per_row + t0, (rows.stop - 1) * per_row + t1
+
+
+def _poly_blocks(f, factors, atoms):
+    """(block, f at its nodes) for each block of _factor_blocks(factors, atoms).
+
+    The values are scratch held until the next block.  A node is
+    z_j = r_j e^{i p_j}, the moduli r of its factor row times the phases
+    of its torus angles p (numerics._rule_factors), so
+    f(z) = sum_alpha (c_alpha r^alpha) prod_j e^{i alpha_j p_j}.  Per
+    block, the coefficients times the rows' monomials, a (rows, A_1, ...,
+    A_n) array with A_j - 1 the degree of f in z_j, are contracted with
+    the phase powers e^{i a p} of one coordinate at a time, the last
+    first, each one matrix product; the first coordinate takes only the
+    angles the block's torus range reaches.  No array grows like terms x
+    torus nodes.  The powers of the moduli and of the phases are built
+    once per pass by repeated multiplication (cumprod).
+    """
+    moduli, _, phases = factors
+    count, n = moduli.shape
+    per_row = phases.shape[1] // n
+    m = round(per_row ** (1.0 / n))
+    shape = tuple(1 + max((alpha[j] for alpha in f.terms), default=0) for j in range(n))
+    top = max(shape)
+    box = np.zeros(shape, dtype=complex)
+    for alpha, coeff in f.terms.items():
+        box[alpha] = coeff
+    # the phases of the last coordinate's m angles head its row of phases
+    powers = np.empty((m, top), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = phases[n - 1, n - 1::n][:m, None]
+    np.cumprod(powers, axis=1, out=powers)
+    radii = np.empty((count, n, top))
+    radii[..., 0] = 1.0
+    radii[..., 1:] = moduli.real[..., None]
+    np.cumprod(radii, axis=2, out=radii)
+    # scratch: the coefficient block, then the product over each coordinate
+    first, _, _ = next(_factor_blocks(factors, atoms))
+    rows_max = first.stop - first.start
+    sizes = [rows_max * math.prod(shape)]
+    sizes += [rows_max * math.prod(shape[:j]) * m ** (n - j) for j in reversed(range(n))]
+    scratch = [np.empty(size, dtype=complex) for size in sizes]
+    for block in _factor_blocks(factors, atoms):
+        rows, t0, t1 = block
+        k = rows.stop - rows.start
+        x = scratch[0][:k * box.size].reshape((k,) + shape)
+        x[...] = box
+        for j in range(n):
+            # the rows' powers of |z_j|, along axis j + 1
+            x *= radii[rows, j, :shape[j]].reshape((k,) + (1,) * j + (-1,) + (1,) * (n - 1 - j))
+        span = 1  # torus angles of the coordinates after j, as one axis
+        for step, j in enumerate(reversed(range(n)), 1):
+            lo, hi = (t0 // span, -(-t1 // span)) if j == 0 else (0, m)
+            out = scratch[step][:x.size // shape[j] * (hi - lo)]
+            if span == 1:
+                x = np.matmul(x.reshape(-1, shape[j]), powers[lo:hi, :shape[j]].T,
+                              out=out.reshape(-1, hi - lo))
+            else:
+                x = np.matmul(powers[lo:hi, :shape[j]], x.reshape(-1, shape[j], span),
+                              out=out.reshape(-1, hi - lo, span))
+            span *= hi - lo
+        offset = t0 - lo * (span // (hi - lo))
+        yield block, x.reshape(-1)[offset:offset + k * (t1 - t0)]
+
+
 def uchiyama_checks(mu, f, q=None):
     """The contraction, the corollary and every key inequality in one pass.
 
     Returns ((integral, ||f||^2), (integral, e ||phi||_inf ||f||^2),
     [(lhs, rhs) per atom]), as uchiyama_embedding_check, corollary_check
-    and key_inequality_check return them.  One loop over row blocks of
-    the rule computes |f|^2, phi, e^phi, the density and the node-by-atom
-    kernel once per node and feeds all three checks.  Any non-finite
-    integral or lhs raises NumericError.
+    and key_inequality_check return them.  One loop over the blocks of
+    _factor_blocks feeds all three checks.  |z|^2, the density's Green
+    factor, (1 - |z|^2)^n and the weights are taken once per factor row,
+    f from _poly_blocks; from the filled nodes the node-by-atom
+    |1 - <z, lam_j>|^2 gives the Poisson block and the atom kernel, each
+    node's phi is the sum of its Poisson row in one fixed order
+    (einsum), and e^phi and the density follow once per node.  Every
+    block array lives in scratch allocated once per pass.  Any
+    non-finite integral or lhs raises NumericError.
     """
     _check_dim("polynomial", f.dim, "space", mu.space.dim)
     _check_atom_count(len(mu), "measure has {} atoms")
@@ -493,27 +593,55 @@ def uchiyama_checks(mu, f, q=None):
     degree = max(map(sum, f.terms), default=0)
     if degree >= q.angular_order:
         raise InputError(f"polynomial degree {degree} is not below angular order {q.angular_order}")
-    n = mu.space.dim
-    rule = _interior_stream(q, n)
+    n, m = mu.space.dim, len(mu)
+    factors = _rule_factors(n, q.angular_order, q.sphere_nodes, q.radial_order)
+    moduli, row_weights, phases = factors
+    per_row = phases.shape[1] // n
     lams, wts, mass = mu.points_array(), mu.weights_array(), _atom_mass(mu)
+    lams_h = lams.conj().T
     contraction = corollary = 0.0
     phi_atoms = _potential_field(lams, wts, lams)
     phi_sup = float(np.max(-phi_atoms))
-    key = np.zeros(len(mu))
-    # phi (as measure._potential_field) and the atom matrix share d_sq.
-    a_scratch = None
-    for rows, zs, nrm, d_sq, p in _poisson_blocks(rule, lams):
-        if a_scratch is None:
-            a_scratch = np.empty(d_sq.shape)
-        w_f = rule.weigh(rows, np.abs(f.eval_array(zs)) ** 2)
-        phi = -(p @ wts)
-        w_f_e = w_f * np.exp(phi)
-        a = _atom_matrix(d_sq, n, a_scratch[:len(d_sq)])
-        density = _density_field(n, nrm, a @ mass)
-        contraction += float(np.sum(w_f_e * density))
-        corollary += float(np.sum(w_f * density))
-        phi_sup = max(phi_sup, float(np.max(-phi)))
-        key += (w_f_e * (1.0 - nrm) ** n) @ a
+    key = np.zeros(m)
+    # per factor row: |z|^2 (the moduli have zero imaginary parts), the
+    # density's Green factor and the key kernel's (1 - |z|^2)^n
+    nrm = _norm_sq_rows(moduli)
+    green = _density_field(n, nrm, 1.0)
+    damping = (1.0 - nrm) ** n
+    rows, t0, t1 = next(_factor_blocks(factors, m))
+    size = (rows.stop - rows.start) * (t1 - t0)
+    zs = np.empty((size, n), dtype=complex)
+    # d, then |d|^2 in its real part; the spare's memory holds P and the atom kernel
+    d_pair = np.empty((2, size, m), dtype=complex)
+    vec = np.empty((3, size))
+    for block, f_z in _poly_blocks(f, factors, m):
+        (rows, t0, t1), (start, stop) = block, _block_nodes(block, per_row)
+        count, shape = stop - start, (rows.stop - rows.start, t1 - t0)
+        z = zs[:count]
+        _fill_nodes(factors, start, stop, points=z)
+        d, spare = d_pair[:, :count]
+        np.subtract(1.0, np.matmul(z, lams_h, out=d), out=d)
+        d_sq = np.multiply(d, np.conjugate(d, out=spare), out=d).real
+        p, a = spare.reshape(-1).view(float).reshape(2, count, m)
+        _poisson(d_sq.reshape(shape + (m,)), nrm[rows, None, None], n, p.reshape(shape + (m,)))
+        _atom_matrix(d_sq, n, a)
+        e_phi, w_f, density = vec[:, :count]
+        # -phi: each Poisson row summed in one order, whatever the block
+        np.einsum("ij,j->i", p, wts, out=e_phi)
+        phi_sup = max(phi_sup, float(np.max(e_phi)))
+        np.exp(np.negative(e_phi, out=e_phi), out=e_phi)
+        np.multiply(f_z.real, f_z.real, out=w_f)
+        w_f += np.multiply(f_z.imag, f_z.imag, out=density)
+        by_row = w_f.reshape(shape)
+        np.multiply(by_row, row_weights[rows, None], out=by_row)
+        w_f_e = np.multiply(e_phi, w_f, out=e_phi)
+        by_row = np.matmul(a, mass, out=density).reshape(shape)
+        np.multiply(by_row, green[rows, None], out=by_row)
+        corollary += float(np.sum(np.multiply(w_f, density, out=w_f)))
+        contraction += float(np.sum(np.multiply(w_f_e, density, out=density)))
+        by_row = w_f_e.reshape(shape)
+        np.multiply(by_row, damping[rows, None], out=by_row)
+        key += w_f_e @ a
 
     prefactor, constant = math.factorial(n) / math.pi ** n, beta_constant(n)
     norm_sq = hardy_norm_sq(f, mu.space)

@@ -13,7 +13,6 @@ import numpy as np
 from carlembed import calculus
 from carlembed.corpus import random_measure, random_point, random_poly
 from carlembed.geometry import DISC, Space, _ipow, _norm_sq_rows
-from carlembed.measure import _poisson_blocks, _potential_field
 from carlembed.numerics import (
     _row_blocks, ball_rule, boundary_quadrature, default_quadrature, rng_stream,
 )
@@ -40,39 +39,10 @@ def dense_szego(zs, ws, n):
     return 1.0 / _ipow(1.0 - zs @ ws.conj().swapaxes(-1, -2), n)
 
 
-# The two quadrature passes as they read the whole rule from the cached
-# accessor, before the rule was streamed block by block: the oracles of
-# calculus.uchiyama_checks and calculus.greens_formula_check, which must
-# equal them bit for bit.  Argument checks are left to the library.
-
-
-def full_rule_uchiyama_checks(mu, f, q=None):
-    """calculus.uchiyama_checks over the fully built ball_rule."""
-    if q is None:
-        q = default_quadrature(mu.space)
-    n = mu.space.dim
-    points, weights = ball_rule(q, n)
-    lams, wts, mass = mu.points_array(), mu.weights_array(), calculus._atom_mass(mu)
-    contraction = corollary = 0.0
-    phi_atoms = _potential_field(lams, wts, lams)
-    phi_sup = float(np.max(-phi_atoms))
-    key = np.zeros(len(mu))
-    for rows, _, nrm, d_sq, p in _poisson_blocks(points, lams):
-        w_f = weights[rows] * np.abs(f.eval_array(points[rows])) ** 2
-        phi = -(p @ wts)
-        w_f_e = w_f * np.exp(phi)
-        a = calculus._atom_matrix(d_sq, n)
-        density = calculus._density_field(n, nrm, a @ mass)
-        contraction += float(np.sum(w_f_e * density))
-        corollary += float(np.sum(w_f * density))
-        phi_sup = max(phi_sup, float(np.max(-phi)))
-        key += (w_f_e * (1.0 - nrm) ** n) @ a
-    prefactor, constant = math.factorial(n) / math.pi ** n, calculus.beta_constant(n)
-    norm_sq = calculus.hardy_norm_sq(f, mu.space)
-    lhs = prefactor * (1.0 - _norm_sq_rows(lams)) * key
-    rhs = constant * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
-    return ((contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq),
-            list(zip(lhs.tolist(), rhs.tolist())))
+# The Green's-formula pass as it read the whole rule from the cached
+# accessor, before the rule was streamed block by block: the oracle of
+# calculus.greens_formula_check, which must equal it bit for bit.
+# Argument checks are left to the library.
 
 
 def full_rule_greens_formula_check(u, space, q=None, laplacian=None):

@@ -34,7 +34,7 @@ from carlembed.geometry import (
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
 from conftest import (
-    full_rule_greens_formula_check, full_rule_uchiyama_checks, measure_poly_corpus, pair_corpus,
+    full_rule_greens_formula_check, measure_poly_corpus, pair_corpus,
 )
 
 DISC = Space.disc()
@@ -702,6 +702,8 @@ def _check_against_oracle(mu, f, q):
 # cheap, the bench-shaped inputs below run on the default rule.
 _ORACLE_SEED = 20260222
 _SMALL_BALL_RULE = QuadratureSpec(radial_order=24, angular_order=16, sphere_nodes=12)
+# 4,096 nodes in 16 factor rows: cheap passes at hundreds of atoms
+_TINY_BALL_RULE = QuadratureSpec(radial_order=4, angular_order=16, sphere_nodes=4)
 
 
 def test_uchiyama_checks_match_oracle_disc_corpus():
@@ -772,45 +774,200 @@ def test_uchiyama_computes_each_node_potential_once(tmp_path, monkeypatch, capsy
     mu_path, f_path = tmp_path / "mu.json", tmp_path / "f.json"
     mu_path.write_text(json.dumps(cli.measure_to_dict(mu)))
     f_path.write_text(json.dumps(f))
-    rows = []
-    poisson = measure._poisson
+    # Poisson rows formed at the atoms (measure._potential_field) and at
+    # the nodes (the node pass calls geometry._poisson on each block)
+    atom_rows, node_rows = [], []
 
-    def counted(d_sq, z_norm_sq, n, out=None):
-        rows.append(len(d_sq))
-        return poisson(d_sq, z_norm_sq, n, out)
+    def counted(rows, poisson):
+        def run(d_sq, z_norm_sq, n, out=None):
+            rows.append(d_sq.size // d_sq.shape[-1])
+            return poisson(d_sq, z_norm_sq, n, out)
+        return run
 
-    monkeypatch.setattr(measure, "_poisson", counted)
+    monkeypatch.setattr(measure, "_poisson", counted(atom_rows, measure._poisson))
+    monkeypatch.setattr(calculus, "_poisson", counted(node_rows, calculus._poisson))
     monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 16)
     assert cli.main(["uchiyama", str(mu_path), "--poly", str(f_path), "--quad-order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
     q = QuadratureSpec(radial_order=8, angular_order=32, sphere_nodes=24)
     nodes = len(ball_rule(q, 2)[1])
-    # phi at the three atoms, once for ||phi||_inf and every key inequality,
-    # then each node block once
-    atom_rows, node_rows = rows[0], rows[1:]
-    assert atom_rows == 3
-    assert sum(node_rows) == nodes and len(node_rows) == len(numerics._row_blocks(nodes, 3)) > 1
+    blocks = list(calculus._factor_blocks(numerics._rule_factors(2, 32, 24, 8), 3))
+    # phi at the three atoms once, for ||phi||_inf and every key
+    # inequality; then each block of the node pass once, and the blocks
+    # cover every node once (test_factor_blocks_partition_the_rule)
+    assert atom_rows == [3]
+    assert sum(node_rows) == nodes and len(node_rows) == len(blocks) > 1
 
 
-# The quadrature passes stream the rule block by block from its cached
-# factors; the oracles in conftest read the whole rule.
+# The quadrature passes fill the rule block by block from its cached
+# factors; the Green's-formula oracle in conftest reads the whole rule.
+
+
+def _random_pair(space, atoms, rmax, seed):
+    rng = rng_stream(_ORACLE_SEED, seed)
+    mu = DiscreteMeasure(space, [
+        (random_point(rng, space.dim, rmax), math.exp(rng.normal(0.0, 0.5))) for _ in range(atoms)
+    ])
+    return mu, random_poly(rng, space.dim, 5)
 
 
 def _bench_shaped_ball_pair(seed):
-    rng = rng_stream(_ORACLE_SEED, seed)
-    mu = DiscreteMeasure(
-        BALL2, [(random_point(rng, 2, 0.6), math.exp(rng.normal(0.0, 0.5))) for _ in range(3)]
-    )
-    return mu, random_poly(rng, 2, 5)
+    return _random_pair(BALL2, 3, 0.6, seed)
 
 
-def test_rule_stream_uchiyama_equals_full_rule_oracle():
-    cases = measure_poly_corpus(4, DISC, 5, 0.8, 5, _ORACLE_SEED, 13)
-    cases += [(mu, f, _SMALL_BALL_RULE) for mu, f in
-              measure_poly_corpus(3, BALL2, 5, 0.6, 5, _ORACLE_SEED, 14)]
-    cases += [_bench_shaped_ball_pair(15)]
-    for mu, f, *q in cases:
-        assert uchiyama_checks(mu, f, *q) == full_rule_uchiyama_checks(mu, f, *q)
+# The node pass before it ran on the rule's factors, kept as the oracle
+# of uchiyama_checks: row blocks of the streamed rule through
+# measure._poisson_blocks, |f|^2 by nested Horner and |z|^2 at each
+# node, and phi by the gemv p @ w.  The pass now takes |z|^2, the Green
+# factor and (1 - |z|^2)^n once per factor row, f from products over the
+# torus and -phi as einsum row sums, so its numbers agree with these to
+# rounding; the key right sides are computed as before, bit for bit.
+
+
+def _node_pass_oracle(mu, f, q=None):
+    if q is None:
+        q = default_quadrature(mu.space)
+    n = mu.space.dim
+    rule = numerics._interior_stream(q, n)
+    lams, wts, mass = mu.points_array(), mu.weights_array(), calculus._atom_mass(mu)
+    contraction = corollary = 0.0
+    phi_atoms = measure._potential_field(lams, wts, lams)
+    phi_sup = float(np.max(-phi_atoms))
+    key = np.zeros(len(mu))
+    a_scratch = None
+    for rows, zs, nrm, d_sq, p in measure._poisson_blocks(rule, lams):
+        if a_scratch is None:
+            a_scratch = np.empty(d_sq.shape)
+        w_f = rule.weigh(rows, np.abs(f.eval_array(zs)) ** 2)
+        phi = -(p @ wts)
+        w_f_e = w_f * np.exp(phi)
+        a = calculus._atom_matrix(d_sq, n, a_scratch[:len(d_sq)])
+        density = calculus._density_field(n, nrm, a @ mass)
+        contraction += float(np.sum(w_f_e * density))
+        corollary += float(np.sum(w_f * density))
+        phi_sup = max(phi_sup, float(np.max(-phi)))
+        key += (w_f_e * (1.0 - nrm) ** n) @ a
+    prefactor, constant = math.factorial(n) / math.pi ** n, beta_constant(n)
+    norm_sq = hardy_norm_sq(f, mu.space)
+    lhs = prefactor * (1.0 - _norm_sq_rows(lams)) * key
+    rhs = constant * np.exp(phi_atoms) * np.abs(f.eval_array(lams)) ** 2
+    return ((contraction, norm_sq), (corollary, math.e * phi_sup * norm_sq),
+            list(zip(lhs.tolist(), rhs.tolist())))
+
+
+@pytest.mark.parametrize("cases", [
+    # the criterion 07/08 corpora on the default rules
+    lambda: measure_poly_corpus(50, DISC, 5, 0.8, 5, _ORACLE_SEED, 7),
+    lambda: measure_poly_corpus(10, BALL2, 5, 0.6, 5, _ORACLE_SEED, 8),
+    lambda: [_bench_shaped_ball_pair(seed) for seed in (15, 16, 17)],
+    lambda: [_random_pair(BALL2, 300, 0.8, 18) + (_SMALL_BALL_RULE,)],
+], ids=["criterion-disc", "criterion-ball2", "bench-ball2", "300-atom-ball2"])
+def test_uchiyama_checks_match_the_node_pass(cases):
+    for mu, f, *q in cases():
+        got, want = uchiyama_checks(mu, f, *q), _node_pass_oracle(mu, f, *q)
+        _assert_close(_flat(got), _flat(want), 1e-13)
+        assert [rhs for _, rhs in got[2]] == [rhs for _, rhs in want[2]]
+
+
+def test_factor_blocks_partition_the_rule(monkeypatch):
+    # Each block is whole factor rows or a range of one row's torus
+    # nodes; together they cover the rule in its node order, each block
+    # within _BLOCK_ENTRIES node-by-atom entries, of two nodes or more and
+    # no longer than the first, which sizes the scratch of the pass.
+    for dim, q in [(1, default_quadrature(DISC)), (2, _SMALL_BALL_RULE)]:
+        factors = numerics._rule_factors(dim, q.angular_order, q.sphere_nodes, q.radial_order)
+        per_row = q.angular_order ** dim
+        nodes = len(factors[0]) * per_row
+        for exponent, atoms in [(10, 1), (10, 100), (13, 3), (16, 300), (16, 2000), (20, 7)]:
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << exponent)
+            blocks = list(calculus._factor_blocks(factors, atoms))
+            ranges = [calculus._block_nodes(block, per_row) for block in blocks]
+            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+            assert ranges[-1][1] == nodes
+            for (rows, t0, t1), (start, stop) in zip(blocks, ranges):
+                assert (t0, t1) == (0, per_row) or rows.stop - rows.start == 1
+                assert 2 <= stop - start <= ranges[0][1]
+                assert (stop - start) * atoms <= 1 << exponent
+            whole = per_row * atoms <= 1 << exponent
+            assert all((t0, t1) == (0, per_row) for _, t0, t1 in blocks) == whole
+
+
+def _monomial_scale(f, zs):
+    """sum |coeff| |z^alpha| at each row of zs: the size of the terms before they cancel."""
+    scale = np.zeros(len(zs))
+    for alpha, coeff in f.terms.items():
+        scale += abs(coeff) * np.prod(np.abs(zs) ** np.array(alpha), axis=1)
+    return scale
+
+
+@pytest.mark.parametrize("space, q", [
+    (DISC, default_quadrature(DISC)),
+    (BALL2, _TINY_BALL_RULE),
+], ids=["disc", "ball2"])
+@pytest.mark.parametrize("atoms", [1, 100])
+def test_poly_blocks_equal_horner_at_the_filled_nodes(space, q, atoms, monkeypatch):
+    # 2^12 entries: blocks of whole rows for one atom, ranges of a row for 100
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 12)
+    n, top = space.dim, q.angular_order - 1
+    rng = rng_stream(_ORACLE_SEED, 19 + n)
+    polys = [MultiPoly(n, {}), MultiPoly(n, {(0,) * n: 2.0 - 1.5j})]
+    for _ in range(10):
+        # sparse terms with gaps in every coordinate's degree
+        terms = {}
+        for _ in range(int(rng.integers(1, 6))):
+            alpha = [int(a) for a in rng.integers(0, top // n + 1, size=n)]
+            terms[tuple(alpha)] = complex(rng.normal(), rng.normal())
+        polys.append(MultiPoly(n, terms))
+    # total degree angular_order - 1, in one coordinate and spread over all
+    polys.append(MultiPoly(n, {(top,) + (0,) * (n - 1): 1.0 - 0.5j, (0,) * n: 0.25}))
+    spread = (top - top // n,) + (top // n,) * (n - 1)
+    polys.append(MultiPoly(n, {(0,) * (n - 1) + (top,): 0.5j, spread: -1.0}))
+    polys.append(random_poly(rng, n, 5))
+    factors = numerics._rule_factors(n, q.angular_order, q.sphere_nodes, q.radial_order)
+    blocks = list(calculus._factor_blocks(factors, atoms))
+    assert any((t0, t1) != (0, q.angular_order ** n) for _, t0, t1 in blocks) == (atoms > 1)
+    for f in polys:
+        seen = []
+        for block, values in calculus._poly_blocks(f, factors, atoms):
+            seen.append(block)
+            start, stop = calculus._block_nodes(block, q.angular_order ** n)
+            zs = np.empty((stop - start, n), dtype=complex)
+            numerics._fill_nodes(factors, start, stop, points=zs)
+            want = f.eval_array(zs)
+            assert values.shape == want.shape
+            assert np.all(np.abs(values - want) <= 1e-13 * _monomial_scale(f, zs)), f.terms
+        assert seen == blocks
+    zero = MultiPoly(n, {})
+    assert not any(np.any(v) for _, v in calculus._poly_blocks(zero, factors, atoms))
+
+
+# split: whether the blocks are ranges of one factor row's torus nodes at
+# _BLOCK_ENTRIES 2^10, 2^13, 2^16 and 2^20
+@pytest.mark.parametrize("space, atoms, q, seed, split", [
+    (DISC, 4, None, 24, [False] * 4),
+    # the gemv p @ w, which sums a row otherwise at other places in a
+    # block, moves this measure's bound between the sizes (OpenBLAS 0.3.31)
+    (DISC, 40, None, 25, [True, False, False, False]),
+    (DISC, 200, None, 220, [True, True, False, False]),
+    (BALL2, 3, _SMALL_BALL_RULE, 23, [False] * 4),
+    (BALL2, 250, _TINY_BALL_RULE, 270, [True, True, False, False]),
+], ids=["disc-4", "disc-40", "disc-200", "ball2-3", "ball2-250"])
+def test_corollary_bound_is_block_independent(space, atoms, q, seed, split, monkeypatch):
+    # Each node's -phi is the einsum sum of its own Poisson row, so
+    # ||phi||_inf, and with it the printed bound e ||phi||_inf ||f||^2,
+    # has the same bits at every block size, whether a block is whole
+    # factor rows or a range of one row's torus nodes.
+    mu, f = _random_pair(space, atoms, 0.9, seed)
+    q = q or default_quadrature(space)
+    factors = numerics._rule_factors(space.dim, q.angular_order, q.sphere_nodes, q.radial_order)
+    bounds, splits = set(), []
+    for exponent in (10, 13, 16, 20):
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << exponent)
+        bounds.add(uchiyama_checks(mu, f, q)[1][1])
+        _, _, t1 = next(calculus._factor_blocks(factors, atoms))
+        splits.append(t1 < q.angular_order ** space.dim)
+    assert len(bounds) == 1
+    assert splits == split
 
 
 @pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
@@ -855,6 +1012,7 @@ def test_over_cap_rule_is_refused_by_both_passes_before_any_block(monkeypatch):
         raise AssertionError("a block was filled")
 
     monkeypatch.setattr(numerics, "_fill_nodes", no_block)
+    monkeypatch.setattr(calculus, "_fill_nodes", no_block)
     q = QuadratureSpec(radial_order=342, angular_order=32, sphere_nodes=24)
     mu, f = _bench_shaped_ball_pair(17)
     u, lap = cli._green_case(BALL2, "mixed")

@@ -365,8 +365,14 @@ def test_kernel_constants_equal_earlier_bodies(corpus, monkeypatch):
         c_grid = kernel_constant_grid(mu, 32)
         assert c_grid == max(c_supp, _grid_level_oracle(mu, 32))
         assert c_grid == pytest.approx(_grid_constant_oracle(mu, 32), rel=1e-13)
+        # uchiyama takes |z|^2 per factor row, f from torus products and
+        # -phi from einsum row sums, so it agrees with this pass to
+        # rounding; the key right sides are formed as before, bit for bit.
         f = random_poly(rng, mu.space.dim, 3)
-        assert uchiyama_checks(mu, f, q) == _uchiyama_oracle(mu, f, q)
+        (*got, got_keys), (*want, want_keys) = uchiyama_checks(mu, f, q), _uchiyama_oracle(mu, f, q)
+        assert np.ravel(got + got_keys).tolist() == pytest.approx(
+            np.ravel(want + want_keys).tolist(), rel=1e-13, abs=0.0)
+        assert [rhs for _, rhs in got_keys] == [rhs for _, rhs in want_keys]
         want = _embedding_norm_sq_oracle(mu)
         assert embedding_norm_sq(mu) == pytest.approx(want, rel=1e-13)
 
@@ -416,6 +422,7 @@ def test_potentials_at_max_atoms_form_no_block_above_block_entries(monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
 
     spy(measure, "_poisson", lambda p: p.size)
+    spy(calculus, "_poisson", lambda p: p.size)
     kernel_blocks = measure._kernel_blocks
 
     def blocks(zs, lams):
