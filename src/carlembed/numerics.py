@@ -7,9 +7,10 @@ sphere.  Each rule is one product, radial (interior rules only) x moduli
 (|z_1|, ..., |z_n|) on the sphere x n uniform torus angles; the moduli
 rule, the only dimension-specific piece, covers n <= 2 and alone refuses
 a larger n.  Only the factors of a rule are cached (_rule_factors).  Every
-integral streams its rule: a _RuleStream fills one row block of nodes
-after another from the factors, so a pass holds one block and at most 8
-bytes per node.  The public rule accessors fill a whole rule the same way
+integral streams its rule: a _RuleStream (or, for the blocks of
+calculus.uchiyama_checks, _fill_nodes itself) fills one row block of
+nodes after another from the factors, so a pass holds one block and at
+most 8 bytes per node.  The public rule accessors fill a whole rule the same way
 on each call and cache nothing.  A QuadratureSpec holds only the orders
 of a rule; pass/fail tolerances belong to its callers.  Integrands are
 vectorized callables mapping an (m, n) complex array of points to an
