@@ -15,7 +15,10 @@ torus phase powers; |z|^2, the Green factor and (1 - |z|^2)^n once per
 row; the node-by-atom |1 - <z, lam_j>|^2 and from it phi, e^phi, the
 density and the node-by-atom kernel once per node.
 uchiyama_embedding_check, corollary_check and key_inequality_check are
-views of that pass.
+views of that pass.  greens_formula_check walks the same blocks: on the
+ball its step, Green density and metric weights once per row, and each
+node's stencil frame from its row's real reflection times its torus
+node's phase products, the one frame formula of invariant_laplacian_fd.
 
 Function arguments named ``u`` or ``f`` follow two conventions.  The
 pointwise stencil ops (laplacian_fd, invariant_laplacian_fd) take a
@@ -38,7 +41,7 @@ from .geometry import (
 )
 from .measure import _check_atom_count, _point_row, _poisson_blocks, _potential_field
 from .numerics import (
-    QuadratureSpec, _fill_nodes, _interior_stream, _row_blocks, _rule_factors,
+    MAX_QUAD_NODES, QuadratureSpec, _checked_values, _fill_nodes, _row_blocks, _rule_factors,
     boundary_quadrature, default_quadrature,
 )
 
@@ -176,26 +179,92 @@ def hardy_norm_sq(f, space):
 # Finite-difference stencils.
 
 
-def _stencil_sum(u, zs, v, h, u0):
-    """u(z+hv) + u(z-hv) + u(z+ihv) + u(z-ihv) - 4 u(z); u0 = u(zs).
+def _frame_sum(u, zs, steps, turns, weights, out, scratch=None):
+    """sum_k weights[k] (u(z+s_k) + u(z-s_k) + u(z+is_k) + u(z-is_k) - 4 u(z)) into out.
 
-    The direction v is one (n,) vector or one per row, (m, n); h is a
-    scalar or one step per row.
+    zs (..., n) complex, out of shape zs.shape[:-1].  Coordinate j of the
+    step along line k is s_kj = steps[k, j] * turns[k, 0, j], and of i s_k
+    steps[k, j] * turns[k, 1, j], real times complex, each broadcasting
+    to out; weights[k] broadcasts to out.  Steps and shifted points are
+    formed coordinate-major in two buffers, carved from scratch (complex,
+    at least 2 n out.size entries) when it is given, so every product
+    runs along the last axis of out, the shifted points are plain sums
+    and differences, and u sees them as an (m, n) view.  Every value of u
+    is checked for one value per point before it meets another array.
     """
-    hv = np.asarray(h)[..., None] * v
-    shifted = np.empty(np.broadcast_shapes(zs.shape, hv.shape), dtype=complex)
-    acc = -4.0 * u0
-    for unit in (1, -1, 1j, -1j):
-        np.multiply(hv, unit, out=shifted)
-        shifted += zs
-        acc += np.asarray(u(shifted), dtype=float)
-    return acc
+    n = zs.shape[-1]
+    cols = np.moveaxis(zs, -1, 0)
+    if scratch is None:
+        scratch = np.empty(2 * cols.size, dtype=complex)
+    step, shifted = scratch[:2 * cols.size].reshape((2,) + cols.shape)
+    points = shifted.reshape(n, -1).T  # a view, as shifted is contiguous
+    u0 = _checked_values(u, zs.reshape(-1, n)).reshape(out.shape)
+    acc = np.empty(out.shape)
+    out[...] = 0.0
+    for k in range(n):
+        np.multiply(u0, -4.0, out=acc)
+        for turn in turns[k]:
+            np.multiply(steps[k], turn, out=step)
+            for op in (np.add, np.subtract):
+                op(cols, step, out=shifted)
+                acc += _checked_values(u, points).reshape(out.shape)
+        out += weights[k] * acc
+    return out
+
+
+# The lines of the flat stencil, n = 1: s = h e_1 and i s.
+_AXIS_TURNS = np.array([1.0, 1j]).reshape(1, 2, 1, 1)
 
 
 def _flat_laplacian_field(u, zs, h):
-    """5-point Laplacian of u at the rows of zs; h scalar or per-row array."""
-    e_1 = np.eye(zs.shape[1])[0]
-    return _stencil_sum(u, zs, e_1, h, np.asarray(u(zs), dtype=float)) / (h * h)
+    """5-point Laplacian of u at the rows of zs, n = 1; h scalar or per-row array."""
+    h = np.asarray(h, dtype=float)
+    total = _frame_sum(u, zs, h[None, None], _AXIS_TURNS, (1.0,), np.empty(len(zs)))
+    return total / (h * h)
+
+
+def _reflections(moduli):
+    """U_kj = delta_kj - 2 c_k c_j/|c|^2, c = m + e_1, as (n, n, ...) from unit moduli m (n, ...).
+
+    m_1 >= 0, so |c|^2 >= 1 and nothing cancels.
+    """
+    c = np.array(moduli, dtype=float)
+    c[0] += 1.0
+    out = np.multiply((2.0 / (c * c).sum(axis=0) * c)[:, None], c[None, :])
+    eye = np.eye(len(c)).reshape(out.shape[:2] + (1,) * (c.ndim - 1))
+    return np.subtract(eye, out, out=out)
+
+
+def _phase_turns(phases):
+    """conj(p_k) p_j at [k, 0, j] and i conj(p_k) p_j at [k, 1, j], from phases p (n, ...).
+
+    |p_k|^2 = 1, so the diagonal k = j is 1 and i exactly.
+    """
+    n = len(phases)
+    turns = np.empty((n, 2) + phases.shape, dtype=complex)
+    np.multiply(phases.conj()[:, None], phases[None, :], out=turns[:, 0])
+    turns[range(n), 0, range(n)] = 1.0
+    np.multiply(turns[:, 0], 1j, out=turns[:, 1])
+    return turns
+
+
+def _polar_parts(zs):
+    """(|z|^2, m, p) of the rows of zs (k, n), so that z = D(p) |z| m; m and p are (n, k).
+
+    m_j = |z_j|/|z| are unit moduli (e_1 at the origin) and p_j =
+    z_j/|z_j| phases (1 where z_j = 0), the parts of z_j divided as reals.
+    """
+    zs = np.ascontiguousarray(zs, dtype=complex)
+    nrm = _norm_sq_rows(zs)
+    r = np.sqrt(nrm)
+    a = np.abs(zs)
+    moduli = a / np.where(r > 0.0, r, 1.0)[:, None]
+    moduli[r == 0.0, 0] = 1.0
+    phases = np.ones_like(zs)
+    pairs = zs.shape + (2,)
+    np.divide(zs.view(float).reshape(pairs), a[..., None],
+              out=phases.view(float).reshape(pairs), where=(a > 0.0)[..., None])
+    return nrm, moduli.T, phases.T
 
 
 def _invariant_laplacian_field(u, zs, h):
@@ -206,24 +275,20 @@ def _invariant_laplacian_field(u, zs, h):
     diagonal: (1 - |z|^2)^2/(n + 1) along z and (1 - |z|^2)/(n + 1)
     across it, so the operator is a weighted sum of flat 5-point
     Laplacians along the frame's complex lines.  The frame is the
-    columns of the Householder reflection I - 2 w w^*/|w|^2 with
-    w = z/|z| + e^{i arg z_1} e_1, so |w|^2 >= 1; at the origin, where
-    the metric is isotropic, it is I - 2 e_1 e_1^T.
+    Householder reflection I - 2 w w^*/|w|^2 with w = z/|z| + e^{i arg
+    z_1} e_1.  With z = D(p) |z| m (_polar_parts), w = D(p) c for the
+    real c = m + e_1, so column k of the frame is conj(p_k) p times row k
+    of the real symmetric reflection U of c (_reflections, _phase_turns);
+    at the origin, where the metric is isotropic, it is I - 2 e_1 e_1^T.
+    greens_formula_check takes the same frame from its rule's factors.
     """
     n = zs.shape[1]
-    nrm = _norm_sq_rows(zs)
-    r = np.sqrt(nrm)
-    w = zs / np.where(r > 0.0, r, 1.0)[:, None]
-    w[:, 0] += np.exp(1j * np.angle(zs[:, 0]))
-    scale = 2.0 / _norm_sq_rows(w)
-    u0 = np.asarray(u(zs), dtype=float)
+    nrm, moduli, phases = _polar_parts(zs)
+    h = np.asarray(h, dtype=float)
     across = (1.0 - nrm) / (n + 1)
-    total = 0.0
-    for k in range(n):
-        v = -(scale * w[:, k].conj())[:, None] * w  # column k of the reflection
-        v[:, k] += 1.0
-        weight = (1.0 - nrm) * across if k == 0 else across
-        total = total + weight * _stencil_sum(u, zs, v, h, u0)
+    weights = [(1.0 - nrm) * across] + [across] * (n - 1)
+    steps = h * _reflections(moduli)
+    total = _frame_sum(u, zs, steps, _phase_turns(phases), weights, np.empty(len(zs)))
     return total / (h * h)
 
 
@@ -397,6 +462,22 @@ def _check_finite(name, value):
     return value
 
 
+def _factor_frames(factors):
+    """The stencil frames of the rule of factors: (|z|^2, U, turns).
+
+    A node is z = D(p) r m for the unit moduli m of its factor row and the
+    phases p of its torus node, so its frame (_invariant_laplacian_field)
+    has column k U[k, :, row] * turns[k, 0, :, node]: |z|^2 (R,) and the
+    real reflections U (n, n, R) per factor row (the moduli have zero
+    imaginary parts), the phase products turns (n, 2, n, T) per torus node.
+    """
+    moduli, _, phases = factors
+    n = moduli.shape[1]
+    nrm = _norm_sq_rows(moduli)
+    torus = np.diagonal(phases.reshape(n, -1, n), axis1=0, axis2=2).T
+    return nrm, _reflections(moduli.real.T / np.sqrt(nrm)), _phase_turns(torus)
+
+
 def greens_formula_check(u, space, q=None, laplacian=None):
     """Both sides of the Green's formula for a C^2 function u.
 
@@ -405,42 +486,73 @@ def greens_formula_check(u, space, q=None, laplacian=None):
     dg = dV / (1 - |z|^2)^(n+1).
 
     u must be vectorized ((m, n) complex -> (m,) real).  The Laplacian
-    comes from ``laplacian`` (same vectorized signature) when supplied,
-    else from central differences with a per-node step capped at a
+    comes from ``laplacian`` (same vectorized signature, or one scalar)
+    when supplied, else from central differences with a step capped at a
     quarter of the boundary distance.  Returns (lhs, rhs, gap).
+
+    The pass walks the blocks of the rule's factors (_factor_blocks, 4n
+    stencil-shifted entries per node) and fills each block's nodes.  On
+    the ball |z|^2, the step, the Green density times the weight and the
+    frame's metric weights are taken once per radial x moduli row, and a
+    node's frame is its row's real reflection times the phase products
+    of its torus node (_invariant_laplacian_field); the products are
+    built once per pass.  On the disc the stencil runs along e_1 and the
+    step and the density are per node.  Each term lands in one array of
+    the rule's length, and one sum over it keeps the order of the rule.
     """
     if q is None:
         q = default_quadrature(space)
-    n = space.dim
-    rule = _interior_stream(q, n)
-    stencil = _flat_laplacian_field if space.kind == DISC else _invariant_laplacian_field
-    # Every per-node quantity, the nodes and weights included, lives only
-    # in its row block, which bounds the stencil-shifted copies held at
-    # once; the one sum over all terms keeps the summation order of the
-    # whole array.
-    terms = np.empty(len(rule))
-    for rows in _row_blocks(len(rule), 4 * n):
-        zs = rule.points(rows)
-        nrm2 = _norm_sq_rows(zs)
-        r = np.sqrt(nrm2)
-        if laplacian is None:
-            lap = stencil(u, zs, np.minimum(FD_STEP, 0.25 * (1.0 - r)))
+    n, disc = space.dim, space.kind == DISC
+    factors = _rule_factors(n, q.angular_order, q.sphere_nodes, q.radial_order)
+    moduli, row_weights, phases = factors
+    per_row = phases.shape[1] // n
+    terms = np.empty(len(moduli) * per_row)
+    blocks = list(_factor_blocks(factors, 4 * n))
+    rows, t0, t1 = blocks[0]
+    size = (rows.stop - rows.start) * (t1 - t0)
+    zs = np.empty((size, n), dtype=complex)
+    if not disc:
+        # per factor row: the step, the Green density times the weight, and
+        # the stencil lines' steps h U and weights g/h^2 along z and across it
+        nrm, frames, turns = _factor_frames(factors)
+        r = np.sqrt(nrm)
+        h = np.minimum(FD_STEP, 0.25 * (1.0 - r))
+        density = _green_ball_field(r, n) / (1.0 - nrm) ** (n + 1) * row_weights
+        steps = h * frames
+        across = (1.0 - nrm) / (n + 1) * density / (h * h)
+        lines = np.stack([(1.0 - nrm) * across] + [across] * (n - 1))
+        scratch = np.empty(2 * n * size, dtype=complex)  # steps and shifted points
+    for block in blocks:
+        (rows, t0, t1), (start, stop) = block, _block_nodes(block, per_row)
+        shape = (rows.stop - rows.start, t1 - t0)
+        z = zs[:stop - start]
+        _fill_nodes(factors, start, stop, points=z)
+        out = terms[start:stop]
+        if laplacian is not None:
+            lap = np.asarray(laplacian(z), dtype=float)
+            if lap.shape not in ((), out.shape):
+                raise InputError(f"laplacian returned shape {lap.shape}, expected {out.shape}")
+        if disc:
+            r_z = np.sqrt(_norm_sq_rows(z))
+            if laplacian is None:
+                lap = _flat_laplacian_field(u, z, np.minimum(FD_STEP, 0.25 * (1.0 - r_z)))
+            # (weight * lap) * density, the weights scaling the Laplacian in place
+            out[...] = lap
+            _fill_nodes(factors, start, stop, weighted=out)
+            np.multiply(out, _green_ball_field(r_z, 1), out=out)
+        elif laplacian is None:
+            _frame_sum(u, z.reshape(shape + (n,)), steps[:, :, rows, None],
+                       turns[..., None, t0:t1], lines[:, rows, None], out.reshape(shape), scratch)
         else:
-            lap = laplacian(zs)
-        if space.kind == DISC:
-            density = _green_ball_field(r, 1)
-        else:
-            density = _green_ball_field(r, n) / (1.0 - nrm2) ** (n + 1)
-        # (weight * lap) * density, the weights scaling the Laplacian in place
-        block = terms[rows]
-        block[...] = lap
-        np.multiply(rule.weigh(rows, block), density, out=block)
-    if space.kind == DISC:
+            out[...] = lap
+            by_row = out.reshape(shape)
+            np.multiply(by_row, density[rows, None], out=by_row)
+    if disc:
         lhs = float(np.sum(terms)) / (2.0 * np.pi)
     else:
         lhs = math.factorial(n) / np.pi ** n * float(np.sum(terms))
     origin = np.zeros((1, space.dim), dtype=complex)
-    rhs = boundary_quadrature(u, q, space) - float(np.asarray(u(origin), dtype=float)[0])
+    rhs = boundary_quadrature(u, q, space) - float(_checked_values(u, origin)[0])
     _check_finite("Green's formula lhs", lhs)
     _check_finite("Green's formula rhs", rhs)
     return lhs, rhs, abs(lhs - rhs)
@@ -478,21 +590,22 @@ def uchiyama_density(mu, z):
     return float(np.exp(phi)[0] * density[0])
 
 
-def _factor_blocks(factors, atoms):
+def _factor_blocks(factors, per_node):
     """The blocks (rows, t0, t1) of the rule of factors, torus nodes [t0, t1) of factor rows rows.
 
-    A block is whole factor rows, as many as fit their node-by-atom
-    entries in _BLOCK_ENTRIES (at least one); when one row's entries do
-    not fit, each row's torus nodes split into even ranges that do, so
-    no range is a single node (numpy takes a one-row product through
-    gemv, which rounds otherwise than gemm) unless a block holds only
-    one.  No block is longer than the first.
+    A block is whole factor rows, as many as fit their per_node entries
+    per node (the node-by-atom entries of uchiyama, the stencil-shifted
+    coordinates of green-check) in _BLOCK_ENTRIES (at least one); when
+    one row's entries do not fit, each row's torus nodes split into even
+    ranges that do, so no range is a single node (numpy takes a one-row
+    product through gemv, which rounds otherwise than gemm) unless a
+    block holds only one.  No block is longer than the first.
     """
     moduli, _, phases = factors
     per_row = phases.shape[1] // moduli.shape[1]
-    parts = len(_row_blocks(per_row, atoms))
+    parts = len(_row_blocks(per_row, per_node))
     if parts == 1:
-        for rows in _row_blocks(len(moduli), per_row * atoms):
+        for rows in _row_blocks(len(moduli), per_row * per_node):
             yield slice(rows.start, min(rows.stop, len(moduli))), 0, per_row
         return
     cuts = [-(-per_row * i // parts) for i in range(parts + 1)]
@@ -520,7 +633,9 @@ def _poly_blocks(f, factors, atoms):
     first, each one matrix product; the first coordinate takes only the
     angles the block's torus range reaches.  No array grows like terms x
     torus nodes.  The powers of the moduli and of the phases are built
-    once per pass by repeated multiplication (cumprod).
+    once per pass by repeated multiplication (cumprod); either array is
+    refused with InputError, before it exists, past MAX_QUAD_NODES
+    entries.
     """
     moduli, _, phases = factors
     count, n = moduli.shape
@@ -528,6 +643,10 @@ def _poly_blocks(f, factors, atoms):
     m = round(per_row ** (1.0 / n))
     shape = tuple(1 + max((alpha[j] for alpha in f.terms), default=0) for j in range(n))
     top = max(shape)
+    for name, size in (("phase", m * top), ("moduli", count * n * top)):
+        if size > MAX_QUAD_NODES:
+            raise InputError(f"{name} powers to degree {top - 1} take {size} entries, "
+                             f"limit is {MAX_QUAD_NODES}")
     box = np.zeros(shape, dtype=complex)
     for alpha, coeff in f.terms.items():
         box[alpha] = coeff

@@ -8,10 +8,10 @@ sphere.  Each rule is one product, radial (interior rules only) x moduli
 rule, the only dimension-specific piece, covers n <= 2 and alone refuses
 a larger n.  Only the factors of a rule are cached (_rule_factors).  Every
 integral streams its rule: a _RuleStream (or, for the blocks of
-calculus.uchiyama_checks, _fill_nodes itself) fills one row block of
-nodes after another from the factors, so a pass holds one block and at
-most 8 bytes per node.  The public rule accessors fill a whole rule the same way
-on each call and cache nothing.  A QuadratureSpec holds only the orders
+calculus.uchiyama_checks and greens_formula_check, _fill_nodes itself)
+fills one row block of nodes after another from the factors, so a pass
+holds one block and at most 8 bytes per node.  The public rule accessors
+fill a whole rule the same way on each call and cache nothing.  A QuadratureSpec holds only the orders
 of a rule; pass/fail tolerances belong to its callers.  Integrands are
 vectorized callables mapping an (m, n) complex array of points to an
 (m,) real array; they are evaluated one row block at a time.
@@ -617,6 +617,18 @@ def boundary_rule(q, space):
     return _whole_rule(_RuleStream(space.dim, q.angular_order, q.sphere_nodes))
 
 
+def _checked_values(f, points):
+    """f(points) as floats, refused with InputError unless there is one value per point.
+
+    Checked before the values meet any other array, so a column of
+    values never broadcasts into a square.
+    """
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (len(points),):
+        raise InputError(f"integrand returned shape {values.shape}, expected {(len(points),)}")
+    return values
+
+
 def _integrate(f, stream):
     """Sum of f times the weights over stream, one row block of values checked at a time.
 
@@ -625,9 +637,7 @@ def _integrate(f, stream):
     terms = np.empty(len(stream))
     for rows in _row_blocks(len(stream), stream.shape[1]):
         points = stream.points(rows)
-        values = np.asarray(f(points), dtype=float)
-        if values.shape != (len(points),):
-            raise InputError(f"integrand returned shape {values.shape}, expected {(len(points),)}")
+        values = _checked_values(f, points)
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))

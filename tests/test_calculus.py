@@ -34,7 +34,8 @@ from carlembed.geometry import (
 from carlembed.measure import DiscreteMeasure, carleson_potential, kernel_constant_on_support
 from carlembed.numerics import QuadratureSpec, ball_rule, default_quadrature, rng_stream
 from conftest import (
-    full_rule_greens_formula_check, measure_poly_corpus, pair_corpus,
+    full_rule_greens_formula_check, householder_frame, householder_invariant_laplacian_field,
+    measure_poly_corpus, pair_corpus,
 )
 
 DISC = Space.disc()
@@ -318,28 +319,38 @@ def test_greens_formula_ball_radial_and_nonradial():
 
 
 def test_greens_formula_blocked_stencil_equals_one_block(monkeypatch):
+    # Each term depends only on its node and its factor row, and one sum
+    # over the whole rule keeps its order, whether a block is the whole
+    # rule, whole factor rows or (at 1000 entries on ball(2), 256 on the
+    # disc) ranges of one row's torus nodes.
     cases = [
-        (DISC, lambda zs: (zs[:, 0] * zs[:, 0].conj()).real ** 2, default_quadrature(DISC)),
+        (DISC, lambda zs: (zs[:, 0] * zs[:, 0].conj()).real ** 2, default_quadrature(DISC), 256),
         (
             BALL2,
             lambda zs: ((zs[:, 0] * zs[:, 0].conj()) * (zs[:, 1] * zs[:, 1].conj())).real,
             QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8),
+            1000,
         ),
     ]
-    for space, u, q in cases:
-        nodes = len(ball_rule(q, space.dim)[1])
+    for space, u, q, split_entries in cases:
+        factors = numerics._rule_factors(space.dim, q.angular_order, q.sphere_nodes,
+                                         q.radial_order)
+        per_row = q.angular_order ** space.dim
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 20)
-        assert len(numerics._row_blocks(nodes, 4 * space.dim)) == 1
+        assert len(list(calculus._factor_blocks(factors, 4 * space.dim))) == 1
         whole = greens_formula_check(u, space, q)
-        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1000)
-        assert len(numerics._row_blocks(nodes, 4 * space.dim)) >= 8
-        assert greens_formula_check(u, space, q) == whole
+        for entries in (1000, split_entries):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+            blocks = list(calculus._factor_blocks(factors, 4 * space.dim))
+            assert len(blocks) >= 8
+            assert (blocks[0][2] < per_row) == (entries == split_entries)
+            assert greens_formula_check(u, space, q) == whole
         monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fn", ["mixed", "radial"])
 def test_greens_formula_default_ball_rule_equals_old_block_size(fn, monkeypatch):
-    # The stencil, the density and the terms are per node, and one sum
+    # Each term depends only on its node and its factor row, and one sum
     # over the whole rule keeps its order: the result does not depend on
     # the block size, down to the last bit.
     u, lap = cli._green_case(BALL2, fn)
@@ -532,6 +543,43 @@ def test_frame_stencil_exact_on_norm_sq(dim):
         point = SpacePoint(z)
         fd = invariant_laplacian_fd(lambda p: p.norm_sq, point, space, 1e-3)
         assert fd == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frame_columns_match_householder_and_are_orthonormal(dim):
+    # the origin, the e_1 axis, points with z_1 = 0 and generic points
+    zs = _norm_sq_points(dim)
+    _, moduli, phases = calculus._polar_parts(zs)
+    frame = calculus._reflections(moduli) * calculus._phase_turns(phases)[:, 0]
+    frame = np.moveaxis(frame, -1, 0)  # [point, k, j]: coordinate j of column k
+    assert np.max(np.abs(frame - householder_frame(zs))) <= 1e-15
+    gram = frame.conj() @ np.swapaxes(frame, 1, 2)
+    assert np.max(np.abs(gram - np.eye(dim))) <= 1e-15
+
+
+def test_factor_frames_match_householder_at_the_filled_nodes():
+    q = QuadratureSpec(radial_order=8, angular_order=16, sphere_nodes=6)
+    nodes, _ = ball_rule(q, 2)
+    nrm, frames, turns = calculus._factor_frames(
+        numerics._rule_factors(2, q.angular_order, q.sphere_nodes, q.radial_order))
+    row, torus = np.divmod(np.arange(len(nodes)), q.angular_order ** 2)
+    frame = np.moveaxis(frames[:, :, row] * turns[:, 0][..., torus], -1, 0)
+    assert np.max(np.abs(frame - householder_frame(nodes))) <= 1e-15
+    gram = frame.conj() @ np.swapaxes(frame, 1, 2)
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(nrm[row] - _norm_sq_rows(nodes))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frame_stencil_matches_householder_stencil(dim):
+    # The same stencil on shifted points that differ in their last bits,
+    # which 1/h^2 = 1e6 carries into the Laplacian: up to 4.8e-11
+    # relative on these corpora, bit for bit at n = 1.
+    zs, lams = _pair_arrays(300, dim, 0.8, 30 + dim)
+    u = _row_poisson(lams)
+    got = calculus._invariant_laplacian_field(u, zs, 1e-3)
+    want = householder_invariant_laplacian_field(u, zs, 1e-3)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
 
 
 def test_invariant_laplacian_poisson_closed_vs_stencil_dim3():
@@ -941,6 +989,34 @@ def test_poly_blocks_equal_horner_at_the_filled_nodes(space, q, atoms, monkeypat
     assert not any(np.any(v) for _, v in calculus._poly_blocks(zero, factors, atoms))
 
 
+def test_poly_blocks_refuse_power_arrays_past_the_node_cap():
+    # 4 x 8,192 disc nodes are far under the node cap, and degree 4096 is
+    # MultiPoly's cap and below the angular order, but the phase powers
+    # would be 8,192 x 4,097 complex entries (537 MB): refused before they
+    # exist.
+    q = QuadratureSpec(radial_order=4, angular_order=1 << 13, sphere_nodes=4)
+    mu = DiscreteMeasure(DISC, [(SpacePoint(0.3), 1.0)])
+    f = MultiPoly(1, {(4096,): 1.0})
+    peaks = []
+    with pytest.raises(InputError, match="phase powers to degree 4096 take 33562624 entries"):
+        _traced_peak(lambda: uchiyama_checks(mu, f, q), peaks)
+    assert peaks[0] < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("cap, refused", [(1279, True), (1280, False)])
+def test_poly_blocks_refuse_moduli_powers_past_the_node_cap(cap, refused, monkeypatch):
+    # 128 factor rows x 2 coordinates x degrees 0-4: 1,280 entries
+    monkeypatch.setattr(calculus, "MAX_QUAD_NODES", cap)
+    factors = numerics._rule_factors(2, 16, 8, 16)
+    f = MultiPoly(2, {(4, 0): 1.0, (0, 1): 0.5j})
+    blocks = calculus._poly_blocks(f, factors, 1)
+    if refused:
+        with pytest.raises(InputError, match="moduli powers to degree 4 take 1280 entries"):
+            next(blocks)
+    else:
+        next(blocks)
+
+
 # split: whether the blocks are ranges of one factor row's torus nodes at
 # _BLOCK_ENTRIES 2^10, 2^13, 2^16 and 2^20
 @pytest.mark.parametrize("space, atoms, q, seed, split", [
@@ -970,16 +1046,83 @@ def test_corollary_bound_is_block_independent(space, atoms, q, seed, split, monk
     assert splits == split
 
 
+# The ball pass takes |z|^2, the step and the Green density once per
+# factor row and each node's frame from its row's real reflection times
+# its torus node's phase products, where the oracle builds a Householder
+# frame per node.  The shifted points then differ in their last bits,
+# and the stencil's 1/h^2 makes that about 1e-11 of a node's Laplacian,
+# noise that averages down like one over the root of the node count: on
+# the default ball(2) rule (1.18 M nodes) lhs moved by at most 3.8e-14
+# relative (1.4e-14 for radial, 3.8e-14 for mixed), on the 73,728-node
+# _SMALL_BALL_RULE by 6.1e-14 for radial.  re1's true value is 0, its
+# lhs is rounding alone (about 3e-14), and it moved by 5.1e-15.  The
+# disc pass is per node, bit for bit.
+_GREEN_ORACLE_RTOL = 1e-13
+_GREEN_ORACLE_ATOL = 2e-14
+
+
 @pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
 @pytest.mark.parametrize("fn", ["one", "radial", "re1", "mixed"])
 def test_rule_stream_greens_formula_equals_full_rule_oracle(space, fn):
     u, lap = cli._green_case(space, fn)
-    q = default_quadrature(space) if fn == "mixed" else _SMALL_BALL_RULE
-    want = full_rule_greens_formula_check(u, space, q, laplacian=lap)
-    assert greens_formula_check(u, space, q, laplacian=lap) == want
+    q = _SMALL_BALL_RULE if space.kind == "disc" and fn != "mixed" else default_quadrature(space)
     # a scalar Laplacian broadcasts over the block, as it did over the rule
-    assert (greens_formula_check(u, space, q, laplacian=lambda zs: 2.5)
-            == full_rule_greens_formula_check(u, space, q, laplacian=lambda zs: 2.5))
+    for laplacian in (lap, lambda zs: 2.5):
+        got = greens_formula_check(u, space, q, laplacian=laplacian)
+        want = full_rule_greens_formula_check(u, space, q, laplacian=laplacian)
+        assert got[1] == want[1]
+        if space.kind == "disc":
+            assert got == want
+        elif fn == "re1" and laplacian is lap:
+            assert abs(got[0] - want[0]) <= _GREEN_ORACLE_ATOL
+        else:
+            assert abs(got[0] - want[0]) <= _GREEN_ORACLE_RTOL * abs(want[0])
+
+
+def _unconjugated_turns(phases):
+    products = phases[:, None] * phases[None, :]
+    return np.stack([products, 1j * products], axis=1)
+
+
+def _reflections_without_e_1(moduli):
+    m = np.asarray(moduli, dtype=float)
+    return np.eye(len(m)).reshape((len(m),) * 2 + (1,) * (m.ndim - 1)) - 2.0 * m[:, None] * m[None]
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_phase_turns", _unconjugated_turns), ("_reflections", _reflections_without_e_1),
+])
+def test_frame_checks_catch_a_wrong_frame(name, mutant, monkeypatch):
+    # p_k p_j in place of conj(p_k) p_j turns column k by p_k^2, a unit
+    # factor that keeps its complex line and so the Laplacian: only the
+    # frame comparison sees it.  Without + e_1 the reflection is
+    # I - 2 m m^T, whose first column does not span z, so the weights
+    # along z and across it land on the wrong lines.
+    monkeypatch.setattr(calculus, name, mutant)
+    zs = _norm_sq_points(2)
+    _, moduli, phases = calculus._polar_parts(zs)
+    frame = calculus._reflections(moduli) * calculus._phase_turns(phases)[:, 0]
+    assert np.max(np.abs(np.moveaxis(frame, -1, 0) - householder_frame(zs))) > 0.1
+    if name == "_reflections":
+        u, _ = cli._green_case(BALL2, "mixed")
+        want = full_rule_greens_formula_check(u, BALL2, _SMALL_BALL_RULE)
+        got = greens_formula_check(u, BALL2, _SMALL_BALL_RULE)
+        assert abs(got[0] - want[0]) > 1e3 * _GREEN_ORACLE_RTOL * abs(want[0])
+
+
+@pytest.mark.parametrize("space", [DISC, BALL2], ids=["disc", "ball2"])
+def test_greens_formula_refuses_values_not_one_per_point(space):
+    # A column of values used to broadcast against a row of weights into
+    # squares of the block's length, 8,192 x 8,192 floats (537 MB) on this
+    # ball(2) rule, before a raw ValueError.
+    q = QuadratureSpec(radial_order=16, angular_order=16, sphere_nodes=8)
+    column = lambda zs: _norm_sq_rows(zs)[:, None]
+    peaks = []
+    with pytest.raises(InputError, match=r"integrand returned shape \(\d+, 1\), expected"):
+        _traced_peak(lambda: greens_formula_check(column, space, q), peaks)
+    with pytest.raises(InputError, match=r"laplacian returned shape \(\d+, 1\), expected"):
+        _traced_peak(lambda: greens_formula_check(_norm_sq_rows, space, q, laplacian=column), peaks)
+    assert max(peaks) < 4 * 2 ** 20
 
 
 def _traced_peak(run, peaks=None):
